@@ -17,14 +17,12 @@ from .features import (FeatureVector, IdVocabulary, LABELS, LABEL_NORMAL,
                        build_vocabulary, extract_features, extract_matrix,
                        fit_scaler, read_feature_csv, segment_windows,
                        write_feature_csv)
-from .models import (DualSolverError, KernelSpec, NptEmbedding, OcsvmModel,
-                     SSvddModel, SvddModel, WhitenSpec, WhitenedModel,
+from .models import (Detector, DualSolverError, KernelSpec, NptEmbedding,
                      esvdd_fit, fit_model, geocsvm_fit, gesvdd_fit,
                      gram_matrix, graph_laplacian, load_model,
                      median_heuristic, model_tag, npt_embed, ocsvm_fit,
-                     ocsvm_score, predict, save_model, score_samples,
-                     solve_ocsvm_dual, solve_svdd_dual, ssvdd_fit,
-                     ssvdd_score, svdd_fit, svdd_score)
+                     predict, save_model, score_samples, solve_ocsvm_dual,
+                     solve_svdd_dual, ssvdd_fit, svdd_fit)
 from .simulate import (AttackScenario, BusSpec, EcuSpec, LabeledLog,
                        default_bus, generate_normal, inject,
                        inject_random_id, inject_replay, inject_zero_id,

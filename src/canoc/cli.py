@@ -16,7 +16,8 @@ import numpy as np
 
 from . import canlog, features, simulate
 from .evaluate import evaluate, write_report_table
-from .models import KernelSpec, fit_model, load_model, save_model, score_samples
+from .models import (FAMILY_PARAMS, MODEL_FAMILIES, KernelSpec, fit_model,
+                     load_model, save_model, score_samples)
 from .models.persist import model_tag
 
 EXIT_OK = 0
@@ -165,24 +166,6 @@ def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
     return KernelSpec(args.kernel, args.sigma)
 
 
-def _hyperparams(args: argparse.Namespace) -> dict:
-    params: dict = {}
-    if args.family in ("svdd", "ssvdd", "esvdd", "gesvdd"):
-        params["C"] = args.c
-    if args.family in ("ocsvm", "geocsvm"):
-        params["nu"] = args.nu
-    if args.family in ("esvdd", "gesvdd", "geocsvm"):
-        params["epsilon"] = args.epsilon
-    if args.family in ("gesvdd", "geocsvm"):
-        params["k_neighbors"] = args.k_neighbors
-    if args.family == "ssvdd":
-        params.update(beta=args.beta, psi=args.psi, eta=args.eta,
-                      iterations=args.iterations)
-        if args.d is not None:
-            params["d"] = args.d
-    return params
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     with open(args.features, "r", encoding="utf-8") as f:
         X, labels, vocab = features.read_feature_csv(f)
@@ -196,9 +179,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if X.shape[0] < 2:
         raise ValueError("need at least 2 normal training rows")
     scaler = features.fit_scaler(X)
+    # every hyperparameter of the family that has a flag (C from --c)
+    params = {key: getattr(args, key.lower()) for key in FAMILY_PARAMS[args.family]
+              if getattr(args, key.lower(), None) is not None}
     model = fit_model(args.family, features.apply_scaler(scaler, X),
-                      kernel=_kernel_from_args(args), scaler=scaler,
-                      **_hyperparams(args))
+                      kernel=_kernel_from_args(args), scaler=scaler, **params)
     if args.extraction_config:
         _, meta = features.load_vocabulary(args.extraction_config)
         extraction = dict(meta)
@@ -233,14 +218,17 @@ def cmd_detect(args: argparse.Namespace) -> int:
     model, extraction = load_model(args.model)
     if "ids" not in extraction:
         raise ValueError("model file carries no vocabulary; re-train with this toolkit")
-    vocab = features.IdVocabulary(
-        tuple(int(i, 16) for i in extraction["ids"]),
-        bool(extraction.get("include_other_bucket", True)))
+    try:
+        vocab = features.IdVocabulary(
+            tuple(int(i, 16) for i in extraction["ids"]),
+            bool(extraction.get("include_other_bucket", True)))
+        window = float(extraction.get("window", 1.0))
+        stride = float(extraction.get("stride", window))
+    except TypeError as err:
+        raise ValueError(f"model field 'extraction' is malformed: {err}") from None
     if model.scaler is not None and vocab.dimension != model.scaler.mean.shape[0]:
         raise ValueError(f"vocabulary dimension {vocab.dimension} does not match "
                          f"model dimension {model.scaler.mean.shape[0]}")
-    window = float(extraction.get("window", 1.0))
-    stride = float(extraction.get("stride", window))
     stdev_mode = extraction.get("stdev_mode", "gaps")
     log = canlog.load_log(args.input)
     windows = features.segment_windows(log, window, stride)
@@ -309,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--features", required=True, help="feature CSV (normal rows)")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--family", default="svdd",
-                   choices=("svdd", "ssvdd", "esvdd", "gesvdd", "ocsvm", "geocsvm"))
+    p.add_argument("--family", default="svdd", choices=MODEL_FAMILIES)
     p.add_argument("--kernel", choices=("linear", "rbf"), default="linear")
     p.add_argument("--sigma", type=float, help="rbf bandwidth (default: median heuristic)")
     p.add_argument("--c", type=float, default=1.0, help="SVDD trade-off C")

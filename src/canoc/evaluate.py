@@ -11,27 +11,22 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .features import LABEL_NORMAL
-from .models import (KernelSpec, LINEAR, config_digest, fit_model,
-                     median_heuristic, model_tag, predict)
-from .models.api import AnyModel, LABEL_ANOMALY
+from .models import (LABEL_ANOMALY, Detector, KernelSpec, LINEAR,
+                     config_digest, fit_model, median_heuristic, model_tag,
+                     predict)
 
 
 @dataclass(frozen=True)
 class SplitSpec:
     """70/30-style split; training takes normal rows only (the one-class
-    contract), everything else goes to test. ``stratify`` names that
-    contract and cannot be turned off."""
+    contract), everything else goes to test."""
 
     train_fraction: float = 0.7
     seed: int = 0
-    stratify: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must be in (0, 1)")
-        if not self.stratify:
-            raise ValueError("normal-only training is the one-class contract; "
-                             "stratify cannot be disabled")
 
 
 def split(X, labels: Sequence[str], spec: SplitSpec = SplitSpec()
@@ -95,7 +90,7 @@ def _confusion(pred_anomaly: np.ndarray, true_anomaly: np.ndarray) -> tuple[int,
     return tp, tn, fp, fn
 
 
-def evaluate(model: AnyModel, X_test, labels: Sequence[str]) -> EvalReport:
+def evaluate(model: Detector, X_test, labels: Sequence[str]) -> EvalReport:
     """Score the test set; per-attack Gmeans reuse all normal test rows."""
     X_test = np.asarray(X_test, dtype=float)
     labels = list(labels)

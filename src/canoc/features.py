@@ -17,6 +17,7 @@ pseudo-ID so foreign-ID traffic stays visible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -275,7 +276,17 @@ def read_feature_csv(stream: Iterable[str]) -> tuple[np.ndarray, list[str], IdVo
         if len(fields) != len(header):
             raise ValueError(f"row arity mismatch at line {lineno}")
         labels.append(fields[0])
-        rows.append([float(v) for v in fields[1:]])
+        row = []
+        for name, cell in zip(header[1:], fields[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"feature file line {lineno}, column '{name}': "
+                                 f"{cell!r} is not a finite number")
+            row.append(value)
+        rows.append(row)
     X = np.array(rows, dtype=float) if rows else np.empty((0, vocab.dimension))
     return X, labels, vocab
 

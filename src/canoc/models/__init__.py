@@ -1,35 +1,33 @@
 """One-class classifier suite: SVDD, S-SVDD (psi0-psi3), E-SVDD, GE-SVDD,
-OC-SVM and GE-OC-SVM, in linear and rbf variants, over a shared dual solver."""
+OC-SVM and GE-OC-SVM, in linear and rbf variants, over a shared dual solver.
+Every fitter returns one :class:`Detector`."""
 
-from .api import (AnyModel, LABEL_ANOMALY, MODEL_FAMILIES, fit_model,
-                  model_family, predict, score_samples)
+from .api import (FAMILY_PARAMS, LABEL_ANOMALY, MODEL_FAMILIES, fit_model,
+                  predict, score_samples)
+from .detector import Detector, Projection, Whiten
 from .kernels import (KernelSpec, LINEAR, gram_matrix, median_heuristic,
                       resolve_kernel)
-from .ocsvm import OcsvmModel, ocsvm_fit, ocsvm_score, ocsvm_scores
+from .ocsvm import ocsvm_fit
 from .persist import (config_digest, load_model, model_from_dict,
                       model_to_dict, model_tag, save_model)
 from .smo import (DualSolverError, center_distances_sq, solve_ocsvm_dual,
                   solve_simplex_box_qp, solve_svdd_dual)
-from .ssvdd import (NptEmbedding, PSI_VARIANTS, SSvddModel, npt_embed,
+from .ssvdd import (NptEmbedding, PSI_VARIANTS, npt_embed,
                     orthonormalize_rows, ssvdd_fit, ssvdd_gradient,
-                    ssvdd_objective, ssvdd_score, ssvdd_scores)
-from .svdd import SvddModel, svdd_fit, svdd_score, svdd_scores
-from .whiten import (WhitenSpec, WhitenedModel, esvdd_fit, geocsvm_fit,
-                     gesvdd_fit, graph_laplacian, inv_sqrt_psd,
-                     whitened_scores)
+                    ssvdd_objective)
+from .svdd import svdd_fit
+from .whiten import (esvdd_fit, geocsvm_fit, gesvdd_fit, graph_laplacian,
+                     inv_sqrt_psd)
 
 __all__ = [
-    "AnyModel", "DualSolverError", "KernelSpec", "LABEL_ANOMALY", "LINEAR",
-    "MODEL_FAMILIES", "NptEmbedding", "OcsvmModel", "PSI_VARIANTS",
-    "SSvddModel", "SvddModel", "WhitenSpec", "WhitenedModel",
-    "center_distances_sq", "config_digest", "esvdd_fit", "fit_model",
-    "geocsvm_fit", "gesvdd_fit", "gram_matrix", "graph_laplacian",
-    "inv_sqrt_psd", "load_model", "median_heuristic", "model_family",
-    "model_from_dict", "model_tag", "model_to_dict", "npt_embed",
-    "ocsvm_fit", "ocsvm_score", "ocsvm_scores", "orthonormalize_rows",
-    "predict", "resolve_kernel", "save_model", "score_samples",
-    "solve_ocsvm_dual", "solve_simplex_box_qp", "solve_svdd_dual",
-    "ssvdd_fit", "ssvdd_gradient", "ssvdd_objective", "ssvdd_score",
-    "ssvdd_scores", "svdd_fit", "svdd_score", "svdd_scores",
-    "whitened_scores",
+    "Detector", "DualSolverError", "FAMILY_PARAMS", "KernelSpec",
+    "LABEL_ANOMALY", "LINEAR", "MODEL_FAMILIES", "NptEmbedding",
+    "PSI_VARIANTS", "Projection", "Whiten", "center_distances_sq",
+    "config_digest", "esvdd_fit", "fit_model", "geocsvm_fit", "gesvdd_fit",
+    "gram_matrix", "graph_laplacian", "inv_sqrt_psd", "load_model",
+    "median_heuristic", "model_from_dict", "model_tag", "model_to_dict",
+    "npt_embed", "ocsvm_fit", "orthonormalize_rows", "predict",
+    "resolve_kernel", "save_model", "score_samples", "solve_ocsvm_dual",
+    "solve_simplex_box_qp", "solve_svdd_dual", "ssvdd_fit", "ssvdd_gradient",
+    "ssvdd_objective", "svdd_fit",
 ]

@@ -5,94 +5,77 @@ from __future__ import annotations
 import numpy as np
 
 from ..features import LABEL_NORMAL, Scaler, apply_scaler
-from .kernels import KernelSpec, LINEAR, _as_matrix
-from .ocsvm import OcsvmModel, ocsvm_fit, ocsvm_scores
-from .ssvdd import SSvddModel, ssvdd_fit, ssvdd_scores
-from .svdd import SvddModel, svdd_fit, svdd_scores
-from .whiten import WhitenedModel, esvdd_fit, geocsvm_fit, gesvdd_fit, whitened_scores
+from .detector import Detector
+from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix
+# fit_model finds each family's fitter among these names
+from .ocsvm import ocsvm_fit
+from .ssvdd import ssvdd_fit
+from .svdd import svdd_fit
+from .whiten import esvdd_fit, geocsvm_fit, gesvdd_fit
 
 LABEL_ANOMALY = "anomaly"
 
-MODEL_FAMILIES = ("svdd", "ssvdd", "esvdd", "gesvdd", "ocsvm", "geocsvm")
-
-AnyModel = SvddModel | SSvddModel | OcsvmModel | WhitenedModel
-
-
-def model_family(model: AnyModel) -> str:
-    if isinstance(model, SvddModel):
-        return "svdd"
-    if isinstance(model, SSvddModel):
-        return "ssvdd"
-    if isinstance(model, OcsvmModel):
-        return "ocsvm"
-    if isinstance(model, WhitenedModel):
-        return model.family
-    raise TypeError(f"not a trained model: {type(model).__name__}")
+# the hyperparameters each family takes: fit_model rejects any other key
+# (besides the solver's tol and max_iter), and the CLI passes each key from
+# the flag of the same name (C from --c)
+FAMILY_PARAMS = {
+    "svdd": ("C",),
+    "ssvdd": ("C", "d", "beta", "psi", "eta", "iterations", "eta_decay",
+              "q_init", "seed"),
+    "esvdd": ("C", "epsilon"),
+    "gesvdd": ("C", "k_neighbors", "epsilon"),
+    "ocsvm": ("nu",),
+    "geocsvm": ("nu", "k_neighbors", "epsilon"),
+}
+MODEL_FAMILIES = tuple(FAMILY_PARAMS)
 
 
-def score_samples(model: AnyModel, X) -> np.ndarray:
-    """Anomaly scores; applies the model's bundled scaler first, if any."""
+def _self_kernel(X: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+    if kernel.kind == "linear":
+        return np.einsum("ij,ij->i", X, X)
+    return np.ones(X.shape[0])
+
+
+def score_samples(model: Detector, X) -> np.ndarray:
+    """Anomaly scores, <= 0 normal and > 0 anomalous: the bundled scaler,
+    then each transform, then the kernel expansion
+    ``u k(x,x) - v sum_i a_i k(x, x_i) + offset - r_squared``."""
     X = _as_matrix(X, "X")
     if X.shape[0] == 0:
         return np.empty(0)
     if model.scaler is not None:
         X = apply_scaler(model.scaler, X)
-    if isinstance(model, SvddModel):
-        return svdd_scores(model, X)
-    if isinstance(model, SSvddModel):
-        return ssvdd_scores(model, X)
-    if isinstance(model, OcsvmModel):
-        return ocsvm_scores(model, X)
-    if isinstance(model, WhitenedModel):
-        return whitened_scores(model, X)
-    raise TypeError(f"not a trained model: {type(model).__name__}")
+    for step in model.transforms:
+        X = step.transform(X)
+    if X.shape[1] != model.support_samples.shape[1]:
+        raise ValueError(f"expected {model.support_samples.shape[1]} features, "
+                         f"got {X.shape[1]}")
+    Kx = gram_matrix(X, model.support_samples, model.kernel)
+    return (model.u * _self_kernel(X, model.kernel) - model.v * (Kx @ model.alphas)
+            + model.offset - model.r_squared)
 
 
-def predict(model: AnyModel, X) -> np.ndarray:
+def predict(model: Detector, X) -> np.ndarray:
     """Label each row: score <= 0 -> "normal", > 0 -> "anomaly"."""
     scores = score_samples(model, X)
     return np.where(scores > 0, LABEL_ANOMALY, LABEL_NORMAL)
 
 
 def fit_model(family: str, X, *, kernel: KernelSpec = LINEAR,
-              scaler: Scaler | None = None, **params) -> AnyModel:
-    """Train any family from a flat hyperparameter dict (grid-search/CLI entry).
-
-    Recognized keys per family: C (svdd, ssvdd, esvdd, gesvdd), nu (ocsvm,
-    geocsvm), epsilon + k_neighbors (whitened), d/beta/psi/eta/iterations/
-    q_init/seed (ssvdd).
-    """
-    if family not in MODEL_FAMILIES:
+              scaler: Scaler | None = None, **params) -> Detector:
+    """Train any family from a flat hyperparameter dict (grid-search/CLI
+    entry); FAMILY_PARAMS lists the keys each family takes. C and nu
+    default to 1.0 and 0.1."""
+    if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown model family '{family}'; expected one of {MODEL_FAMILIES}")
-    common = dict(scaler=scaler)
-    if "tol" in params:
-        common["tol"] = params.pop("tol")
-    if "max_iter" in params:
-        common["max_iter"] = params.pop("max_iter")
-
-    if family == "svdd":
-        return svdd_fit(X, params.pop("C", 1.0), kernel, **common, **_reject(params, family))
-    if family == "ssvdd":
-        allowed = {k: params.pop(k) for k in
-                   ("d", "C", "beta", "psi", "eta", "iterations", "eta_decay",
-                    "q_init", "seed") if k in params}
-        return ssvdd_fit(X, kernel=kernel, **common, **allowed, **_reject(params, family))
-    if family == "esvdd":
-        return esvdd_fit(X, params.pop("C", 1.0), params.pop("epsilon", 1e-3),
-                         kernel, **common, **_reject(params, family))
-    if family == "gesvdd":
-        return gesvdd_fit(X, params.pop("C", 1.0), params.pop("k_neighbors", 5),
-                          params.pop("epsilon", 1e-3), kernel, **common,
-                          **_reject(params, family))
-    if family == "ocsvm":
-        return ocsvm_fit(X, params.pop("nu", 0.1), kernel, **common,
-                         **_reject(params, family))
-    return geocsvm_fit(X, params.pop("nu", 0.1), params.pop("k_neighbors", 5),
-                       params.pop("epsilon", 1e-3), kernel, **common,
-                       **_reject(params, family))
-
-
-def _reject(params: dict, family: str) -> dict:
-    if params:
-        raise ValueError(f"unknown hyperparameters for {family}: {sorted(params)}")
-    return {}
+    unknown = set(params) - set(FAMILY_PARAMS[family]) - {"tol", "max_iter"}
+    if unknown:
+        raise ValueError(f"unknown hyperparameters for {family}: {sorted(unknown)}")
+    if "k_neighbors" in params:
+        params["k"] = params.pop("k_neighbors")
+    for key, default in (("C", 1.0), ("nu", 0.1)):
+        if key in FAMILY_PARAMS[family]:
+            params.setdefault(key, default)
+    # looked up at call time, so that a replaced fitter is the one called
+    fit = globals()[f"{family}_fit"]
+    return fit(X, kernel=kernel, scaler=scaler, **params)

@@ -6,29 +6,18 @@ Scores follow the package-wide sign convention (positive = anomalous), so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import asdict
 
 from ..features import Scaler
+from .detector import Detector
 from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, resolve_kernel
 from .smo import solve_ocsvm_dual
-from .svdd import BOUNDARY_EPS, SUPPORT_KEEP_EPS
-
-
-@dataclass(frozen=True, eq=False)
-class OcsvmModel:
-    alphas: np.ndarray
-    support_samples: np.ndarray
-    rho: float
-    nu: float
-    kernel: KernelSpec
-    scaler: Scaler | None = None
+from .svdd import SUPPORT_KEEP_EPS, boundary_support
 
 
 def ocsvm_fit(X, nu: float, kernel: KernelSpec = LINEAR, *,
               scaler: Scaler | None = None, tol: float = 1e-6,
-              max_iter: int = 100_000) -> OcsvmModel:
+              max_iter: int = 100_000) -> Detector:
     """Fit on (already standardized) target-class rows; ``nu`` bounds the
     training outlier fraction."""
     X = _as_matrix(X, "X")
@@ -37,25 +26,10 @@ def ocsvm_fit(X, nu: float, kernel: KernelSpec = LINEAR, *,
     kernel = resolve_kernel(kernel, X)
     K = gram_matrix(X, X, kernel)
     alphas = solve_ocsvm_dual(K, nu, tol=tol, max_iter=max_iter)
-    box = 1.0 / (nu * X.shape[0])
     Ka = K @ alphas
-    support = alphas > BOUNDARY_EPS * box
-    unbounded = support & (alphas < box * (1.0 - BOUNDARY_EPS))
-    chosen = unbounded if unbounded.any() else support
-    rho = float(Ka[chosen].mean())
+    rho = float(Ka[boundary_support(alphas, 1.0 / (nu * X.shape[0]))].mean())
     keep = alphas > SUPPORT_KEEP_EPS
-    return OcsvmModel(alphas=alphas[keep], support_samples=X[keep].copy(),
-                      rho=rho, nu=float(nu), kernel=kernel, scaler=scaler)
-
-
-def ocsvm_scores(model: OcsvmModel, X) -> np.ndarray:
-    X = _as_matrix(X, "X")
-    if X.shape[1] != model.support_samples.shape[1]:
-        raise ValueError(f"expected {model.support_samples.shape[1]} features, "
-                         f"got {X.shape[1]}")
-    Kx = gram_matrix(X, model.support_samples, model.kernel)
-    return model.rho - Kx @ model.alphas
-
-
-def ocsvm_score(model: OcsvmModel, x) -> float:
-    return float(ocsvm_scores(model, np.atleast_2d(np.asarray(x, dtype=float)))[0])
+    return Detector(family="ocsvm", params={"nu": float(nu), "kernel": asdict(kernel)},
+                    scaler=scaler, transforms=(), kernel=kernel,
+                    alphas=alphas[keep], support_samples=X[keep].copy(),
+                    u=0.0, v=1.0, offset=rho, r_squared=0.0)

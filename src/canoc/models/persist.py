@@ -1,162 +1,167 @@
-"""Model persistence: one self-describing JSON file per trained model.
+"""Model persistence: one self-describing JSON file per trained detector.
 
-Floats are serialized through ``repr`` (Python's shortest round-trip form),
-so a loaded model reproduces scores bit-for-bit on the same platform.
+The file is a walk over the Detector's fields: arrays as nested lists,
+dataclasses as objects, and each transform as an object tagged with its
+``kind``. Floats are serialized through ``repr`` (Python's shortest
+round-trip form), so a loaded model reproduces scores bit-for-bit on the
+same platform. The loader checks every key, type, shape and number, and
+names the field at fault in its ``ValueError``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import types
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
-from ..features import Scaler
+from .api import MODEL_FAMILIES
+from .detector import Detector, Projection, Whiten
 from .kernels import KernelSpec
-from .ocsvm import OcsvmModel
-from .ssvdd import NptEmbedding, SSvddModel
-from .svdd import SvddModel
-from .whiten import WhitenSpec, WhitenedModel
-from .api import AnyModel, model_family
+from .ssvdd import NptEmbedding
 
 MODEL_FORMAT = "canoc-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+
+TRANSFORMS = {cls.kind: cls for cls in (Whiten, NptEmbedding, Projection)}
+# dimension of every array field, by field name
+ARRAY_NDIM = {"alphas": 1, "support_samples": 2, "mean": 1, "stdev": 1,
+              "matrix": 2, "q": 2, "train_samples": 2, "eigvecs": 2,
+              "eigvals": 1, "row_means": 1}
 
 
-def _arr(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=float).tolist()
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [{"kind": step.kind, **_encode(step)} for step in value]
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
-def _kernel_dict(kernel: KernelSpec) -> dict:
-    return {"kind": kernel.kind, "sigma": kernel.sigma}
+def model_to_dict(model: Detector) -> dict:
+    return {"format": MODEL_FORMAT, "version": MODEL_VERSION, **_encode(model)}
 
 
-def _kernel_from(d: dict) -> KernelSpec:
-    return KernelSpec(d["kind"], d.get("sigma"))
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _scaler_dict(scaler: Scaler | None) -> dict | None:
-    if scaler is None:
-        return None
-    return {"mean": _arr(scaler.mean), "stdev": _arr(scaler.stdev)}
+def _array(value, ndim: int, path: str) -> np.ndarray:
+    def nested(v, depth: int) -> bool:
+        if depth == 0:
+            return _is_number(v)
+        return isinstance(v, list) and all(nested(x, depth - 1) for x in v)
+
+    if nested(value, ndim):
+        try:
+            array = np.array(value, dtype=float)
+        except ValueError:
+            array = None
+        if array is not None and array.ndim == ndim:
+            return array
+    raise ValueError(f"model field '{path}' must be a {ndim}-d array of numbers")
 
 
-def _scaler_from(d: dict | None) -> Scaler | None:
-    if d is None:
-        return None
-    return Scaler(mean=np.array(d["mean"]), stdev=np.array(d["stdev"]))
+def _decode(cls, doc, path: str):
+    """Build dataclass ``cls`` from ``doc``, checking each field against
+    its annotation."""
+    where = f"model field '{path}'" if path else "model file"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}")
+    hints = get_type_hints(cls)
+    values = {}
+    for name in names:
+        sub = f"{path}.{name}" if path else name
+        if name not in doc:
+            raise ValueError(f"model file is missing '{sub}'")
+        values[name] = _field(hints[name], doc[name], name, sub)
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
-def _svdd_dict(m: SvddModel) -> dict:
-    return {"type": "svdd", "alphas": _arr(m.alphas),
-            "support_samples": _arr(m.support_samples),
-            "r_squared": m.r_squared, "c": m.c,
-            "center_norm_sq": m.center_norm_sq,
-            "kernel": _kernel_dict(m.kernel)}
+def _field(hint, value, name: str, path: str):
+    args = get_args(hint)
+    if isinstance(hint, types.UnionType) and type(None) in args:
+        if value is None:
+            return None
+        hint = next(a for a in args if a is not type(None))
+    if hint is np.ndarray:
+        return _array(value, ARRAY_NDIM[name], path)
+    if hint is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"model field '{path}' must be a list")
+        steps = []
+        for i, item in enumerate(value):
+            kind = item.get("kind") if isinstance(item, dict) else None
+            if kind not in TRANSFORMS:
+                raise ValueError(f"model field '{path}[{i}].kind' must be one of "
+                                 f"{sorted(TRANSFORMS)}")
+            body = {k: v for k, v in item.items() if k != "kind"}
+            steps.append(_decode(TRANSFORMS[kind], body, f"{path}[{i}]"))
+        return tuple(steps)
+    if hint is dict:
+        return _params(value, path)
+    if is_dataclass(hint):
+        return _decode(hint, value, path)
+    if hint is float and _is_number(value):
+        return float(value)
+    if hint is str and isinstance(value, str):
+        return value
+    raise ValueError(f"model field '{path}' must be a {hint.__name__}")
 
 
-def _svdd_from(d: dict, scaler: Scaler | None = None) -> SvddModel:
-    return SvddModel(alphas=np.array(d["alphas"]),
-                     support_samples=np.array(d["support_samples"], ndmin=2),
-                     r_squared=d["r_squared"], c=d["c"],
-                     kernel=_kernel_from(d["kernel"]),
-                     center_norm_sq=d["center_norm_sq"], scaler=scaler)
+def _params(value, path: str) -> dict:
+    """The hyperparameter block: a kernel plus flat scalar values."""
+    if not isinstance(value, dict) or "kernel" not in value:
+        raise ValueError(f"model field '{path}' must be an object with a kernel")
+    _decode(KernelSpec, value["kernel"], f"{path}.kernel")
+    for key, item in value.items():
+        if key != "kernel" and not (item is None or isinstance(item, str) or _is_number(item)):
+            raise ValueError(f"model field '{path}.{key}' must be a number or a string")
+    return value
 
 
-def _ocsvm_dict(m: OcsvmModel) -> dict:
-    return {"type": "ocsvm", "alphas": _arr(m.alphas),
-            "support_samples": _arr(m.support_samples),
-            "rho": m.rho, "nu": m.nu, "kernel": _kernel_dict(m.kernel)}
+def _check_finite(value, path: str) -> None:
+    """Raise naming the first non-finite number in a parsed JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"model field '{path}' is not finite")
 
 
-def _ocsvm_from(d: dict, scaler: Scaler | None = None) -> OcsvmModel:
-    return OcsvmModel(alphas=np.array(d["alphas"]),
-                      support_samples=np.array(d["support_samples"], ndmin=2),
-                      rho=d["rho"], nu=d["nu"],
-                      kernel=_kernel_from(d["kernel"]), scaler=scaler)
-
-
-def model_to_dict(model: AnyModel) -> dict:
-    family = model_family(model)
-    doc: dict = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
-                 "family": family, "scaler": _scaler_dict(model.scaler)}
-    if isinstance(model, SvddModel):
-        doc["inner"] = _svdd_dict(model)
-        doc["params"] = {"C": model.c, "kernel": _kernel_dict(model.kernel)}
-    elif isinstance(model, OcsvmModel):
-        doc["inner"] = _ocsvm_dict(model)
-        doc["params"] = {"nu": model.nu, "kernel": _kernel_dict(model.kernel)}
-    elif isinstance(model, SSvddModel):
-        doc["inner"] = _svdd_dict(model.inner)
-        doc["projection"] = _arr(model.q)
-        doc["params"] = {"d": model.d, "C": model.inner.c, "beta": model.beta,
-                         "psi": model.psi, "eta": model.eta,
-                         "iterations": model.iterations,
-                         "kernel": _kernel_dict(model.kernel)}
-        if model.npt is not None:
-            doc["npt"] = {"train_samples": _arr(model.npt.train_samples),
-                          "kernel": _kernel_dict(model.npt.kernel),
-                          "eigvecs": _arr(model.npt.eigvecs),
-                          "eigvals": _arr(model.npt.eigvals),
-                          "row_means": _arr(model.npt.row_means),
-                          "total_mean": model.npt.total_mean}
-    elif isinstance(model, WhitenedModel):
-        inner = model.inner
-        doc["inner"] = _ocsvm_dict(inner) if isinstance(inner, OcsvmModel) else _svdd_dict(inner)
-        doc["whiten"] = {"transform": _arr(model.whiten.transform),
-                         "kind": model.whiten.kind,
-                         "epsilon": model.whiten.epsilon,
-                         "k_neighbors": model.whiten.k_neighbors}
-        doc["params"] = {"epsilon": model.whiten.epsilon,
-                         "k_neighbors": model.whiten.k_neighbors,
-                         "kernel": _kernel_dict(inner.kernel)}
-        if isinstance(inner, OcsvmModel):
-            doc["params"]["nu"] = inner.nu
-        else:
-            doc["params"]["C"] = inner.c
-    return doc
-
-
-def model_from_dict(doc: dict) -> AnyModel:
-    if doc.get("format") != MODEL_FORMAT:
+def model_from_dict(doc: dict) -> Detector:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a canoc model file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model file version {doc.get('version')}")
-    family = doc["family"]
-    scaler = _scaler_from(doc.get("scaler"))
-    inner = doc["inner"]
-    if family == "svdd":
-        return _svdd_from(inner, scaler)
-    if family == "ocsvm":
-        return _ocsvm_from(inner, scaler)
-    if family == "ssvdd":
-        params = doc["params"]
-        npt = None
-        if "npt" in doc:
-            nd = doc["npt"]
-            npt = NptEmbedding(train_samples=np.array(nd["train_samples"], ndmin=2),
-                               kernel=_kernel_from(nd["kernel"]),
-                               eigvecs=np.array(nd["eigvecs"], ndmin=2),
-                               eigvals=np.array(nd["eigvals"]),
-                               row_means=np.array(nd["row_means"]),
-                               total_mean=nd["total_mean"])
-        return SSvddModel(q=np.array(doc["projection"], ndmin=2),
-                          inner=_svdd_from(inner), psi=params["psi"],
-                          beta=params["beta"], eta=params["eta"],
-                          iterations=params["iterations"], d=params["d"],
-                          kernel=_kernel_from(params["kernel"]), npt=npt,
-                          scaler=scaler)
-    if family in ("esvdd", "gesvdd", "geocsvm"):
-        wd = doc["whiten"]
-        whiten = WhitenSpec(transform=np.array(wd["transform"], ndmin=2),
-                            kind=wd["kind"], epsilon=wd["epsilon"],
-                            k_neighbors=wd["k_neighbors"])
-        inner_model = _ocsvm_from(inner) if inner["type"] == "ocsvm" else _svdd_from(inner)
-        return WhitenedModel(whiten, inner_model, family=family, scaler=scaler)
-    raise ValueError(f"unknown model family '{family}'")
+    _check_finite(doc, "")
+    version = doc.get("version")
+    if version == 1:
+        raise ValueError("model file version 1 is no longer read; re-train the model")
+    if version != MODEL_VERSION:
+        raise ValueError(f"unsupported model file version {version!r}")
+    body = {k: v for k, v in doc.items() if k not in ("format", "version", "extraction")}
+    model = _decode(Detector, body, "")
+    if model.family not in MODEL_FAMILIES:
+        raise ValueError(f"model field 'family' must be one of {MODEL_FAMILIES}")
+    return model
 
 
-def save_model(model: AnyModel, path: str, extraction: dict | None = None) -> None:
+def save_model(model: Detector, path: str, extraction: dict | None = None) -> None:
     """Write the model (plus optional feature-extraction settings) as JSON."""
     doc = model_to_dict(model)
     if extraction:
@@ -166,30 +171,24 @@ def save_model(model: AnyModel, path: str, extraction: dict | None = None) -> No
         f.write("\n")
 
 
-def load_model(path: str) -> tuple[AnyModel, dict]:
+def load_model(path: str) -> tuple[Detector, dict]:
     """Load a model file; returns (model, extraction settings)."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    return model_from_dict(doc), dict(doc.get("extraction", {}))
+    extraction = doc.get("extraction", {}) if isinstance(doc, dict) else {}
+    if not isinstance(extraction, dict):
+        raise ValueError("model field 'extraction' must be an object")
+    return model_from_dict(doc), dict(extraction)
 
 
-def model_tag(model: AnyModel) -> str:
+def model_tag(model: Detector) -> str:
     """Short human identifier, e.g. ``ssvdd-psi1-linear``."""
-    family = model_family(model)
-    parts = [family]
-    if isinstance(model, SSvddModel):
-        parts.append(model.psi)
-        parts.append(model.kernel.kind)
-    elif isinstance(model, WhitenedModel):
-        parts.append(model.inner.kernel.kind)
-    else:
-        parts.append(model.kernel.kind)
-    return "-".join(parts)
+    parts = (model.family, model.params.get("psi"), model.params["kernel"]["kind"])
+    return "-".join(str(p) for p in parts if p is not None)
 
 
-def config_digest(model: AnyModel) -> str:
+def config_digest(model: Detector) -> str:
     """Stable hash of the model's hyperparameter block."""
-    doc = model_to_dict(model)
-    payload = json.dumps({"family": doc["family"], "params": doc.get("params", {})},
+    payload = json.dumps({"family": model.family, "params": model.params},
                          sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]

@@ -27,15 +27,16 @@ not truncate and always flag the far limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from ..features import Scaler
+from .detector import Detector, Projection
 from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, resolve_kernel
 from .smo import solve_svdd_dual
-from .svdd import SvddModel, svdd_fit, svdd_scores
+from .svdd import svdd_fit
 
 PSI_VARIANTS = ("psi0", "psi1", "psi2", "psi3")
 Q_INITS = ("pca", "identity", "random")
@@ -74,6 +75,7 @@ def npt_embed(K: np.ndarray) -> np.ndarray:
 class NptEmbedding:
     """Kernel-matrix factorization with out-of-sample extension."""
 
+    kind: ClassVar[str] = "npt"
     train_samples: np.ndarray
     kernel: KernelSpec
     eigvecs: np.ndarray   # n x r
@@ -88,6 +90,16 @@ class NptEmbedding:
         vecs, vals, row_means, total_mean = _decompose_centered(gram_matrix(X, X, kernel))
         return cls(train_samples=X.copy(), kernel=kernel, eigvecs=vecs,
                    eigvals=vals, row_means=row_means, total_mean=total_mean)
+
+    def dims(self) -> tuple[int, int]:
+        n, D = self.train_samples.shape
+        r = self.eigvals.shape[0]
+        if self.eigvecs.shape != (n, r) or self.row_means.shape != (n,):
+            raise ValueError(f"npt eigvecs and row_means must match {n} train samples "
+                             f"and {r} eigenvalues")
+        if not (self.eigvals > 0).all():
+            raise ValueError("npt eigvals must be > 0")
+        return D, r
 
     @property
     def train_embedding(self) -> np.ndarray:
@@ -148,20 +160,6 @@ def ssvdd_gradient(X: np.ndarray, Q: np.ndarray, alphas: np.ndarray,
     return 2.0 * Q @ M
 
 
-@dataclass(frozen=True, eq=False)
-class SSvddModel:
-    q: np.ndarray            # d x D (D = embedded dimension when npt is set)
-    inner: SvddModel         # linear SVDD in the subspace
-    psi: str
-    beta: float
-    eta: float
-    iterations: int
-    d: int
-    kernel: KernelSpec
-    npt: NptEmbedding | None = None
-    scaler: Scaler | None = None
-
-
 def _initial_q(Z: np.ndarray, d: int, how: str, seed: int | None) -> np.ndarray:
     D = Z.shape[1]
     if how == "identity":
@@ -182,7 +180,7 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
               scaler: Scaler | None = None, tol: float = 1e-6,
               max_iter: int = 100_000,
               iteration_callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-              ) -> SSvddModel:
+              ) -> Detector:
     """Train the subspace description on (already standardized) rows.
 
     With an rbf kernel the data is first embedded via the projection trick;
@@ -218,16 +216,8 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
             iteration_callback(it, Q, alphas)
 
     inner = svdd_fit(Z @ Q.T, C, LINEAR, tol=tol, max_iter=max_iter)
-    return SSvddModel(q=Q, inner=inner, psi=psi, beta=beta, eta=eta,
-                      iterations=iterations, d=d, kernel=kernel, npt=npt,
-                      scaler=scaler)
-
-
-def ssvdd_scores(model: SSvddModel, X) -> np.ndarray:
-    X = _as_matrix(X, "X")
-    Z = model.npt.transform(X) if model.npt is not None else X
-    return svdd_scores(model.inner, Z @ model.q.T)
-
-
-def ssvdd_score(model: SSvddModel, x) -> float:
-    return float(ssvdd_scores(model, np.atleast_2d(np.asarray(x, dtype=float)))[0])
+    params = {"d": d, "C": float(C), "beta": beta, "psi": psi, "eta": eta,
+              "iterations": iterations, "kernel": asdict(kernel)}
+    steps = (Projection(Q),) if npt is None else (npt, Projection(Q))
+    return replace(inner, family="ssvdd", params=params, scaler=scaler,
+                   transforms=steps)

@@ -3,11 +3,12 @@ target class. Positive scores are anomalous; boundary points score 0."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from ..features import Scaler
+from .detector import Detector
 from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, resolve_kernel
 from .smo import center_distances_sq, solve_svdd_dual
 
@@ -17,41 +18,23 @@ SUPPORT_KEEP_EPS = 1e-12
 BOUNDARY_EPS = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class SvddModel:
-    """Trained data description in the kernel expansion form.
-
-    ``center_norm_sq`` is the a'Ka term so scoring never needs the full
-    training gram: score(x) = K(x,x) - 2 sum_i a_i K(x, x_i)
-    + center_norm_sq - r_squared.
-    """
-
-    alphas: np.ndarray
-    support_samples: np.ndarray
-    r_squared: float
-    c: float
-    kernel: KernelSpec
-    center_norm_sq: float
-    scaler: Scaler | None = None
-
-
-def radius_sq_from_distances(d2: np.ndarray, alphas: np.ndarray, box: float) -> float:
-    """R^2 from the unbounded support vectors' center distances.
-
-    The unbounded distances agree within the solver tolerance; taking their
-    max keeps every boundary sample at score <= 0, so a no-slack fit
-    classifies its whole training set as target. Falls back to all support
-    vectors when every alpha sits on a bound."""
+def boundary_support(alphas: np.ndarray, box: float) -> np.ndarray:
+    """Mask of the support vectors that lie on the boundary: the unbounded
+    ones, or every support vector when all alphas sit on a bound."""
     support = alphas > BOUNDARY_EPS * box
     unbounded = support & (alphas < box * (1.0 - BOUNDARY_EPS))
-    chosen = unbounded if unbounded.any() else support
-    return max(float(d2[chosen].max()), 0.0)
+    return unbounded if unbounded.any() else support
 
 
 def svdd_fit(X, C: float, kernel: KernelSpec = LINEAR, *,
              scaler: Scaler | None = None, tol: float = 1e-6,
-             max_iter: int = 100_000) -> SvddModel:
-    """Fit the description on (already standardized) target-class rows."""
+             max_iter: int = 100_000) -> Detector:
+    """Fit the description on (already standardized) target-class rows.
+
+    R^2 is the largest boundary distance to the center: those distances
+    agree within the solver tolerance, and taking their max keeps every
+    boundary sample at score <= 0, so a no-slack fit classifies its whole
+    training set as target."""
     X = _as_matrix(X, "X")
     if X.shape[0] < 2:
         raise ValueError("svdd_fit needs at least 2 training rows")
@@ -59,31 +42,10 @@ def svdd_fit(X, C: float, kernel: KernelSpec = LINEAR, *,
     K = gram_matrix(X, X, kernel)
     alphas = solve_svdd_dual(K, C, tol=tol, max_iter=max_iter)
     d2 = center_distances_sq(K, alphas)
-    r_squared = radius_sq_from_distances(d2, alphas, box=float(C))
+    r_squared = max(float(d2[boundary_support(alphas, float(C))].max()), 0.0)
     Ka = K @ alphas
     keep = alphas > SUPPORT_KEEP_EPS
-    return SvddModel(alphas=alphas[keep], support_samples=X[keep].copy(),
-                     r_squared=r_squared, c=float(C), kernel=kernel,
-                     center_norm_sq=float(alphas @ Ka), scaler=scaler)
-
-
-def _self_kernel(X: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    if kernel.kind == "linear":
-        return np.einsum("ij,ij->i", X, X)
-    return np.ones(X.shape[0])
-
-
-def svdd_scores(model: SvddModel, X) -> np.ndarray:
-    """Vectorized score; <= 0 means target/normal, > 0 anomalous."""
-    X = _as_matrix(X, "X")
-    if X.shape[1] != model.support_samples.shape[1]:
-        raise ValueError(f"expected {model.support_samples.shape[1]} features, "
-                         f"got {X.shape[1]}")
-    Kx = gram_matrix(X, model.support_samples, model.kernel)
-    return (_self_kernel(X, model.kernel) - 2.0 * (Kx @ model.alphas)
-            + model.center_norm_sq - model.r_squared)
-
-
-def svdd_score(model: SvddModel, x) -> float:
-    """Score a single sample."""
-    return float(svdd_scores(model, np.atleast_2d(np.asarray(x, dtype=float)))[0])
+    return Detector(family="svdd", params={"C": float(C), "kernel": asdict(kernel)},
+                    scaler=scaler, transforms=(), kernel=kernel,
+                    alphas=alphas[keep], support_samples=X[keep].copy(),
+                    u=1.0, v=2.0, offset=float(alphas @ Ka), r_squared=r_squared)

@@ -9,48 +9,22 @@ the geometry toward locally connected structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from ..features import Scaler
+from .detector import Detector, Whiten
 from .kernels import KernelSpec, LINEAR, _as_matrix, squared_distances
-from .ocsvm import OcsvmModel, ocsvm_fit, ocsvm_scores
-from .svdd import SvddModel, svdd_fit, svdd_scores
-
-WHITEN_KINDS = ("ellipsoid", "graph")
+from .ocsvm import ocsvm_fit
+from .svdd import svdd_fit
 
 
-@dataclass(frozen=True, eq=False)
-class WhitenSpec:
-    """D x D transform applied to inputs before the inner model."""
-
-    transform: np.ndarray
-    kind: str
-    epsilon: float
-    k_neighbors: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in WHITEN_KINDS:
-            raise ValueError(f"whitening kind must be one of {WHITEN_KINDS}")
-        if not np.all(np.isfinite(self.transform)):
-            raise ValueError("whitening transform must be finite")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
-
-
-@dataclass(frozen=True, eq=False)
-class WhitenedModel:
-    """Whitening plus inner model; iterable so it unpacks as (whiten, inner)."""
-
-    whiten: WhitenSpec
-    inner: SvddModel | OcsvmModel
-    family: str
-    scaler: Scaler | None = None
-
-    def __iter__(self):
-        yield self.whiten
-        yield self.inner
+def _whitened(family: str, inner: Detector, W: np.ndarray, epsilon: float,
+              k: int | None, scaler: Scaler | None) -> Detector:
+    params = {**inner.params, "epsilon": float(epsilon), "k_neighbors": k}
+    return replace(inner, family=family, params=params, scaler=scaler,
+                   transforms=(Whiten(W),))
 
 
 def inv_sqrt_psd(S: np.ndarray) -> np.ndarray:
@@ -65,7 +39,7 @@ def inv_sqrt_psd(S: np.ndarray) -> np.ndarray:
 
 def esvdd_fit(X, C: float, epsilon: float = 1e-3, kernel: KernelSpec = LINEAR, *,
               scaler: Scaler | None = None, tol: float = 1e-6,
-              max_iter: int = 100_000) -> WhitenedModel:
+              max_iter: int = 100_000) -> Detector:
     """Ellipsoidal description: whiten by (cov + eps I)^(-1/2), then SVDD."""
     X = _as_matrix(X, "X")
     if not epsilon > 0:
@@ -75,8 +49,7 @@ def esvdd_fit(X, C: float, epsilon: float = 1e-3, kernel: KernelSpec = LINEAR, *
         raise ValueError("training covariance is not finite")
     W = inv_sqrt_psd(cov + epsilon * np.eye(X.shape[1]))
     inner = svdd_fit(X @ W, C, kernel, tol=tol, max_iter=max_iter)
-    return WhitenedModel(WhitenSpec(W, "ellipsoid", float(epsilon)), inner,
-                         family="esvdd", scaler=scaler)
+    return _whitened("esvdd", inner, W, epsilon, None, scaler)
 
 
 def graph_laplacian(X, k: int) -> np.ndarray:
@@ -95,37 +68,28 @@ def graph_laplacian(X, k: int) -> np.ndarray:
     return np.diag(A.sum(axis=1)) - A
 
 
-def _laplacian_whitener(X: np.ndarray, k: int, epsilon: float) -> WhitenSpec:
+def _laplacian_whitener(X: np.ndarray, k: int, epsilon: float) -> np.ndarray:
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
     L = graph_laplacian(X, k)
-    S = X.T @ L @ X + epsilon * np.eye(X.shape[1])
-    return WhitenSpec(inv_sqrt_psd(S), "graph", float(epsilon), k_neighbors=int(k))
+    return inv_sqrt_psd(X.T @ L @ X + epsilon * np.eye(X.shape[1]))
 
 
 def gesvdd_fit(X, C: float, k: int = 5, epsilon: float = 1e-3,
                kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None,
-               tol: float = 1e-6, max_iter: int = 100_000) -> WhitenedModel:
+               tol: float = 1e-6, max_iter: int = 100_000) -> Detector:
     """Graph-embedded SVDD: whiten by (X'LX + eps I)^(-1/2), then SVDD."""
     X = _as_matrix(X, "X")
-    whiten = _laplacian_whitener(X, k, epsilon)
-    inner = svdd_fit(X @ whiten.transform, C, kernel, tol=tol, max_iter=max_iter)
-    return WhitenedModel(whiten, inner, family="gesvdd", scaler=scaler)
+    W = _laplacian_whitener(X, k, epsilon)
+    inner = svdd_fit(X @ W, C, kernel, tol=tol, max_iter=max_iter)
+    return _whitened("gesvdd", inner, W, epsilon, int(k), scaler)
 
 
 def geocsvm_fit(X, nu: float, k: int = 5, epsilon: float = 1e-3,
                 kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None,
-                tol: float = 1e-6, max_iter: int = 100_000) -> WhitenedModel:
+                tol: float = 1e-6, max_iter: int = 100_000) -> Detector:
     """Graph-embedded one-class SVM (same whitening, OC-SVM inner)."""
     X = _as_matrix(X, "X")
-    whiten = _laplacian_whitener(X, k, epsilon)
-    inner = ocsvm_fit(X @ whiten.transform, nu, kernel, tol=tol, max_iter=max_iter)
-    return WhitenedModel(whiten, inner, family="geocsvm", scaler=scaler)
-
-
-def whitened_scores(model: WhitenedModel, X) -> np.ndarray:
-    X = _as_matrix(X, "X")
-    XW = X @ model.whiten.transform
-    if isinstance(model.inner, OcsvmModel):
-        return ocsvm_scores(model.inner, XW)
-    return svdd_scores(model.inner, XW)
+    W = _laplacian_whitener(X, k, epsilon)
+    inner = ocsvm_fit(X @ W, nu, kernel, tol=tol, max_iter=max_iter)
+    return _whitened("geocsvm", inner, W, epsilon, int(k), scaler)

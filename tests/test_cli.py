@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from canoc.cli import main
 
 
@@ -127,6 +129,21 @@ def test_train_happy_path(tmp_path, capsys):
     assert len(doc["extraction"]["ids"]) == 10
 
 
+def test_train_rejects_non_finite_feature_cell(tmp_path, capsys):
+    log, _ = simulate(tmp_path, capsys, duration=10.0)
+    feats = tmp_path / "features.csv"
+    run(capsys, "extract", "--in", log, "--out", feats)
+    lines = feats.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2] = "nan"
+    lines[3] = ",".join(cells)
+    feats.write_text("\n".join(lines) + "\n")
+    header = lines[0].split(",")
+    code, _, err = run(capsys, "train", "--features", feats, "--out", tmp_path / "m.json")
+    assert code == 2
+    assert err.startswith("error:") and f"line 4, column '{header[2]}'" in err
+
+
 def test_train_rejects_attack_rows_without_flag(tmp_path, capsys):
     log, labels = simulate(tmp_path, capsys, duration=20.0)
     attacked = tmp_path / "attacked.csv"
@@ -246,3 +263,86 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--config", cfg,
                        "--out", tmp_path / "x.csv")
     assert code == 2 and "bogus" in err
+
+
+# --- malformed model files ------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def detect_inputs(tmp_path_factory):
+    """A clean log and the JSON document of a model trained on it."""
+    d = tmp_path_factory.mktemp("detect")
+    log, feats, model = d / "log.csv", d / "features.csv", d / "model.json"
+    assert main(["simulate", "--out", str(log), "--duration", "20"]) == 0
+    assert main(["extract", "--in", str(log), "--out", str(feats)]) == 0
+    assert main(["train", "--features", str(feats), "--out", str(model)]) == 0
+    return log, json.loads(model.read_text())
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+def _set(value, *path):
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return edit
+
+
+def _version_1(doc):
+    return {"format": "canoc-model", "version": 1, "family": "svdd",
+            "inner": {"type": "svdd"}, "extraction": doc["extraction"]}
+
+
+def _short_alphas(doc):
+    doc["alphas"].pop()
+    return doc
+
+
+MALFORMED = {
+    "missing family": (_drop("family"), "'family'"),
+    "missing kernel": (_drop("kernel"), "'kernel'"),
+    "missing alphas": (_drop("alphas"), "'alphas'"),
+    "version 1": (_version_1, "re-train"),
+    "top-level list": (lambda doc: [doc], "not a canoc model"),
+    "string in alphas": (_set(["x"], "alphas"), "'alphas'"),
+    "short alphas": (_short_alphas, "alphas"),
+    "r_squared NaN": (_set(float("nan"), "r_squared"), "'r_squared'"),
+    "scaler mean Infinity": (_set(float("inf"), "scaler", "mean", 0), "'scaler.mean[0]'"),
+    "params C -Infinity": (_set(float("-inf"), "params", "C"), "'params.C'"),
+    "extraction window NaN": (_set(float("nan"), "extraction", "window"),
+                              "'extraction.window'"),
+    "unknown transform": (_set([{"kind": "rotate"}], "transforms"), "'transforms[0].kind'"),
+    "unknown family": (_set("forest", "family"), "'family'"),
+    "bad kernel kind": (_set({"kind": "poly", "sigma": None}, "kernel"), "'kernel'"),
+    "numeric vocabulary id": (_set([256], "extraction", "ids"), "'extraction'"),
+    "list as window": (_set([1.0], "extraction", "window"), "'extraction'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_detect_rejects_malformed_model(tmp_path, capsys, detect_inputs, case):
+    log, doc = detect_inputs
+    edit, expected = MALFORMED[case]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(json.loads(json.dumps(doc)))))
+    code, out, err = run(capsys, "detect", "--model", path, "--in", log)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and expected in err, err
+
+
+@pytest.mark.parametrize("text", ["1e999", "-1e999"])
+def test_detect_rejects_overflowing_number(tmp_path, capsys, detect_inputs, text):
+    log, doc = detect_inputs
+    doc = json.loads(json.dumps(doc))
+    doc["extraction"]["stride"] = 123.25
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc).replace("123.25", text))
+    code, _, err = run(capsys, "detect", "--model", path, "--in", log)
+    assert code == 2 and err.startswith("error:") and "'extraction.stride'" in err

@@ -277,3 +277,19 @@ def test_feature_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(X, X2)
     assert labels2 == labels
     assert vocab2 == vocab
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "abc", ""])
+def test_feature_csv_rejects_bad_cell_naming_line_and_column(tmp_path, cell):
+    vocab = IdVocabulary((0x100, 0x200), include_other_bucket=True)
+    names = vocab.feature_names()
+    lines = ["label," + ",".join(names)]
+    for _ in range(3):
+        lines.append("normal," + ",".join(["1.5"] * len(names)))
+    row = lines[2].split(",")
+    row[5] = cell
+    lines[2] = ",".join(row)
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with open(path) as f, pytest.raises(ValueError, match=f"line 3, column '{names[4]}'"):
+        read_feature_csv(f)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from canoc import KernelSpec, ocsvm_fit, ocsvm_score
-from canoc.models import ocsvm_scores
+from canoc import KernelSpec, ocsvm_fit, score_samples
 
 
 def test_unbounded_support_vector_scores_zero(rng):
@@ -12,7 +11,7 @@ def test_unbounded_support_vector_scores_zero(rng):
     box = 1.0 / (nu * 60)
     unbounded = (model.alphas > 1e-6 * box) & (model.alphas < box * (1 - 1e-6))
     assert unbounded.any()
-    scores = ocsvm_scores(model, model.support_samples[unbounded])
+    scores = score_samples(model, model.support_samples[unbounded])
     assert np.abs(scores).max() <= 1e-6
 
 
@@ -38,7 +37,7 @@ def test_nu_property_over_seeds():
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((200, 4))
         model = ocsvm_fit(X, nu, KernelSpec("rbf"))
-        fraction = float((ocsvm_scores(model, X) > 0).mean())
+        fraction = float((score_samples(model, X) > 0).mean())
         assert fraction <= nu + 0.05, f"seed {seed}: {fraction}"
 
 
@@ -53,6 +52,6 @@ def test_nu_validation(rng):
 def test_score_single_vector(rng):
     X = rng.standard_normal((30, 3))
     model = ocsvm_fit(X, 0.1, KernelSpec("rbf", 1.0))
-    far = ocsvm_score(model, [100.0, 100.0, 100.0])
-    assert far == pytest.approx(model.rho, abs=1e-9)  # kernel terms vanish
+    far = score_samples(model, [100.0, 100.0, 100.0])[0]
+    assert far == pytest.approx(model.offset, abs=1e-9)  # kernel terms vanish
     assert far > 0

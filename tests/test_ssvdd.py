@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from canoc import KernelSpec, npt_embed, predict, ssvdd_fit, svdd_fit
+from canoc import (KernelSpec, npt_embed, predict, score_samples, ssvdd_fit,
+                   svdd_fit)
 from canoc.models import (NptEmbedding, PSI_VARIANTS, orthonormalize_rows,
-                          solve_svdd_dual, ssvdd_gradient, ssvdd_objective,
-                          ssvdd_scores, svdd_scores)
+                          solve_svdd_dual, ssvdd_gradient, ssvdd_objective)
 from canoc.models import ssvdd as ssvdd_module
 
 
@@ -52,7 +52,7 @@ def test_reduction_to_plain_svdd(rng):
     plain = svdd_fit(X, 0.5)
     sub = ssvdd_fit(X, d=4, C=0.5, beta=0.0, iterations=0, q_init="identity")
     assert np.array_equal(predict(plain, T), predict(sub, T))
-    assert np.array_equal(svdd_scores(plain, T), ssvdd_scores(sub, T))
+    assert np.array_equal(score_samples(plain, T), score_samples(sub, T))
 
 
 def test_psi0_equals_psi1_when_beta_zero(rng):
@@ -60,9 +60,9 @@ def test_psi0_equals_psi1_when_beta_zero(rng):
     kwargs = dict(d=2, C=0.4, beta=0.0, iterations=8, eta=0.05)
     m0 = ssvdd_fit(X, psi="psi0", **kwargs)
     m1 = ssvdd_fit(X, psi="psi1", **kwargs)
-    assert np.array_equal(m0.q, m1.q)
+    assert np.array_equal(m0.transforms[-1].q, m1.transforms[-1].q)
     T = rng.standard_normal((10, 5))
-    assert np.array_equal(ssvdd_scores(m0, T), ssvdd_scores(m1, T))
+    assert np.array_equal(score_samples(m0, T), score_samples(m1, T))
 
 
 def test_d_bounds_checked(rng):
@@ -84,14 +84,14 @@ def test_non_finite_gradient_reports_iteration(rng, monkeypatch):
 def test_default_d_caps_at_ten(rng):
     X = rng.standard_normal((40, 15))
     model = ssvdd_fit(X, iterations=1)
-    assert model.d == 10 and model.q.shape == (10, 15)
+    assert model.params["d"] == 10 and model.transforms[-1].q.shape == (10, 15)
 
 
 def test_random_init_is_seeded(rng):
     X = rng.standard_normal((20, 4))
     m1 = ssvdd_fit(X, d=2, iterations=2, q_init="random", seed=7)
     m2 = ssvdd_fit(X, d=2, iterations=2, q_init="random", seed=7)
-    assert np.array_equal(m1.q, m2.q)
+    assert np.array_equal(m1.transforms[-1].q, m2.transforms[-1].q)
 
 
 # --- nonlinear path: kernel-matrix factorization ----------------------------
@@ -139,8 +139,8 @@ def test_npt_out_of_sample_matches_training_rows(rng):
 def test_nonlinear_ssvdd_trains_and_scores(rng):
     X = rng.standard_normal((40, 3))
     model = ssvdd_fit(X, d=5, C=0.5, iterations=5, kernel=KernelSpec("rbf"))
-    assert model.npt is not None
-    scores = ssvdd_scores(model, X)
+    assert isinstance(model.transforms[0], NptEmbedding)
+    scores = score_samples(model, X)
     assert np.isfinite(scores).all()
     assert (scores <= 1e-6).mean() >= 0.9  # most training rows contained
 
@@ -150,6 +150,6 @@ def test_nonlinear_ssvdd_far_points_saturate(rng):
     # collapse onto the image of the zero kernel vector
     X = rng.standard_normal((40, 3))
     model = ssvdd_fit(X, d=5, C=0.5, iterations=3, kernel=KernelSpec("rbf"))
-    s1 = ssvdd_scores(model, np.full((1, 3), 50.0))[0]
-    s2 = ssvdd_scores(model, np.full((1, 3), -80.0))[0]
+    s1 = score_samples(model, np.full((1, 3), 50.0))[0]
+    s2 = score_samples(model, np.full((1, 3), -80.0))[0]
     assert s1 == pytest.approx(s2, abs=1e-9)

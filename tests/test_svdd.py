@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from canoc import KernelSpec, predict, score_samples, svdd_fit, svdd_score
-from canoc.models import svdd_scores
+from canoc import KernelSpec, predict, score_samples, svdd_fit
 
 
 def test_identical_training_set_flags_everything_else():
     X = np.tile([1.0, 2.0], (5, 1))
     model = svdd_fit(X, 1.0)
     assert model.r_squared <= 1e-12
-    assert svdd_score(model, [1.0, 2.0]) <= 1e-9
-    assert svdd_score(model, [1.1, 2.0]) > 0
+    assert score_samples(model, [1.0, 2.0])[0] <= 1e-9
+    assert score_samples(model, [1.1, 2.0])[0] > 0
 
 
 def test_alpha_invariants(rng):
@@ -27,14 +26,14 @@ def test_unbounded_support_vector_scores_zero(rng):
     model = svdd_fit(X, 0.3)
     unbounded = (model.alphas > 1e-6) & (model.alphas < 0.3 * (1 - 1e-6))
     assert unbounded.any()
-    scores = svdd_scores(model, model.support_samples[unbounded])
+    scores = score_samples(model, model.support_samples[unbounded])
     assert np.abs(scores).max() <= 1e-6
 
 
 def test_center_of_symmetric_pair_scores_minus_r2():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
     model = svdd_fit(X, 1.0)
-    assert svdd_score(model, [0.0, 0.0]) == pytest.approx(-model.r_squared, abs=1e-9)
+    assert score_samples(model, [0.0, 0.0])[0] == pytest.approx(-model.r_squared, abs=1e-9)
 
 
 def test_far_point_rbf_limit(rng):
@@ -42,8 +41,8 @@ def test_far_point_rbf_limit(rng):
     sigma = 1.0
     model = svdd_fit(X, 0.5, KernelSpec("rbf", sigma))
     far = np.array([10 * sigma * 40, 0.0])  # K(x, x_i) ~ 0
-    expected = 1.0 + model.center_norm_sq - model.r_squared
-    assert svdd_score(model, far) == pytest.approx(expected, abs=1e-12)
+    expected = 1.0 + model.offset - model.r_squared
+    assert score_samples(model, far)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_unit_disc_radius_monte_carlo(rng):
@@ -62,7 +61,7 @@ def test_unit_disc_radius_monte_carlo(rng):
 def test_no_slack_contains_all_training_points(rng):
     X = rng.standard_normal((80, 4))
     model = svdd_fit(X, 1.0)
-    assert svdd_scores(model, X).max() <= 1e-6
+    assert score_samples(model, X).max() <= 1e-6
 
 
 def test_training_set_predicted_normal_at_c1(rng):
@@ -111,7 +110,7 @@ def test_positive_scaling_preserves_linear_labels(rng):
 def test_dimension_mismatch_raises(rng):
     model = svdd_fit(rng.standard_normal((10, 3)), 1.0)
     with pytest.raises(ValueError, match="features"):
-        svdd_scores(model, np.zeros((2, 5)))
+        score_samples(model, np.zeros((2, 5)))
 
 
 def test_needs_two_rows():

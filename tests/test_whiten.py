@@ -90,7 +90,7 @@ def test_complete_graph_reduces_to_covariance_whitening(rng):
     X = rng.standard_normal((30, 3)) @ np.diag([3.0, 1.0, 0.5])
     ge = gesvdd_fit(X, 1.0, k=29, epsilon=1e-10)
     el = esvdd_fit(X, 1.0, epsilon=1e-10)
-    M = ge.whiten.transform @ np.linalg.inv(el.whiten.transform)
+    M = ge.transforms[0].matrix @ np.linalg.inv(el.transforms[0].matrix)
     scale = np.trace(M) / 3
     assert np.abs(M - scale * np.eye(3)).max() <= 1e-6 * abs(scale)
 
@@ -107,13 +107,14 @@ def test_two_cluster_containment(rng):
 
 def test_neighbor_count_changes_whitener(rng):
     X = np.vstack([rng.normal(0, 1, (25, 3)), rng.normal(6, 1, (25, 3))])
-    w_few = gesvdd_fit(X, 1.0, k=3).whiten.transform
-    w_all = gesvdd_fit(X, 1.0, k=49).whiten.transform
+    w_few = gesvdd_fit(X, 1.0, k=3).transforms[0].matrix
+    w_all = gesvdd_fit(X, 1.0, k=49).transforms[0].matrix
     assert not np.allclose(w_few, w_all)
 
 
 def test_geocsvm_trains_and_unpacks(rng):
     X = rng.standard_normal((40, 3))
-    whiten, inner = geocsvm_fit(X, 0.1, k=5)
-    assert whiten.kind == "graph" and whiten.k_neighbors == 5
-    assert inner.rho is not None
+    model = geocsvm_fit(X, 0.1, k=5)
+    (whiten,) = model.transforms
+    assert whiten.matrix.shape == (3, 3) and model.params["k_neighbors"] == 5
+    assert model.family == "geocsvm" and np.isfinite(model.offset)
