@@ -128,9 +128,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _extraction_meta(args: argparse.Namespace) -> dict:
-    return {"window": args.window, "stride": args.stride or args.window,
-            "stdev_mode": args.stdev_mode}
+def _load_spec(path: str) -> features.FeatureSpec:
+    with open(path, "r", encoding="utf-8") as f:
+        return features.spec_from_dict(json.load(f), f"vocabulary file {path}")
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -138,13 +138,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if not log.frames:
         raise ValueError(f"input log {args.input} is empty")
     if args.vocab:
-        vocab, meta = features.load_vocabulary(args.vocab)
-        args.window = float(meta.get("window", args.window))
-        args.stride = float(meta.get("stride", args.stride or args.window))
-        args.stdev_mode = meta.get("stdev_mode", args.stdev_mode)
+        spec = _load_spec(args.vocab)
     else:
         vocab = features.build_vocabulary(log, include_other_bucket=not args.no_other_bucket)
-    windows = features.segment_windows(log, args.window, args.stride)
+        stride = args.window if args.stride is None else args.stride
+        spec = features.FeatureSpec(vocab, args.window, stride, args.stdev_mode)
+    windows = features.segment_windows(log, spec.window, spec.stride)
     if args.labels:
         with open(args.labels, "r", encoding="utf-8") as f:
             frame_labels = simulate.read_labels(f)
@@ -152,12 +151,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
         window_labels = simulate.label_windows(labeled, windows)
     else:
         window_labels = [features.LABEL_NORMAL] * len(windows)
-    X, labels = features.extract_matrix(windows, vocab, args.stdev_mode,
+    X, labels = features.extract_matrix(windows, spec.vocab, spec.stdev_mode,
                                         window_labels)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
-        features.write_feature_csv(f, X, labels, vocab)
+        features.write_feature_csv(f, X, labels, spec.vocab)
     if args.save_vocab:
-        features.save_vocabulary(vocab, args.save_vocab, _extraction_meta(args))
+        with open(args.save_vocab, "w", encoding="utf-8") as f:
+            json.dump(features.spec_to_dict(spec), f, indent=2, sort_keys=True)
+            f.write("\n")
     print(f"wrote {X.shape[0]} feature rows x {X.shape[1]} columns to {args.out}")
     return EXIT_OK
 
@@ -169,6 +170,13 @@ def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
 def cmd_train(args: argparse.Namespace) -> int:
     with open(args.features, "r", encoding="utf-8") as f:
         X, labels, vocab = features.read_feature_csv(f)
+    if args.extraction_config:
+        spec = _load_spec(args.extraction_config)
+        if spec.vocab != vocab:
+            raise ValueError(f"vocabulary file {args.extraction_config} does not match "
+                             f"the columns of {args.features}")
+    else:
+        spec = features.FeatureSpec(vocab)
     normal = np.array([lab == features.LABEL_NORMAL for lab in labels])
     if not normal.all():
         if not args.filter_normal:
@@ -184,22 +192,18 @@ def cmd_train(args: argparse.Namespace) -> int:
               if getattr(args, key.lower(), None) is not None}
     model = fit_model(args.family, features.apply_scaler(scaler, X),
                       kernel=_kernel_from_args(args), scaler=scaler, **params)
-    if args.extraction_config:
-        _, meta = features.load_vocabulary(args.extraction_config)
-        extraction = dict(meta)
-    else:
-        extraction = _extraction_meta(args)
-    extraction["ids"] = [f"0x{i:X}" for i in vocab.ids]
-    extraction["include_other_bucket"] = vocab.include_other_bucket
-    save_model(model, args.out, extraction=extraction)
+    save_model(model, args.out, spec)
     print(f"trained {model_tag(model)} on {X.shape[0]} rows; wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    model, _ = load_model(args.model)
+    model, spec = load_model(args.model)
     with open(args.features, "r", encoding="utf-8") as f:
-        X, labels, _ = features.read_feature_csv(f)
+        X, labels, vocab = features.read_feature_csv(f)
+    if spec is not None and spec.vocab != vocab:
+        raise ValueError(f"the columns of {args.features} do not match the "
+                         f"vocabulary of model {args.model}")
     report = evaluate(model, X, labels)
     if args.out_table:
         with open(args.out_table, "w", encoding="utf-8", newline="") as f:
@@ -215,26 +219,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    model, extraction = load_model(args.model)
-    if "ids" not in extraction:
+    model, spec = load_model(args.model)
+    if spec is None:
         raise ValueError("model file carries no vocabulary; re-train with this toolkit")
-    try:
-        vocab = features.IdVocabulary(
-            tuple(int(i, 16) for i in extraction["ids"]),
-            bool(extraction.get("include_other_bucket", True)))
-        window = float(extraction.get("window", 1.0))
-        stride = float(extraction.get("stride", window))
-    except TypeError as err:
-        raise ValueError(f"model field 'extraction' is malformed: {err}") from None
-    if model.scaler is not None and vocab.dimension != model.scaler.mean.shape[0]:
-        raise ValueError(f"vocabulary dimension {vocab.dimension} does not match "
+    if model.scaler is not None and spec.vocab.dimension != model.scaler.mean.shape[0]:
+        raise ValueError(f"vocabulary dimension {spec.vocab.dimension} does not match "
                          f"model dimension {model.scaler.mean.shape[0]}")
-    stdev_mode = extraction.get("stdev_mode", "gaps")
     log = canlog.load_log(args.input)
-    windows = features.segment_windows(log, window, stride)
+    windows = features.segment_windows(log, spec.window, spec.stride)
     anomalies = 0
     for w in windows:
-        vec = features.extract_features(w, vocab, stdev_mode)
+        vec = features.extract_features(w, spec.vocab, spec.stdev_mode)
         score = float(score_samples(model, vec.values[None, :])[0])
         verdict = "anomaly" if score > 0 else "normal"
         anomalies += verdict == "anomaly"
@@ -312,10 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter-normal", action="store_true",
                    help="silently drop non-normal rows instead of failing")
     p.add_argument("--extraction-config", help="vocabulary JSON from extract --save-vocab")
-    p.add_argument("--window", type=float, default=1.0,
-                   help="window length to embed when no extraction config is given")
-    p.add_argument("--stride", type=float)
-    p.add_argument("--stdev-mode", choices=features.STDEV_MODES, default="gaps")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on labeled features")

@@ -16,8 +16,9 @@ pseudo-ID so foreign-ID traffic stays visible.
 
 from __future__ import annotations
 
-import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -71,6 +72,26 @@ class IdVocabulary:
         for tag in tags:
             names.extend((f"f_{tag}", f"dt_{tag}", f"sd_{tag}"))
         return names
+
+
+@dataclass(frozen=True)
+class FeatureSpec:
+    """Everything feature extraction depends on besides the log: a model
+    only scores features extracted with the spec it was trained on."""
+
+    vocab: IdVocabulary
+    window: float = 1.0
+    stride: float = 1.0
+    stdev_mode: str = "gaps"
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(f"window must be finite and > 0, got {self.window!r}")
+        if not (math.isfinite(self.stride) and self.stride > 0):
+            raise ValueError(f"stride must be finite and > 0, got {self.stride!r}")
+        if self.stdev_mode not in STDEV_MODES:
+            raise ValueError(f"stdev_mode must be one of {STDEV_MODES}, "
+                             f"got {self.stdev_mode!r}")
 
 
 def build_vocabulary(log: CanLog, include_other_bucket: bool = True) -> IdVocabulary:
@@ -291,23 +312,44 @@ def read_feature_csv(stream: Iterable[str]) -> tuple[np.ndarray, list[str], IdVo
     return X, labels, vocab
 
 
-def save_vocabulary(vocab: IdVocabulary, path: str,
-                    extraction: dict | None = None) -> None:
-    """Write the vocabulary (plus optional extraction settings) as JSON."""
-    payload: dict = {
-        "ids": [f"0x{i:X}" for i in vocab.ids],
-        "include_other_bucket": vocab.include_other_bucket,
-    }
-    if extraction:
-        payload["extraction"] = dict(extraction)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+SPEC_KEYS = ("ids", "include_other_bucket", "window", "stride", "stdev_mode")
 
 
-def load_vocabulary(path: str) -> tuple[IdVocabulary, dict]:
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    ids = tuple(int(i, 16) if isinstance(i, str) else int(i) for i in payload["ids"])
-    vocab = IdVocabulary(ids, bool(payload.get("include_other_bucket", True)))
-    return vocab, dict(payload.get("extraction", {}))
+def spec_to_dict(spec: FeatureSpec) -> dict:
+    """The flat JSON form of a spec: the vocabulary file, and the model
+    file's ``extraction`` block."""
+    return {"ids": [f"0x{i:X}" for i in spec.vocab.ids],
+            "include_other_bucket": spec.vocab.include_other_bucket,
+            "window": spec.window, "stride": spec.stride,
+            "stdev_mode": spec.stdev_mode}
+
+
+def spec_from_dict(doc, where: str) -> FeatureSpec:
+    """Inverse of :func:`spec_to_dict`; ``where`` names the document in the
+    ``ValueError`` raised for a malformed field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object")
+    missing = [key for key in SPEC_KEYS if key not in doc]
+    unknown = sorted(set(doc) - set(SPEC_KEYS))
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}")
+    if missing:
+        raise ValueError(f"{where} is missing {missing}")
+    ids = doc["ids"]
+    if not (isinstance(ids, list)
+            and all(isinstance(i, str) and re.fullmatch("0x[0-9A-Fa-f]+", i) for i in ids)):
+        raise ValueError(f"{where}: ids must be a list of 0x-hex strings")
+    if not isinstance(doc["include_other_bucket"], bool):
+        raise ValueError(f"{where}: include_other_bucket must be true or false")
+    for key in ("window", "stride"):
+        value = doc[key]
+        # the magnitude test also catches an integer too large for a float
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or abs(value) > sys.float_info.max):
+            raise ValueError(f"{where}: {key} must be a finite number")
+    try:
+        vocab = IdVocabulary(tuple(int(i, 16) for i in ids), doc["include_other_bucket"])
+        return FeatureSpec(vocab, float(doc["window"]), float(doc["stride"]),
+                           doc["stdev_mode"])
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None

@@ -13,12 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import types
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
 
 import numpy as np
 
+from ..features import FeatureSpec, spec_from_dict, spec_to_dict
 from .api import MODEL_FAMILIES
 from .detector import Detector, Projection, Whiten
 from .kernels import KernelSpec
@@ -49,7 +51,9 @@ def model_to_dict(model: Detector) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the magnitude test also rejects an integer too large for a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _array(value, ndim: int, path: str) -> np.ndarray:
@@ -161,24 +165,24 @@ def model_from_dict(doc: dict) -> Detector:
     return model
 
 
-def save_model(model: Detector, path: str, extraction: dict | None = None) -> None:
-    """Write the model (plus optional feature-extraction settings) as JSON."""
+def save_model(model: Detector, path: str, spec: FeatureSpec | None = None) -> None:
+    """Write the model (plus the spec its features were extracted with) as JSON."""
     doc = model_to_dict(model)
-    if extraction:
-        doc["extraction"] = dict(extraction)
+    if spec is not None:
+        doc["extraction"] = spec_to_dict(spec)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, sort_keys=True)
         f.write("\n")
 
 
-def load_model(path: str) -> tuple[Detector, dict]:
-    """Load a model file; returns (model, extraction settings)."""
+def load_model(path: str) -> tuple[Detector, FeatureSpec | None]:
+    """Load a model file; returns (model, feature spec or None)."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    extraction = doc.get("extraction", {}) if isinstance(doc, dict) else {}
-    if not isinstance(extraction, dict):
-        raise ValueError("model field 'extraction' must be an object")
-    return model_from_dict(doc), dict(extraction)
+    model = model_from_dict(doc)
+    if "extraction" not in doc:
+        return model, None
+    return model, spec_from_dict(doc["extraction"], "model field 'extraction'")
 
 
 def model_tag(model: Detector) -> str:

@@ -9,6 +9,7 @@ format-pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -35,8 +36,8 @@ class EcuSpec:
     payload_length: int = 8
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError("period must be > 0")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"period must be finite and > 0, got {self.period!r}")
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter fraction must be in [0, 1)")
         if not 0 <= self.payload_length <= 8:
@@ -51,8 +52,8 @@ class BusSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
         if not self.ids:
             raise ValueError("bus spec needs at least one id")
         if len({e.can_id for e in self.ids}) != len(self.ids):
@@ -97,11 +98,12 @@ class AttackScenario:
         if self.window is None:
             raise ValueError("attack scenario needs a (start, end) window")
         start, end = self.window
-        if not end > start:
-            raise ValueError("attack window must have end > start")
+        if not (math.isfinite(start) and math.isfinite(end) and end > start):
+            raise ValueError(f"attack window must be finite with end > start, "
+                             f"got {self.window!r}")
         if self.kind in _FLOOD_KINDS:
-            if self.rate is None or self.rate <= 0:
-                raise ValueError("flood attacks need rate > 0")
+            if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0):
+                raise ValueError(f"flood attacks need a finite rate > 0, got {self.rate!r}")
         else:
             if self.replay_segment is None:
                 raise ValueError("replay needs a (src_start, src_end) segment")

@@ -44,9 +44,10 @@ def test_simulate_default_bus_frame_count_matches_period_arithmetic(tmp_path, ca
 
 
 def test_simulate_zero_duration_usage_error(tmp_path, capsys):
-    code, _, err = run(capsys, "simulate", "--out", tmp_path / "x.csv",
-                       "--duration", 0)
-    assert code == 2 and "duration" in err
+    for duration in ("0", "inf", "nan"):
+        code, _, err = run(capsys, "simulate", "--out", tmp_path / "x.csv",
+                           "--duration", duration)
+        assert code == 2 and "duration" in err, duration
 
 
 def test_simulate_deterministic_bytes(tmp_path, capsys):
@@ -106,6 +107,16 @@ def test_extract_with_vocab_file(tmp_path, capsys):
                      "--vocab", vocab_path)
     assert code == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--window", "inf"), ("--window", "nan"),
+                                         ("--window", "0"), ("--stride", "inf")])
+def test_extract_rejects_bad_window_flag(tmp_path, capsys, flag, value):
+    log, _ = simulate(tmp_path, capsys, duration=5.0)
+    feats = tmp_path / "f.csv"
+    code, _, err = run(capsys, "extract", "--in", log, "--out", feats, flag, value)
+    assert code == 2 and err.startswith("error:") and flag[2:] in err, err
+    assert not feats.exists()
 
 
 def trained_model(tmp_path, capsys, family="svdd", duration=40.0, **extra):
@@ -314,6 +325,8 @@ MALFORMED = {
     "string in alphas": (_set(["x"], "alphas"), "'alphas'"),
     "short alphas": (_short_alphas, "alphas"),
     "r_squared NaN": (_set(float("nan"), "r_squared"), "'r_squared'"),
+    "r_squared huge integer": (_set(10 ** 400, "r_squared"), "'r_squared'"),
+    "alphas huge integer": (_set([10 ** 400], "alphas"), "'alphas'"),
     "scaler mean Infinity": (_set(float("inf"), "scaler", "mean", 0), "'scaler.mean[0]'"),
     "params C -Infinity": (_set(float("-inf"), "params", "C"), "'params.C'"),
     "extraction window NaN": (_set(float("nan"), "extraction", "window"),
@@ -346,3 +359,87 @@ def test_detect_rejects_overflowing_number(tmp_path, capsys, detect_inputs, text
     path.write_text(json.dumps(doc).replace("123.25", text))
     code, _, err = run(capsys, "detect", "--model", path, "--in", log)
     assert code == 2 and err.startswith("error:") and "'extraction.stride'" in err
+
+
+# --- vocabulary files and vocabulary mismatches ------------------------------------
+
+def _old_nested_layout(spec):
+    return {"ids": spec["ids"], "include_other_bucket": spec["include_other_bucket"],
+            "extraction": {key: spec[key] for key in ("window", "stride", "stdev_mode")}}
+
+
+MALFORMED_VOCAB = {
+    "missing ids": (_drop("ids"), "'ids'"),
+    "nested id": (_set([[1]], "ids"), "ids must"),
+    "numeric id": (_set([256], "ids"), "ids must"),
+    "ids as a string": (_set("0x100", "ids"), "ids must"),
+    "window null": (_set(None, "window"), "window must"),
+    "window zero": (_set(0, "window"), "window must"),
+    "window Infinity": (_set(float("inf"), "window"), "window must"),
+    "stride NaN": (_set(float("nan"), "stride"), "stride must"),
+    "bogus stdev_mode": (_set("bogus", "stdev_mode"), "stdev_mode must"),
+    "top-level list": (lambda spec: [spec], "must be an object"),
+    "unknown key": (_set(1, "bogus"), "'bogus'"),
+    "old nested layout": (_old_nested_layout, "'extraction'"),
+}
+
+
+@pytest.mark.parametrize("command", ["extract", "train"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_VOCAB))
+def test_malformed_vocabulary_file_is_a_usage_error(tmp_path, capsys, detect_inputs,
+                                                    case, command):
+    log, doc = detect_inputs
+    edit, expected = MALFORMED_VOCAB[case]
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps(edit(json.loads(json.dumps(doc["extraction"])))))
+    out = tmp_path / "out"
+    if command == "extract":
+        argv = ["extract", "--in", log, "--vocab", vocab, "--out", out]
+    else:
+        argv = ["train", "--features", log.with_name("features.csv"),
+                "--extraction-config", vocab, "--out", out]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:") and expected in err, err
+    assert "Traceback" not in err and not out.exists()
+
+
+def other_bus_features(tmp_path, capsys):
+    """Feature CSV and vocabulary file of a bus with ids 0x200..0x290: the
+    same 33 columns as the default bus, under other ids."""
+    log = tmp_path / "other.csv"
+    code, _, _ = run(capsys, "simulate", "--out", log, "--duration", 10.0,
+                     "--bus-ids", ",".join(hex(0x200 + 0x10 * k) for k in range(10)),
+                     "--bus-periods", ",".join(["0.02"] * 10))
+    assert code == 0
+    feats, vocab = tmp_path / "other_features.csv", tmp_path / "other_vocab.json"
+    assert run(capsys, "extract", "--in", log, "--out", feats, "--save-vocab", vocab)[0] == 0
+    return feats, vocab
+
+
+def test_train_rejects_vocabulary_of_another_bus(tmp_path, capsys, detect_inputs):
+    log, _ = detect_inputs
+    feats = log.with_name("features.csv")
+    _, other_vocab = other_bus_features(tmp_path, capsys)
+    model = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", "--features", feats,
+                       "--extraction-config", other_vocab, "--out", model)
+    assert code == 2 and err.startswith("error:")
+    assert str(feats) in err and str(other_vocab) in err
+    assert not model.exists()
+
+
+def test_eval_rejects_features_of_another_vocabulary(tmp_path, capsys, detect_inputs):
+    log, _ = detect_inputs
+    model = log.with_name("model.json")
+    other_feats, _ = other_bus_features(tmp_path, capsys)
+    code, out, err = run(capsys, "eval", "--model", model, "--features", other_feats)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert str(model) in err and str(other_feats) in err
+
+
+def test_train_help_lists_no_extraction_settings(capsys):
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    out = capsys.readouterr().out
+    assert "--extraction-config" in out
+    assert not any(flag in out for flag in ("--window", "--stride", "--stdev-mode"))

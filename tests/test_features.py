@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from canoc import (CanFrame, IdVocabulary, Window, apply_scaler,
                    build_vocabulary, extract_features, fit_scaler,
                    segment_windows)
-from canoc.features import (read_feature_csv, vocabulary_from_feature_names,
+from canoc.features import (FeatureSpec, read_feature_csv, spec_from_dict,
+                            spec_to_dict, vocabulary_from_feature_names,
                             write_feature_csv)
 
 from conftest import make_log
@@ -77,6 +78,23 @@ def test_feature_names_roundtrip():
     assert names[:3] == ["f_0x100", "dt_0x100", "sd_0x100"]
     assert names[-3:] == ["f_other", "dt_other", "sd_other"]
     assert vocabulary_from_feature_names(names) == vocab
+
+
+def test_feature_spec_dict_roundtrip_and_invariants():
+    spec = FeatureSpec(IdVocabulary((0x7, 0x1F4), include_other_bucket=False),
+                       window=2.5, stride=0.5, stdev_mode="timestamps")
+    doc = spec_to_dict(spec)
+    assert doc == {"ids": ["0x7", "0x1F4"], "include_other_bucket": False,
+                   "window": 2.5, "stride": 0.5, "stdev_mode": "timestamps"}
+    assert spec_from_dict(doc, "spec") == spec
+    vocab = spec.vocab
+    for bad, field in [(dict(window=0.0), "window"), (dict(window=float("inf")), "window"),
+                       (dict(stride=float("nan")), "stride"),
+                       (dict(stdev_mode="range"), "stdev_mode")]:
+        with pytest.raises(ValueError, match=field):
+            FeatureSpec(vocab, **bad)
+    with pytest.raises(ValueError, match="spec: window"):
+        spec_from_dict({**doc, "window": 10 ** 400}, "spec")
 
 
 # --- window segmentation ----------------------------------------------------

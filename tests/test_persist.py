@@ -6,7 +6,7 @@ import pytest
 from canoc import (KernelSpec, esvdd_fit, fit_model, geocsvm_fit, gesvdd_fit,
                    load_model, ocsvm_fit, save_model, score_samples,
                    ssvdd_fit, svdd_fit)
-from canoc.features import fit_scaler
+from canoc.features import FeatureSpec, IdVocabulary, fit_scaler
 from canoc.models.persist import config_digest, model_tag
 
 
@@ -33,8 +33,8 @@ def test_every_family_roundtrips_bit_identically(tmp_path, rng):
     for name, model in models.items():
         path = tmp_path / f"{name}.json"
         save_model(model, str(path))
-        loaded, extraction = load_model(str(path))
-        assert extraction == {}
+        loaded, spec = load_model(str(path))
+        assert spec is None
         before = score_samples(model, probe)
         after = score_samples(loaded, probe)
         assert np.array_equal(before, after), name
@@ -44,11 +44,12 @@ def test_every_family_roundtrips_bit_identically(tmp_path, rng):
 
 def test_extraction_metadata_roundtrips(tmp_path, rng):
     model = svdd_fit(rng.standard_normal((10, 2)), 1.0)
-    meta = {"window": 1.0, "ids": ["0x100"], "include_other_bucket": True}
+    spec = FeatureSpec(IdVocabulary((0x100,)), window=2.0, stride=0.5,
+                       stdev_mode="timestamps")
     path = tmp_path / "model.json"
-    save_model(model, str(path), extraction=meta)
-    _, loaded_meta = load_model(str(path))
-    assert loaded_meta == meta
+    save_model(model, str(path), spec)
+    _, loaded_spec = load_model(str(path))
+    assert loaded_spec == spec
 
 
 def test_rejects_foreign_or_future_files(tmp_path):

@@ -41,12 +41,14 @@ def test_mean_gaps_track_nominal_periods():
 
 
 def test_bus_spec_validation():
-    with pytest.raises(ValueError, match="duration"):
-        BusSpec((EcuSpec(1, 0.1),), duration=0.0)
+    for duration in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="duration"):
+            BusSpec((EcuSpec(1, 0.1),), duration=duration)
     with pytest.raises(ValueError, match="unique"):
         BusSpec((EcuSpec(1, 0.1), EcuSpec(1, 0.2)), duration=1.0)
-    with pytest.raises(ValueError, match="period"):
-        EcuSpec(1, 0.0)
+    for period in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="period"):
+            EcuSpec(1, period)
     with pytest.raises(ValueError, match="jitter"):
         EcuSpec(1, 0.1, jitter=1.0)
 
@@ -121,10 +123,12 @@ def test_window_outside_span_rejected():
 def test_scenario_validation():
     with pytest.raises(ValueError, match="kind"):
         AttackScenario(kind="fuzz", window=(0, 1))
-    with pytest.raises(ValueError, match="rate"):
-        AttackScenario(kind="zero_id", window=(0, 1))
-    with pytest.raises(ValueError, match="window"):
-        AttackScenario(kind="zero_id", rate=10.0, window=(1.0, 1.0))
+    for rate in (None, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="rate"):
+            AttackScenario(kind="zero_id", rate=rate, window=(0, 1))
+    for window in ((1.0, 1.0), (0.0, float("inf")), (float("-inf"), 1.0)):
+        with pytest.raises(ValueError, match="window"):
+            AttackScenario(kind="zero_id", rate=10.0, window=window)
     with pytest.raises(ValueError, match="segment"):
         AttackScenario(kind="replay", window=(0, 1))
     with pytest.raises(ValueError, match="kind is"):
