@@ -77,7 +77,6 @@ class CanLog:
     """A timestamp-sorted sequence of frames. Ties keep insertion order."""
 
     frames: tuple[CanFrame, ...]
-    source: str = ""
 
     def __post_init__(self) -> None:
         frames = tuple(self.frames)
@@ -93,9 +92,9 @@ class CanLog:
         return iter(self.frames)
 
     @classmethod
-    def from_frames(cls, frames: Iterable[CanFrame], source: str = "") -> "CanLog":
+    def from_frames(cls, frames: Iterable[CanFrame]) -> "CanLog":
         """Build a log from frames in any order (stable sort by timestamp)."""
-        return cls(tuple(sorted(frames, key=lambda f: f.timestamp)), source)
+        return cls(tuple(sorted(frames, key=lambda f: f.timestamp)))
 
     @property
     def span(self) -> tuple[float, float]:
@@ -108,6 +107,13 @@ class CanLog:
 _CANDUMP_RE = re.compile(
     r"^\s*\((?P<ts>[^)]*)\)\s+(?P<chan>\S+)\s+(?P<id>[^#\s]*)#(?P<data>\S*)\s*$"
 )
+# field grammars, ASCII only: float() and int() alone would also take "1_0"
+# and non-ASCII digits
+_TIMESTAMP_RE = re.compile(r"\s*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\s*",
+                           re.ASCII)
+_HEX_RE = re.compile(r"[0-9A-Fa-f]*")
+# CSV ids: 0x-prefixed hex, else decimal
+_CSV_ID_RE = re.compile(r"\s*(?:0[xX](?P<hex>[0-9A-Fa-f]+)|(?P<dec>[0-9]+))\s*", re.ASCII)
 
 
 def parse_candump_line(line: str) -> CanFrame:
@@ -122,15 +128,12 @@ def parse_candump_line(line: str) -> CanFrame:
         raise LogParseError("line does not match candump format", line=line, offset=0)
 
     ts_text = m.group("ts")
-    try:
-        timestamp = float(ts_text)
-    except ValueError:
-        raise LogParseError("malformed timestamp", line=line, offset=m.start("ts")) from None
+    timestamp = float(ts_text) if _TIMESTAMP_RE.fullmatch(ts_text) else math.nan
     if not math.isfinite(timestamp) or timestamp < 0:
         raise LogParseError("malformed timestamp", line=line, offset=m.start("ts"))
 
     id_text = m.group("id")
-    if not id_text or not all(c in "0123456789abcdefABCDEF" for c in id_text):
+    if not id_text or not _HEX_RE.fullmatch(id_text):
         raise LogParseError("invalid hex id", line=line, offset=m.start("id"))
     if len(id_text) > 8:
         raise LogParseError("id out of range", line=line, offset=m.start("id"))
@@ -145,9 +148,7 @@ def parse_candump_line(line: str) -> CanFrame:
 
 def _parse_payload_hex(text: str, *, line: str | None = None,
                        offset: int | None = None, row: int | None = None) -> bytes:
-    if text.lower().startswith("0x"):
-        text = text[2:]
-    if not all(c in "0123456789abcdefABCDEF" for c in text):
+    if not _HEX_RE.fullmatch(text):
         raise LogParseError("invalid payload hex", line=line, offset=offset, row=row)
     if len(text) % 2:
         raise LogParseError("odd payload hex length", line=line, offset=offset, row=row)
@@ -156,7 +157,7 @@ def _parse_payload_hex(text: str, *, line: str | None = None,
     return bytes.fromhex(text)
 
 
-def read_candump(stream: Iterable[str], source: str = "candump") -> CanLog:
+def read_candump(stream: Iterable[str]) -> CanLog:
     """Parse a whole candump text stream; blank lines are skipped."""
     frames = []
     for lineno, line in enumerate(stream, start=1):
@@ -168,36 +169,16 @@ def read_candump(stream: Iterable[str], source: str = "candump") -> CanLog:
             raise LogParseError(str(err), line=line, row=lineno) from err
         except ValueError as err:  # frame invariant violations
             raise LogParseError(str(err), line=line, row=lineno) from err
-    return CanLog.from_frames(frames, source)
+    return CanLog.from_frames(frames)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for CSV traffic logs.
-
-    ``id_radix`` is "auto" (0x prefix means hex, else decimal) or an int base.
-    ``dlc_col`` is validated against the payload length when present.
-    """
-
-    timestamp_col: str = "timestamp"
-    id_col: str = "id"
-    payload_col: str = "payload"
-    dlc_col: str | None = "dlc"
-    id_radix: int | str = "auto"
-
-
-def _parse_id(text: str, radix: int | str) -> int:
-    text = text.strip()
-    if radix == "auto":
-        return int(text, 16) if text.lower().startswith("0x") else int(text, 10)
-    return int(text, int(radix))
-
-
-def parse_csv_log(stream: Iterable[str], schema: CsvSchema = CsvSchema(),
-                  source: str = "csv") -> CanLog:
+def parse_csv_log(stream: Iterable[str]) -> CanLog:
     """Parse a CSV traffic log; output is sorted by timestamp, ties stable.
 
-    Errors carry the 1-based data row number.
+    Columns are found by header name in any order and extra columns are
+    ignored; ``dlc`` is optional and, when present, must match the payload
+    length. The payload may carry a ``0x`` prefix. Errors carry the 1-based
+    data row number.
     """
     import csv as _csv
 
@@ -208,13 +189,11 @@ def parse_csv_log(stream: Iterable[str], schema: CsvSchema = CsvSchema(),
         raise LogParseError("missing header row") from None
     header = [h.strip() for h in header]
     columns = {name: i for i, name in enumerate(header)}
-    indices = {}
-    for key in ("timestamp_col", "id_col", "payload_col"):
-        name = getattr(schema, key)
+    for name in ("timestamp", "id", "payload"):
         if name not in columns:
             raise LogParseError(f"missing column '{name}'")
-        indices[key] = columns[name]
-    dlc_idx = columns.get(schema.dlc_col) if schema.dlc_col else None
+    ts_idx, id_idx, payload_idx = columns["timestamp"], columns["id"], columns["payload"]
+    dlc_idx = columns.get("dlc")
 
     frames = []
     for rownum, fields in enumerate(reader, start=1):
@@ -222,15 +201,17 @@ def parse_csv_log(stream: Iterable[str], schema: CsvSchema = CsvSchema(),
             continue
         if len(fields) != len(header):
             raise LogParseError("row arity mismatch", row=rownum)
-        try:
-            timestamp = float(fields[indices["timestamp_col"]])
-        except ValueError:
-            raise LogParseError("unsortable timestamp", row=rownum) from None
-        try:
-            can_id = _parse_id(fields[indices["id_col"]], schema.id_radix)
-        except ValueError:
-            raise LogParseError("invalid id", row=rownum) from None
-        payload = _parse_payload_hex(fields[indices["payload_col"]].strip(), row=rownum)
+        if not _TIMESTAMP_RE.fullmatch(fields[ts_idx]):
+            raise LogParseError("unsortable timestamp", row=rownum)
+        timestamp = float(fields[ts_idx])
+        m = _CSV_ID_RE.fullmatch(fields[id_idx])
+        if m is None:
+            raise LogParseError("invalid id", row=rownum)
+        can_id = int(m["hex"], 16) if m["hex"] else int(m["dec"])
+        payload_text = fields[payload_idx].strip()
+        if payload_text[:2] in ("0x", "0X"):
+            payload_text = payload_text[2:]
+        payload = _parse_payload_hex(payload_text, row=rownum)
         if dlc_idx is not None:
             try:
                 dlc = int(fields[dlc_idx])
@@ -244,7 +225,7 @@ def parse_csv_log(stream: Iterable[str], schema: CsvSchema = CsvSchema(),
                                    extended=can_id > CAN_SFF_MAX))
         except ValueError as err:
             raise LogParseError(str(err), row=rownum) from err
-    return CanLog.from_frames(frames, source)
+    return CanLog.from_frames(frames)
 
 
 def write_csv_log(log: CanLog, sink: IO[str]) -> None:
@@ -256,7 +237,7 @@ def write_csv_log(log: CanLog, sink: IO[str]) -> None:
                    f"{frame.payload.hex().upper()}\n")
 
 
-def load_log(path: str, schema: CsvSchema = CsvSchema()) -> CanLog:
+def load_log(path: str) -> CanLog:
     """Read a traffic log file, sniffing candump vs CSV from the first line."""
     with open(path, "r", encoding="utf-8") as f:
         head = ""
@@ -266,8 +247,8 @@ def load_log(path: str, schema: CsvSchema = CsvSchema()) -> CanLog:
                 break
     with open(path, "r", encoding="utf-8") as f:
         if head.startswith("("):
-            return read_candump(f, source=path)
-        return parse_csv_log(f, schema, source=path)
+            return read_candump(f)
+        return parse_csv_log(f)
 
 
 def save_log(log: CanLog, path: str) -> None:

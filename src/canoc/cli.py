@@ -227,14 +227,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
                          f"model dimension {model.scaler.mean.shape[0]}")
     log = canlog.load_log(args.input)
     windows = features.segment_windows(log, spec.window, spec.stride)
-    anomalies = 0
-    for w in windows:
-        vec = features.extract_features(w, spec.vocab, spec.stdev_mode)
-        score = float(score_samples(model, vec.values[None, :])[0])
-        verdict = "anomaly" if score > 0 else "normal"
-        anomalies += verdict == "anomaly"
-        print(f"{w.start:.6f},{score:.9g},{verdict}")
-    return EXIT_ANOMALY if anomalies else EXIT_OK
+    X, _ = features.extract_matrix(windows, spec.vocab, spec.stdev_mode)
+    scores = score_samples(model, X)
+    for w, score in zip(windows, scores.tolist()):
+        print(f"{w.start:.6f},{score:.9g},{'anomaly' if score > 0 else 'normal'}")
+    return EXIT_ANOMALY if (scores > 0).any() else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

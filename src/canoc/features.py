@@ -179,10 +179,9 @@ def segment_windows(log: CanLog, length: float, stride: float | None = None) -> 
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
-    """One window's feature values plus its ground-truth label (eval only)."""
+    """One window's feature values."""
 
     values: np.ndarray
-    label: str = LABEL_NORMAL
 
 
 def _gap_stats(times: np.ndarray, window_length: float, stdev_mode: str) -> tuple[float, float, float]:
@@ -199,8 +198,7 @@ def _gap_stats(times: np.ndarray, window_length: float, stdev_mode: str) -> tupl
 
 
 def extract_features(window: Window, vocab: IdVocabulary,
-                     stdev_mode: str = "gaps",
-                     label: str = LABEL_NORMAL) -> FeatureVector:
+                     stdev_mode: str = "gaps") -> FeatureVector:
     """Compute the per-ID timing triples for one window.
 
     Layout is ``[f(id_1), dt(id_1), s(id_1), f(id_2), ...]`` in vocabulary
@@ -222,22 +220,21 @@ def extract_features(window: Window, vocab: IdVocabulary,
     if vocab.include_other_bucket:
         mask = ~np.isin(ids, np.array(vocab.ids, dtype=np.int64))
         values[-3:] = _gap_stats(times[mask], window.length, stdev_mode)
-    return FeatureVector(values, label)
+    return FeatureVector(values)
 
 
 def extract_matrix(windows: Sequence[Window], vocab: IdVocabulary,
                    stdev_mode: str = "gaps",
                    labels: Sequence[str] | None = None) -> tuple[np.ndarray, list[str]]:
     """Feature matrix (one row per window) plus per-row labels."""
-    if labels is not None and len(labels) != len(windows):
+    if labels is None:
+        labels = [LABEL_NORMAL] * len(windows)
+    elif len(labels) != len(windows):
         raise ValueError("labels length must match windows")
     rows = np.empty((len(windows), vocab.dimension))
-    out_labels = []
     for k, window in enumerate(windows):
-        lab = labels[k] if labels is not None else LABEL_NORMAL
-        rows[k] = extract_features(window, vocab, stdev_mode, lab).values
-        out_labels.append(lab)
-    return rows, out_labels
+        rows[k] = extract_features(window, vocab, stdev_mode).values
+    return rows, list(labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,11 +248,11 @@ class Scaler:
 SCALER_FLOOR = 1e-8
 
 
-def fit_scaler(X: np.ndarray, floor: float = SCALER_FLOOR) -> Scaler:
+def fit_scaler(X: np.ndarray) -> Scaler:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("scaler needs a non-empty 2-d matrix")
-    return Scaler(mean=X.mean(axis=0), stdev=np.maximum(X.std(axis=0), floor))
+    return Scaler(mean=X.mean(axis=0), stdev=np.maximum(X.std(axis=0), SCALER_FLOOR))
 
 
 def apply_scaler(scaler: Scaler, X: np.ndarray) -> np.ndarray:

@@ -15,13 +15,11 @@ from .whiten import esvdd_fit, geocsvm_fit, gesvdd_fit
 
 LABEL_ANOMALY = "anomaly"
 
-# the hyperparameters each family takes: fit_model rejects any other key
-# (besides the solver's tol and max_iter), and the CLI passes each key from
-# the flag of the same name (C from --c)
+# the hyperparameters each family takes: fit_model rejects any other key,
+# and the CLI passes each key from the flag of the same name (C from --c)
 FAMILY_PARAMS = {
     "svdd": ("C",),
-    "ssvdd": ("C", "d", "beta", "psi", "eta", "iterations", "eta_decay",
-              "q_init", "seed"),
+    "ssvdd": ("C", "d", "beta", "psi", "eta", "iterations", "q_init", "seed"),
     "esvdd": ("C", "epsilon"),
     "gesvdd": ("C", "k_neighbors", "epsilon"),
     "ocsvm": ("nu",),
@@ -68,7 +66,7 @@ def fit_model(family: str, X, *, kernel: KernelSpec = LINEAR,
     default to 1.0 and 0.1."""
     if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown model family '{family}'; expected one of {MODEL_FAMILIES}")
-    unknown = set(params) - set(FAMILY_PARAMS[family]) - {"tol", "max_iter"}
+    unknown = set(params) - set(FAMILY_PARAMS[family])
     if unknown:
         raise ValueError(f"unknown hyperparameters for {family}: {sorted(unknown)}")
     if "k_neighbors" in params:

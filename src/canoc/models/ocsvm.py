@@ -16,8 +16,7 @@ from .svdd import SUPPORT_KEEP_EPS, boundary_support
 
 
 def ocsvm_fit(X, nu: float, kernel: KernelSpec = LINEAR, *,
-              scaler: Scaler | None = None, tol: float = 1e-6,
-              max_iter: int = 100_000) -> Detector:
+              scaler: Scaler | None = None) -> Detector:
     """Fit on (already standardized) target-class rows; ``nu`` bounds the
     training outlier fraction."""
     X = _as_matrix(X, "X")
@@ -25,7 +24,7 @@ def ocsvm_fit(X, nu: float, kernel: KernelSpec = LINEAR, *,
         raise ValueError("ocsvm_fit needs at least 1 training row")
     kernel = resolve_kernel(kernel, X)
     K = gram_matrix(X, X, kernel)
-    alphas = solve_ocsvm_dual(K, nu, tol=tol, max_iter=max_iter)
+    alphas = solve_ocsvm_dual(K, nu)
     Ka = K @ alphas
     rho = float(Ka[boundary_support(alphas, 1.0 / (nu * X.shape[0]))].mean())
     keep = alphas > SUPPORT_KEEP_EPS

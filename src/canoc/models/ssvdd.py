@@ -41,6 +41,9 @@ from .svdd import svdd_fit
 PSI_VARIANTS = ("psi0", "psi1", "psi2", "psi3")
 Q_INITS = ("pca", "identity", "random")
 
+# per-iteration decay of the Q step size
+ETA_DECAY = 0.95
+
 EIGENVALUE_FLOOR = 1e-10
 PSD_TOL = 1e-8
 
@@ -175,10 +178,8 @@ def _initial_q(Z: np.ndarray, d: int, how: str, seed: int | None) -> np.ndarray:
 
 def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
               psi: str = "psi1", eta: float = 0.1, iterations: int = 50,
-              kernel: KernelSpec = LINEAR, eta_decay: float = 0.95,
-              q_init: str = "pca", seed: int | None = None,
-              scaler: Scaler | None = None, tol: float = 1e-6,
-              max_iter: int = 100_000,
+              kernel: KernelSpec = LINEAR, q_init: str = "pca",
+              seed: int | None = None, scaler: Scaler | None = None,
               iteration_callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
               ) -> Detector:
     """Train the subspace description on (already standardized) rows.
@@ -206,16 +207,16 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
     lr = eta
     for it in range(iterations):
         Y = Z @ Q.T
-        alphas = solve_svdd_dual(Y @ Y.T, C, tol=tol, max_iter=max_iter)
+        alphas = solve_svdd_dual(Y @ Y.T, C)
         grad = ssvdd_gradient(Z, Q, alphas, beta, psi)
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite Q gradient at iteration {it}")
         Q = orthonormalize_rows(Q - lr * grad)
-        lr *= eta_decay
+        lr *= ETA_DECAY
         if iteration_callback is not None:
             iteration_callback(it, Q, alphas)
 
-    inner = svdd_fit(Z @ Q.T, C, LINEAR, tol=tol, max_iter=max_iter)
+    inner = svdd_fit(Z @ Q.T, C, LINEAR)
     params = {"d": d, "C": float(C), "beta": beta, "psi": psi, "eta": eta,
               "iterations": iterations, "kernel": asdict(kernel)}
     steps = (Projection(Q),) if npt is None else (npt, Projection(Q))

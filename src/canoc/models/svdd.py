@@ -27,8 +27,7 @@ def boundary_support(alphas: np.ndarray, box: float) -> np.ndarray:
 
 
 def svdd_fit(X, C: float, kernel: KernelSpec = LINEAR, *,
-             scaler: Scaler | None = None, tol: float = 1e-6,
-             max_iter: int = 100_000) -> Detector:
+             scaler: Scaler | None = None) -> Detector:
     """Fit the description on (already standardized) target-class rows.
 
     R^2 is the largest boundary distance to the center: those distances
@@ -40,7 +39,7 @@ def svdd_fit(X, C: float, kernel: KernelSpec = LINEAR, *,
         raise ValueError("svdd_fit needs at least 2 training rows")
     kernel = resolve_kernel(kernel, X)
     K = gram_matrix(X, X, kernel)
-    alphas = solve_svdd_dual(K, C, tol=tol, max_iter=max_iter)
+    alphas = solve_svdd_dual(K, C)
     d2 = center_distances_sq(K, alphas)
     r_squared = max(float(d2[boundary_support(alphas, float(C))].max()), 0.0)
     Ka = K @ alphas

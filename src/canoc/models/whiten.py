@@ -38,8 +38,7 @@ def inv_sqrt_psd(S: np.ndarray) -> np.ndarray:
 
 
 def esvdd_fit(X, C: float, epsilon: float = 1e-3, kernel: KernelSpec = LINEAR, *,
-              scaler: Scaler | None = None, tol: float = 1e-6,
-              max_iter: int = 100_000) -> Detector:
+              scaler: Scaler | None = None) -> Detector:
     """Ellipsoidal description: whiten by (cov + eps I)^(-1/2), then SVDD."""
     X = _as_matrix(X, "X")
     if not epsilon > 0:
@@ -48,7 +47,7 @@ def esvdd_fit(X, C: float, epsilon: float = 1e-3, kernel: KernelSpec = LINEAR, *
     if not np.all(np.isfinite(cov)):
         raise ValueError("training covariance is not finite")
     W = inv_sqrt_psd(cov + epsilon * np.eye(X.shape[1]))
-    inner = svdd_fit(X @ W, C, kernel, tol=tol, max_iter=max_iter)
+    inner = svdd_fit(X @ W, C, kernel)
     return _whitened("esvdd", inner, W, epsilon, None, scaler)
 
 
@@ -76,20 +75,18 @@ def _laplacian_whitener(X: np.ndarray, k: int, epsilon: float) -> np.ndarray:
 
 
 def gesvdd_fit(X, C: float, k: int = 5, epsilon: float = 1e-3,
-               kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None,
-               tol: float = 1e-6, max_iter: int = 100_000) -> Detector:
+               kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None) -> Detector:
     """Graph-embedded SVDD: whiten by (X'LX + eps I)^(-1/2), then SVDD."""
     X = _as_matrix(X, "X")
     W = _laplacian_whitener(X, k, epsilon)
-    inner = svdd_fit(X @ W, C, kernel, tol=tol, max_iter=max_iter)
+    inner = svdd_fit(X @ W, C, kernel)
     return _whitened("gesvdd", inner, W, epsilon, int(k), scaler)
 
 
 def geocsvm_fit(X, nu: float, k: int = 5, epsilon: float = 1e-3,
-                kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None,
-                tol: float = 1e-6, max_iter: int = 100_000) -> Detector:
+                kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None) -> Detector:
     """Graph-embedded one-class SVM (same whitening, OC-SVM inner)."""
     X = _as_matrix(X, "X")
     W = _laplacian_whitener(X, k, epsilon)
-    inner = ocsvm_fit(X @ W, nu, kernel, tol=tol, max_iter=max_iter)
+    inner = ocsvm_fit(X @ W, nu, kernel)
     return _whitened("geocsvm", inner, W, epsilon, int(k), scaler)

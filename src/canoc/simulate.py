@@ -153,7 +153,7 @@ def generate_normal(spec: BusSpec) -> CanLog:
     order = np.argsort(times, kind="stable")
     frames = tuple(CanFrame(float(times[i]), int(ids[i]), payloads[i])
                    for i in order)
-    return CanLog(frames, source=f"synthetic(seed={spec.seed})")
+    return CanLog(frames)
 
 
 def _as_labeled(log: CanLog | LabeledLog) -> LabeledLog:
@@ -181,11 +181,13 @@ def _merge(base: LabeledLog, times: np.ndarray, frames: list[CanFrame],
     order = np.argsort(all_times, kind="stable")
     merged = tuple(all_frames[i] for i in order)
     labels = tuple(all_labels[i] for i in order)
-    return LabeledLog(CanLog(merged, source=base.log.source), labels)
+    return LabeledLog(CanLog(merged), labels)
 
 
-def _inject_flood(log: CanLog | LabeledLog, scenario: AttackScenario,
-                  kind: str) -> LabeledLog:
+def _inject_flood(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
+    """Poisson-spaced frames inside the window: uniform 11-bit ids (known or
+    foreign) with random payloads, or id 0 with an empty payload."""
+    kind = scenario.kind
     base = _as_labeled(log)
     start, end = scenario.window
     _check_window_overlap(base.log, start, end)
@@ -204,26 +206,9 @@ def _inject_flood(log: CanLog | LabeledLog, scenario: AttackScenario,
     return _merge(base, times, frames, kind)
 
 
-def inject_random_id(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
-    """Flood with Poisson-spaced frames carrying uniform 11-bit ids (known or
-    foreign) and random payloads."""
-    if scenario.kind != LABEL_RANDOM_ID:
-        raise ValueError(f"scenario kind is {scenario.kind}, not random_id")
-    return _inject_flood(log, scenario, LABEL_RANDOM_ID)
-
-
-def inject_zero_id(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
-    """Flood with Poisson-spaced frames on id 0 (payload empty by default)."""
-    if scenario.kind != LABEL_ZERO_ID:
-        raise ValueError(f"scenario kind is {scenario.kind}, not zero_id")
-    return _inject_flood(log, scenario, LABEL_ZERO_ID)
-
-
-def inject_replay(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
+def _inject_replay(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
     """Re-transmit a captured segment starting at the attack window,
     ``repeat`` times back-to-back, preserving intra-segment gaps."""
-    if scenario.kind != LABEL_REPLAY:
-        raise ValueError(f"scenario kind is {scenario.kind}, not replay")
     base = _as_labeled(log)
     src_start, src_end = scenario.replay_segment
     segment = [f for f in base.log.frames if src_start <= f.timestamp < src_end]
@@ -243,43 +228,29 @@ def inject_replay(log: CanLog | LabeledLog, scenario: AttackScenario) -> Labeled
 
 
 def inject(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
-    """Dispatch on the scenario kind."""
-    if scenario.kind == LABEL_RANDOM_ID:
-        return inject_random_id(log, scenario)
-    if scenario.kind == LABEL_ZERO_ID:
-        return inject_zero_id(log, scenario)
-    return inject_replay(log, scenario)
-
-
-def _window_ranges(labeled: LabeledLog, windows: Sequence[Window]) -> list[tuple[int, int]]:
-    """Frame index range of each window. Tumbling windows from
-    segment_windows are consecutive slices of the log, which we match
-    exactly; anything else falls back to time-bound lookup."""
-    frames = labeled.log.frames
-    ranges = []
-    cursor = 0
-    for w in windows:
-        n = len(w.frames)
-        if frames[cursor:cursor + n] != w.frames:
-            break
-        ranges.append((cursor, cursor + n))
-        cursor += n
-    else:
-        if cursor == len(frames):
-            return ranges
-    times = np.array([f.timestamp for f in frames])
-    return [(int(np.searchsorted(times, w.start, side="left")),
-             int(np.searchsorted(times, w.start + w.length, side="left")))
-            for w in windows]
+    """Apply one attack, chosen by ``scenario.kind``, to a log; a plain log
+    counts as all-normal."""
+    if scenario.kind in _FLOOD_KINDS:
+        return _inject_flood(log, scenario)
+    return _inject_replay(log, scenario)
 
 
 def label_windows(labeled: LabeledLog, windows: Sequence[Window]) -> list[str]:
     """Ground-truth label per window: the attack kind if the window holds any
     injected frame (majority kind on mixes, ties to the earliest injected
-    frame among the tied kinds), else normal."""
-    labels = labeled.frame_labels
+    frame among the tied kinds), else normal.
+
+    Each window must be a slice of ``labeled.log``, as segment_windows cuts
+    it: it starts at the first frame at or after ``w.start``."""
+    frames, labels = labeled.log.frames, labeled.frame_labels
+    times = np.array([f.timestamp for f in frames])
+    starts = np.searchsorted(times, [w.start for w in windows], side="left")
     out = []
-    for lo, hi in _window_ranges(labeled, windows):
+    for k, (w, lo) in enumerate(zip(windows, starts.tolist())):
+        hi = lo + len(w.frames)
+        if frames[lo:hi] != w.frames:
+            raise ValueError(f"window {k} (start {w.start}) is not a slice of the "
+                             "labeled log")
         injected = [labels[i] for i in range(lo, hi) if labels[i] != LABEL_NORMAL]
         if not injected:
             out.append(LABEL_NORMAL)

@@ -3,8 +3,9 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canoc import (CanFrame, CanLog, CsvSchema, LogParseError,
+from canoc import (CanFrame, CanLog, LogParseError,
                    parse_candump_line, parse_csv_log, write_csv_log)
+from canoc.canlog import read_candump
 from canoc.simulate import default_bus, generate_normal
 
 
@@ -76,6 +77,16 @@ def test_parse_candump_errors():
         parse_candump_line("(1.0) can0 FFF#00")  # 3 digits parse as standard
     with pytest.raises(LogParseError, match="does not match"):
         parse_candump_line("not a candump line")
+    for line, message in (("(1_0.5) can0 100#00", "malformed timestamp"),
+                          ("(\u0661.5) can0 100#00", "malformed timestamp"),
+                          ("(1.0) can0 1_0#00", "invalid hex id"),
+                          ("(1.0) can0 \u0663#00", "invalid hex id"),
+                          ("(1.0) can0 100#0xAB", "invalid payload hex")):
+        with pytest.raises(LogParseError, match=message):
+            parse_candump_line(line)
+        with pytest.raises(LogParseError, match=message) as err:
+            read_candump(["(0.5) can0 100#00\n", line + "\n"])
+        assert err.value.row == 2
 
 
 @given(st.text(max_size=60))
@@ -101,6 +112,10 @@ def test_parse_csv_basic():
     assert [f.can_id for f in log.frames] == [0x100, 0x200]
     assert log.frames[0].payload == bytes([1, 2])
     assert log.frames[1].payload == b""
+    # columns by name in any order, extra columns ignored, dlc optional
+    log = parse_csv_log(_csv("payload,note,id,timestamp\n0xAABB,x,0x1F4,2.5\n"))
+    assert (log.frames[0].timestamp, log.frames[0].can_id,
+            log.frames[0].payload) == (2.5, 0x1F4, b"\xaa\xbb")
 
 
 def test_parse_csv_resorts_rows():
@@ -129,13 +144,16 @@ def test_parse_csv_structural_errors():
         parse_csv_log(_csv("timestamp,id,dlc,payload\n0.0,0x1,0\n"))
     with pytest.raises(LogParseError, match="dlc 3 does not match"):
         parse_csv_log(_csv("timestamp,id,dlc,payload\n0.0,0x1,3,0102\n"))
-
-
-def test_parse_csv_schema_mapping():
-    schema = CsvSchema(timestamp_col="t", id_col="arb", payload_col="data",
-                       dlc_col=None, id_radix=16)
-    log = parse_csv_log(_csv("t,arb,data\n2.5,1f4,AABB\n"), schema)
-    assert log.frames[0].can_id == 0x1F4
+    # ids and timestamps are ASCII digits (ids also 0x-hex), without "_"
+    for ts, cid, message in (("0.0", "1_0", "invalid id"),
+                             ("0.0", "0x1_00", "invalid id"),
+                             ("0.0", "\u0663", "invalid id"),
+                             ("0.0", "0x", "invalid id"),
+                             ("1_0.5", "0x1", "unsortable timestamp"),
+                             ("\u0661.5", "0x1", "unsortable timestamp")):
+        with pytest.raises(LogParseError, match=message) as err:
+            parse_csv_log(_csv(f"timestamp,id,dlc,payload\n0.0,0x1,0,\n{ts},{cid},0,\n"))
+        assert err.value.row == 2
 
 
 def test_write_empty_log_header_only():

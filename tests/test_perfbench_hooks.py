@@ -25,6 +25,25 @@ def test_every_traced_name_resolves():
     assert wraps and not missing
 
 
+# names the workloads (perfbench/wl_*.py, common.py) call directly, untraced
+CALLED = (
+    ("canoc.simulate", ("LabeledLog", "AttackScenario", "default_bus",
+                        "generate_normal", "inject", "label_windows")),
+    ("canoc.features", ("LABEL_NORMAL", "build_vocabulary", "segment_windows",
+                        "extract_matrix", "fit_scaler", "apply_scaler")),
+    ("canoc.evaluate", ("split", "SplitSpec", "evaluate")),
+    ("canoc.models", ("KernelSpec", "PSI_VARIANTS", "load_model")),
+    ("canoc.models.api", ("fit_model",)),
+    ("canoc.cli", ("main",)),
+)
+
+
+def test_every_called_name_resolves():
+    missing = [f"{module}.{attr}" for module, attrs in CALLED for attr in attrs
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing
+
+
 def test_fit_model_calls_the_patched_fitter(monkeypatch, rng):
     calls = []
     original = api.ssvdd_fit

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from canoc import (KernelSpec, esvdd_fit, fit_model, geocsvm_fit, gesvdd_fit,
                    load_model, ocsvm_fit, save_model, score_samples,
                    ssvdd_fit, svdd_fit)
 from canoc.features import FeatureSpec, IdVocabulary, fit_scaler
+from canoc.models import api
 from canoc.models.persist import config_digest, model_tag
 
 
@@ -76,3 +78,11 @@ def test_fit_model_factory_covers_families(rng):
         fit_model("forest", X)
     with pytest.raises(ValueError, match="unknown hyperparameters"):
         fit_model("svdd", X, bogus=1)
+
+
+def test_family_params_are_exactly_the_fitter_keywords():
+    # every setting a fitter takes is reachable through fit_model and the CLI
+    for family, keys in api.FAMILY_PARAMS.items():
+        signature = inspect.signature(getattr(api, f"{family}_fit"))
+        taken = set(signature.parameters) - {"X", "kernel", "scaler", "iteration_callback"}
+        assert {"k" if key == "k_neighbors" else key for key in keys} == taken, family

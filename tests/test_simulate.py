@@ -6,8 +6,7 @@ import pytest
 
 from canoc import (AttackScenario, BusSpec, EcuSpec, LabeledLog,
                    build_vocabulary, extract_features, generate_normal,
-                   inject, inject_random_id, inject_replay, inject_zero_id,
-                   label_windows, read_labels, segment_windows, write_labels)
+                   inject, label_windows, read_labels, segment_windows, write_labels)
 from canoc.simulate import default_bus
 
 
@@ -62,21 +61,21 @@ def base_log(duration=10.0, seed=3):
 def test_random_id_flood_count_and_window():
     log = base_log()
     scenario = AttackScenario(kind="random_id", rate=1000.0, window=(2.0, 3.0), seed=11)
-    out = inject_random_id(log, scenario)
+    out = inject(log, scenario)
     injected = [f for f, lab in zip(out.log.frames, out.frame_labels)
                 if lab == "random_id"]
     assert 900 <= len(injected) <= 1100
     assert all(2.0 <= f.timestamp < 3.0 for f in injected)
     assert all(0 <= f.can_id <= 0x7FF for f in injected)
     # determinism
-    again = inject_random_id(log, scenario)
+    again = inject(log, scenario)
     assert again.log.frames == out.log.frames
 
 
 def test_flood_preserves_base_frames():
     log = base_log(duration=5.0)
-    out = inject_zero_id(log, AttackScenario(kind="zero_id", rate=100.0,
-                                             window=(1.0, 2.0), seed=4))
+    out = inject(log, AttackScenario(kind="zero_id", rate=100.0,
+                                     window=(1.0, 2.0), seed=4))
     survivors = [f for f, lab in zip(out.log.frames, out.frame_labels)
                  if lab == "normal"]
     assert Counter(survivors) == Counter(log.frames)
@@ -86,7 +85,7 @@ def test_flood_preserves_base_frames():
 def test_flood_on_empty_log_contains_only_injection():
     from canoc import CanLog
     scenario = AttackScenario(kind="random_id", rate=50.0, window=(0.0, 2.0), seed=1)
-    out = inject_random_id(CanLog(()), scenario)
+    out = inject(CanLog(()), scenario)
     assert len(out.log.frames) > 0
     assert all(lab == "random_id" for lab in out.frame_labels)
 
@@ -94,12 +93,12 @@ def test_flood_on_empty_log_contains_only_injection():
 def test_zero_id_flood_shape():
     log = base_log(duration=5.0)
     scenario = AttackScenario(kind="zero_id", rate=500.0, window=(1.0, 3.0), seed=7)
-    out = inject_zero_id(log, scenario)
+    out = inject(log, scenario)
     injected = [f for f, lab in zip(out.log.frames, out.frame_labels)
                 if lab == "zero_id"]
     assert all(f.can_id == 0 and f.payload == b"" for f in injected)
     assert 850 <= len(injected) <= 1150  # ~1000 expected
-    repeat = inject_zero_id(log, scenario)
+    repeat = inject(log, scenario)
     assert len(repeat.log.frames) == len(out.log.frames)
 
 
@@ -107,7 +106,7 @@ def test_zero_id_payload_override():
     log = base_log(duration=3.0)
     scenario = AttackScenario(kind="zero_id", rate=50.0, window=(0.5, 1.5),
                               seed=2, payload_length=4)
-    out = inject_zero_id(log, scenario)
+    out = inject(log, scenario)
     injected = [f for f, lab in zip(out.log.frames, out.frame_labels)
                 if lab == "zero_id"]
     assert all(len(f.payload) == 4 for f in injected)
@@ -117,7 +116,7 @@ def test_window_outside_span_rejected():
     log = base_log(duration=5.0)
     scenario = AttackScenario(kind="zero_id", rate=10.0, window=(20.0, 21.0), seed=0)
     with pytest.raises(ValueError, match="outside the"):
-        inject_zero_id(log, scenario)
+        inject(log, scenario)
 
 
 def test_scenario_validation():
@@ -131,9 +130,6 @@ def test_scenario_validation():
             AttackScenario(kind="zero_id", rate=10.0, window=window)
     with pytest.raises(ValueError, match="segment"):
         AttackScenario(kind="replay", window=(0, 1))
-    with pytest.raises(ValueError, match="kind is"):
-        inject_replay(base_log(2.0), AttackScenario(kind="zero_id", rate=1.0,
-                                                    window=(0.5, 1.0)))
 
 
 # --- replay -------------------------------------------------------------------
@@ -143,7 +139,7 @@ def test_replay_single_frame_three_copies():
     log = make_log([(0.0, 0x1), (1.0, 0x2), (2.0, 0x1), (9.0, 0x3)])
     scenario = AttackScenario(kind="replay", window=(5.0, 8.0),
                               replay_segment=(0.9, 1.1), repeat=3)
-    out = inject_replay(log, scenario)
+    out = inject(log, scenario)
     injected = [f for f, lab in zip(out.log.frames, out.frame_labels)
                 if lab == "replay"]
     assert len(injected) == 3
@@ -155,7 +151,7 @@ def test_replay_preserves_intra_segment_gaps():
     log = base_log(duration=10.0)
     scenario = AttackScenario(kind="replay", window=(6.0, 9.0),
                               replay_segment=(1.0, 2.0), repeat=2, seed=0)
-    out = inject_replay(log, scenario)
+    out = inject(log, scenario)
     source = [f.timestamp for f in log.frames if 1.0 <= f.timestamp < 2.0]
     injected = [f.timestamp for f, lab in zip(out.log.frames, out.frame_labels)
                 if lab == "replay"]
@@ -170,7 +166,7 @@ def test_replay_empty_segment_errors():
     scenario = AttackScenario(kind="replay", window=(3.0, 4.0),
                               replay_segment=(100.0, 101.0), repeat=1)
     with pytest.raises(ValueError, match="no frames"):
-        inject_replay(log, scenario)
+        inject(log, scenario)
 
 
 def test_replay_doubles_per_id_frequency():
@@ -179,7 +175,7 @@ def test_replay_doubles_per_id_frequency():
     log = base_log(duration=10.0, seed=6)
     scenario = AttackScenario(kind="replay", window=(3.0, 4.0),
                               replay_segment=(3.0, 4.0), repeat=1)
-    out = inject_replay(log, scenario)
+    out = inject(log, scenario)
     vocab = build_vocabulary(log, include_other_bucket=False)
     before = extract_features(segment_windows(log, 1.0)[3], vocab).values
     after = extract_features(segment_windows(out.log, 1.0)[3], vocab).values
@@ -196,6 +192,9 @@ def test_label_windows_rules():
     labeled = LabeledLog(log, labels)
     windows = segment_windows(log, 1.0)
     assert label_windows(labeled, windows) == ["normal", "zero_id", "normal", "normal"]
+    other = make_log([(0.5, 0x1), (1.5, 0x2), (2.5, 0x1), (3.5, 0x1)])
+    with pytest.raises(ValueError, match="window 1 "):
+        label_windows(labeled, segment_windows(other, 1.0))
 
 
 def test_label_windows_majority_and_tie():
@@ -211,7 +210,7 @@ def test_label_windows_majority_and_tie():
 def test_label_windows_single_injected_frame_suffices():
     log = base_log(duration=4.0)
     scenario = AttackScenario(kind="random_id", rate=1.0, window=(1.2, 1.3), seed=9)
-    out = inject_random_id(log, scenario)
+    out = inject(log, scenario)
     windows = segment_windows(out.log, 1.0)
     labels = label_windows(out, windows)
     injected_count = sum(1 for lab in out.frame_labels if lab != "normal")
