@@ -114,6 +114,7 @@ _TIMESTAMP_RE = re.compile(r"\s*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-
 _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 # CSV ids: 0x-prefixed hex, else decimal
 _CSV_ID_RE = re.compile(r"\s*(?:0[xX](?P<hex>[0-9A-Fa-f]+)|(?P<dec>[0-9]+))\s*", re.ASCII)
+_DLC_RE = re.compile(r"\s*[0-9]+\s*", re.ASCII)
 
 
 def parse_candump_line(line: str) -> CanFrame:
@@ -213,10 +214,9 @@ def parse_csv_log(stream: Iterable[str]) -> CanLog:
             payload_text = payload_text[2:]
         payload = _parse_payload_hex(payload_text, row=rownum)
         if dlc_idx is not None:
-            try:
-                dlc = int(fields[dlc_idx])
-            except ValueError:
-                raise LogParseError("invalid dlc", row=rownum) from None
+            if not _DLC_RE.fullmatch(fields[dlc_idx]):
+                raise LogParseError("invalid dlc", row=rownum)
+            dlc = int(fields[dlc_idx])
             if dlc != len(payload):
                 raise LogParseError(
                     f"dlc {dlc} does not match payload length {len(payload)}", row=rownum)

@@ -10,7 +10,8 @@ Both one-class duals are instances of this program:
 Each step picks the maximal-violating pair (steepest feasible descent
 coordinate up, steepest ascent coordinate down) and moves mass between the
 two, which preserves the simplex constraint exactly. Termination when the
-worst KKT violation drops below ``tol``.
+worst KKT violation drops below ``tol``. The search starts from the uniform
+point, or from a caller's feasible ``a0`` (a warm start).
 """
 
 from __future__ import annotations
@@ -26,8 +27,27 @@ class DualSolverError(RuntimeError):
         self.residual = residual
 
 
+# how far sum(a0) may stray from 1 before a start counts as infeasible
+START_SUM_TOL = 1e-9
+
+
+def _feasible_start(a0, n: int, box: float) -> np.ndarray:
+    """A copy of ``a0``; raises when it is not a feasible point."""
+    a = np.array(a0, dtype=float)
+    if a.shape != (n,):
+        raise ValueError(f"a0 must have shape ({n},), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("a0 must be finite")
+    if a.min() < 0.0 or a.max() > box:
+        raise ValueError(f"a0 entries must lie in [0, {box}]")
+    if abs(float(a.sum()) - 1.0) > START_SUM_TOL:
+        raise ValueError(f"a0 must sum to 1, got {float(a.sum())!r}")
+    return a
+
+
 def solve_simplex_box_qp(Q: np.ndarray, p: np.ndarray, box: float,
-                         tol: float = 1e-6, max_iter: int = 100_000) -> np.ndarray:
+                         tol: float = 1e-6, max_iter: int = 100_000,
+                         a0: np.ndarray | None = None) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     p = np.asarray(p, dtype=float)
     n = Q.shape[0]
@@ -37,7 +57,7 @@ def solve_simplex_box_qp(Q: np.ndarray, p: np.ndarray, box: float,
         raise ValueError(f"box constraint 0 <= a <= {box} with sum(a)=1 is "
                          f"infeasible for n={n}")
 
-    a = np.full(n, 1.0 / n)
+    a = np.full(n, 1.0 / n) if a0 is None else _feasible_start(a0, n, box)
     if n * box <= 1.0 + 1e-12:
         # box exactly 1/n: the uniform point is the only feasible one
         return a
@@ -76,11 +96,13 @@ def solve_simplex_box_qp(Q: np.ndarray, p: np.ndarray, box: float,
 
 
 def solve_svdd_dual(K: np.ndarray, C: float, tol: float = 1e-6,
-                    max_iter: int = 100_000) -> np.ndarray:
+                    max_iter: int = 100_000, a0: np.ndarray | None = None) -> np.ndarray:
     """Dual coefficients of the soft hypersphere description.
 
     Maximizes ``sum_i a_i K_ii - a'Ka`` over the simplex with box ``C``; the
     returned alphas satisfy the distance-form KKT conditions within ``tol``.
+    A feasible ``a0`` (e.g. the alphas of a nearby problem) starts the search
+    there instead of at the uniform point.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
@@ -89,7 +111,7 @@ def solve_svdd_dual(K: np.ndarray, C: float, tol: float = 1e-6,
     if C < 1.0 / n - 1e-12:
         raise ValueError(f"C={C} is infeasible: the simplex needs C >= 1/n = {1.0 / n:.6g}")
     return solve_simplex_box_qp(2.0 * K, -np.diag(K).copy(), box=float(C),
-                                tol=tol, max_iter=max_iter)
+                                tol=tol, max_iter=max_iter, a0=a0)
 
 
 def solve_ocsvm_dual(K: np.ndarray, nu: float, tol: float = 1e-6,

@@ -2,7 +2,9 @@
 a data description in the projected space.
 
 Training alternates (1) project y_i = Q x_i, (2) solve the SVDD dual on the
-projections, (3) a gradient step on Q from the joint Lagrangian
+projections, warm-started from the previous iteration's alphas (Q moves only
+a little per step, so they are close to the new optimum and always feasible:
+n and C do not change), (3) a gradient step on Q from the joint Lagrangian
 
     grad = 2 Q X' (diag(a) - a a' + beta * lam lam') X
 
@@ -205,9 +207,10 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
 
     Q = _initial_q(Z, d, q_init, seed)
     lr = eta
+    alphas = None
     for it in range(iterations):
         Y = Z @ Q.T
-        alphas = solve_svdd_dual(Y @ Y.T, C)
+        alphas = solve_svdd_dual(Y @ Y.T, C, a0=alphas)
         grad = ssvdd_gradient(Z, Q, alphas, beta, psi)
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite Q gradient at iteration {it}")

@@ -10,6 +10,7 @@ format-pure.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -264,6 +265,9 @@ def label_windows(labeled: LabeledLog, windows: Sequence[Window]) -> list[str]:
     return out
 
 
+_BAD_LABEL_CHAR_RE = re.compile(r'[,"\x00-\x1f\x7f-\x9f]')
+
+
 def write_labels(labels: Iterable[str], sink: IO[str]) -> None:
     """Sidecar label column: header + one label per frame, log order."""
     sink.write("label\n")
@@ -272,10 +276,17 @@ def write_labels(labels: Iterable[str], sink: IO[str]) -> None:
 
 
 def read_labels(stream: Iterable[str]) -> list[str]:
+    """Frame labels of a sidecar. A label must be writable as one bare
+    feature-CSV cell, so ``,``, ``"`` and control characters are rejected."""
     lines = [line.rstrip("\n") for line in stream]
     if not lines or lines[0] != "label":
         raise ValueError("label file must start with a 'label' header")
-    return [line for line in lines[1:] if line]
+    body = lines[1:]
+    for label in dict.fromkeys(body):  # distinct labels, first seen first
+        if _BAD_LABEL_CHAR_RE.search(label):
+            raise ValueError(f"label file line {body.index(label) + 2}: label {label!r} "
+                             f"contains ',', '\"' or a control character")
+    return [line for line in body if line]
 
 
 def save_labeled(labeled: LabeledLog, log_path: str, labels_path: str) -> None:

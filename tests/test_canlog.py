@@ -154,6 +154,11 @@ def test_parse_csv_structural_errors():
         with pytest.raises(LogParseError, match=message) as err:
             parse_csv_log(_csv(f"timestamp,id,dlc,payload\n0.0,0x1,0,\n{ts},{cid},0,\n"))
         assert err.value.row == 2
+    # so is the dlc: decimal ASCII digits, without "_"
+    for dlc in ("\u0663", "1_0", "0_3"):
+        with pytest.raises(LogParseError, match="invalid dlc") as err:
+            parse_csv_log(_csv(f"timestamp,id,dlc,payload\n0.0,0x1,0,\n0.0,0x100,{dlc},AABBCC\n"))
+        assert err.value.row == 2
 
 
 def test_write_empty_log_header_only():

@@ -119,6 +119,22 @@ def test_extract_rejects_bad_window_flag(tmp_path, capsys, flag, value):
     assert not feats.exists()
 
 
+@pytest.mark.parametrize("log_row, label, expected", [
+    ("0.0,0x100,\u0663,AABBCC", "normal", "invalid dlc"),
+    ("0.0,0x100,0_3,AABBCC", "normal", "invalid dlc"),
+    ("0.0,0x100,3,AABBCC", "zero_id,x", "line 2"),
+], ids=["dlc non-ASCII digit", "dlc underscore", "label with comma"])
+def test_extract_rejects_malformed_log_or_labels(tmp_path, capsys, log_row, label,
+                                                  expected):
+    log, labels = tmp_path / "log.csv", tmp_path / "log.labels.csv"
+    log.write_text(f"timestamp,id,dlc,payload\n{log_row}\n", encoding="utf-8")
+    labels.write_text(f"label\n{label}\n", encoding="utf-8")
+    feats = tmp_path / "f.csv"
+    code, _, err = run(capsys, "extract", "--in", log, "--labels", labels, "--out", feats)
+    assert code == 2 and err.startswith("error:") and expected in err, err
+    assert not feats.exists()
+
+
 def trained_model(tmp_path, capsys, family="svdd", duration=40.0, **extra):
     log, _ = simulate(tmp_path, capsys, duration=duration)
     feats = tmp_path / "train_features.csv"

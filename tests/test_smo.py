@@ -67,15 +67,60 @@ def test_nonconvergence_carries_residual():
     assert err.value.residual > 0
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_random_instances_satisfy_kkt(seed):
+def random_instance(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 60))
     X = rng.standard_normal((n, int(rng.integers(2, 6))))
     kernel = KernelSpec("linear") if seed % 2 else KernelSpec("rbf", 1.5)
     K = gram_matrix(X, X, kernel)
     C = float(rng.uniform(1.5 / n, 1.0))
+    return K, C, rng
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_instances_satisfy_kkt(seed):
+    K, C, _ = random_instance(seed)
     kkt_check(K, solve_svdd_dual(K, C), C)
+
+
+def random_feasible_point(rng, n, box):
+    """A point of {sum(a) = 1, 0 <= a <= box} away from the uniform one."""
+    a = rng.dirichlet(np.ones(n))
+    while a.max() > box:  # pull towards the uniform point, which is inside
+        a = 0.5 * (a + 1.0 / n)
+    return a
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_warm_start_from_random_feasible_point_satisfies_kkt(seed):
+    K, C, rng = random_instance(seed)
+    a0 = random_feasible_point(rng, K.shape[0], C)
+    assert abs(a0.sum() - 1.0) <= 1e-12 and not np.allclose(a0, 1.0 / K.shape[0])
+    given = a0.copy()
+    kkt_check(K, solve_svdd_dual(K, C, a0=a0), C)
+    assert np.array_equal(a0, given)  # the caller's start is not written to
+
+
+def test_warm_start_from_solution_returns_it_unchanged():
+    K, C, _ = random_instance(2)
+    solution = solve_svdd_dual(K, C)
+    again = solve_svdd_dual(K, C, max_iter=1, a0=solution)
+    assert again.tobytes() == solution.tobytes()
+
+
+@pytest.mark.parametrize("a0", [
+    np.full(3, 1 / 3),
+    np.array([[0.25, 0.25, 0.25, 0.25]]),
+    np.array([-0.1, 0.4, 0.35, 0.35]),
+    np.array([0.55, 0.15, 0.15, 0.15]),
+    np.array([0.25, 0.25, 0.25, 0.3]),
+    np.array([0.25, 0.25, 0.25, 0.25 + 1e-8]),
+    np.array([np.nan, 0.25, 0.25, 0.25]),
+], ids=["short", "2-d", "negative", "above box", "sum 1.05", "sum 1+1e-8", "nan"])
+def test_infeasible_warm_start_raises(a0):
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # box C = 0.5
+    with pytest.raises(ValueError, match="a0"):
+        solve_svdd_dual(X @ X.T, 0.5, a0=a0)
 
 
 def test_gram_psd_after_symmetrization(rng):

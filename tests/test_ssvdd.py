@@ -81,6 +81,21 @@ def test_non_finite_gradient_reports_iteration(rng, monkeypatch):
         ssvdd_fit(X, d=2, iterations=3)
 
 
+def test_inner_solves_warm_start_from_previous_alphas(rng, monkeypatch):
+    X = rng.standard_normal((30, 5))
+    starts, results = [], []
+
+    def spy(K, C, **kwargs):
+        starts.append(kwargs.get("a0"))
+        results.append(solve_svdd_dual(K, C, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ssvdd_module, "solve_svdd_dual", spy)
+    ssvdd_fit(X, d=2, C=0.3, iterations=6)
+    assert len(starts) == 6 and starts[0] is None
+    assert all(start is prev for start, prev in zip(starts[1:], results))
+
+
 def test_default_d_caps_at_ten(rng):
     X = rng.standard_normal((40, 15))
     model = ssvdd_fit(X, iterations=1)
