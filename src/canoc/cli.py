@@ -135,7 +135,7 @@ def _load_spec(path: str) -> features.FeatureSpec:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     log = canlog.load_log(args.input)
-    if not log.frames:
+    if not len(log):
         raise ValueError(f"input log {args.input} is empty")
     if args.vocab:
         spec = _load_spec(args.vocab)
@@ -226,6 +226,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise ValueError(f"vocabulary dimension {spec.vocab.dimension} does not match "
                          f"model dimension {model.scaler.mean.shape[0]}")
     log = canlog.load_log(args.input)
+    if not len(log):
+        raise ValueError(f"input log {args.input} is empty")
     windows = features.segment_windows(log, spec.window, spec.stride)
     X, _ = features.extract_matrix(windows, spec.vocab, spec.stdev_mode)
     scores = score_samples(model, X)

@@ -24,7 +24,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .canlog import CanFrame, CanLog
+from .canlog import CanLog, FrameView
 
 LABEL_NORMAL = "normal"
 LABEL_RANDOM_ID = "random_id"
@@ -96,10 +96,9 @@ class FeatureSpec:
 
 def build_vocabulary(log: CanLog, include_other_bucket: bool = True) -> IdVocabulary:
     """Collect the sorted distinct arbitration IDs of a (training) log."""
-    if not log.frames:
+    if not len(log):
         raise ValueError("cannot build a vocabulary from an empty log")
-    ids = sorted({frame.can_id for frame in log.frames})
-    return IdVocabulary(tuple(ids), include_other_bucket)
+    return IdVocabulary(tuple(np.unique(log.ids).tolist()), include_other_bucket)
 
 
 def vocabulary_from_feature_names(names: Sequence[str]) -> IdVocabulary:
@@ -127,13 +126,19 @@ def vocabulary_from_feature_names(names: Sequence[str]) -> IdVocabulary:
 
 @dataclass(frozen=True)
 class Window:
-    """A [start, start+length) slice of a log. ``partial`` marks a trailing
-    window not fully covered by the observed time span."""
+    """A [start, start+length) slice of a log. ``frames`` is a view into the
+    log; a sequence of frames given here becomes one through
+    :meth:`CanLog.from_frames`. ``partial`` marks a trailing window not fully
+    covered by the observed time span."""
 
     start: float
     length: float
-    frames: tuple[CanFrame, ...]
+    frames: FrameView
     partial: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.frames, FrameView):
+            object.__setattr__(self, "frames", CanLog.from_frames(self.frames).frames)
 
 
 def segment_windows(log: CanLog, length: float, stride: float | None = None) -> list[Window]:
@@ -149,32 +154,23 @@ def segment_windows(log: CanLog, length: float, stride: float | None = None) -> 
         stride = length
     if stride <= 0:
         raise ValueError("window stride must be > 0")
-    if not log.frames:
+    if not len(log):
         return []
 
-    times = np.array([f.timestamp for f in log.frames])
     t_first, t_last = log.span
     count = int(np.floor((t_last - t_first) / stride)) + 1
     # per-window boundaries come from one shared grid so that, for tumbling
     # windows, consecutive windows meet at the exact same float and every
     # frame lands in exactly one of them
     grid = t_first + np.arange(count + 1) * stride
-    cuts = np.searchsorted(times, grid, side="left")
-    tumbling = stride == length
-    windows = []
-    for k in range(count):
-        start = float(grid[k])
-        if start > t_last:
-            break
-        if tumbling:
-            lo, hi = int(cuts[k]), int(cuts[k + 1])
-        else:
-            lo = int(cuts[k])
-            hi = int(np.searchsorted(times, start + length, side="left"))
-        windows.append(Window(start=start, length=length,
-                              frames=log.frames[lo:hi],
-                              partial=start + length > t_last))
-    return windows
+    starts = grid[:count][grid[:count] <= t_last]
+    ends = grid[1:starts.size + 1] if stride == length else starts + length
+    lo = np.searchsorted(log.times, starts, side="left").tolist()
+    hi = np.searchsorted(log.times, ends, side="left").tolist()
+    frames = log.frames
+    return [Window(start=start, length=length, frames=frames[a:b],
+                   partial=start + length > t_last)
+            for start, a, b in zip(starts.tolist(), lo, hi)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +193,39 @@ def _gap_stats(times: np.ndarray, window_length: float, stdev_mode: str) -> tupl
     return 1.0 / dt, dt, s
 
 
+def _window_features(log: CanLog, length: float, vocab_ids: np.ndarray,
+                     include_other_bucket: bool, stdev_mode: str) -> np.ndarray:
+    """Feature values of one window's frames.
+
+    A stable argsort groups the frames by vocabulary slot (the "other"
+    bucket last) and keeps each slot's timestamps in log order, so every
+    slot's statistics run on a contiguous view holding the same values, in
+    the same order, as a per-ID mask would select. Per-slot ``mean`` and
+    ``std`` keep numpy's pairwise summation; ``np.add.reduceat`` sums
+    sequentially and rounds differently, which would change feature-CSV
+    bytes.
+    """
+    pos = np.searchsorted(vocab_ids, log.ids)
+    known = vocab_ids[np.minimum(pos, vocab_ids.size - 1)] == log.ids
+    slots = np.where(known, pos, vocab_ids.size)
+    order = np.argsort(slots, kind="stable")
+    bounds = np.searchsorted(slots[order], np.arange(vocab_ids.size + 2)).tolist()
+    grouped = log.times[order]
+    used = vocab_ids.size + (1 if include_other_bucket else 0)
+    values = np.empty(3 * used)
+    for slot in range(used):
+        values[3 * slot:3 * slot + 3] = _gap_stats(grouped[bounds[slot]:bounds[slot + 1]],
+                                                   length, stdev_mode)
+    return values
+
+
+def _check_extraction(length: float, stdev_mode: str) -> None:
+    if length <= 0:
+        raise ValueError("window length must be > 0")
+    if stdev_mode not in STDEV_MODES:
+        raise ValueError(f"stdev_mode must be one of {STDEV_MODES}")
+
+
 def extract_features(window: Window, vocab: IdVocabulary,
                      stdev_mode: str = "gaps") -> FeatureVector:
     """Compute the per-ID timing triples for one window.
@@ -204,23 +233,10 @@ def extract_features(window: Window, vocab: IdVocabulary,
     Layout is ``[f(id_1), dt(id_1), s(id_1), f(id_2), ...]`` in vocabulary
     order, with the pooled "other" bucket last when enabled.
     """
-    if window.length <= 0:
-        raise ValueError("window length must be > 0")
-    if stdev_mode not in STDEV_MODES:
-        raise ValueError(f"stdev_mode must be one of {STDEV_MODES}")
-
-    n = len(window.frames)
-    times = np.fromiter((f.timestamp for f in window.frames), dtype=float, count=n)
-    ids = np.fromiter((f.can_id for f in window.frames), dtype=np.int64, count=n)
-
-    values = np.empty(vocab.dimension)
-    for pos, cid in enumerate(vocab.ids):
-        values[3 * pos:3 * pos + 3] = _gap_stats(times[ids == cid], window.length,
-                                                 stdev_mode)
-    if vocab.include_other_bucket:
-        mask = ~np.isin(ids, np.array(vocab.ids, dtype=np.int64))
-        values[-3:] = _gap_stats(times[mask], window.length, stdev_mode)
-    return FeatureVector(values)
+    _check_extraction(window.length, stdev_mode)
+    return FeatureVector(_window_features(window.frames.log, window.length,
+                                          np.array(vocab.ids, dtype=np.int64),
+                                          vocab.include_other_bucket, stdev_mode))
 
 
 def extract_matrix(windows: Sequence[Window], vocab: IdVocabulary,
@@ -231,9 +247,12 @@ def extract_matrix(windows: Sequence[Window], vocab: IdVocabulary,
         labels = [LABEL_NORMAL] * len(windows)
     elif len(labels) != len(windows):
         raise ValueError("labels length must match windows")
+    vocab_ids = np.array(vocab.ids, dtype=np.int64)
     rows = np.empty((len(windows), vocab.dimension))
     for k, window in enumerate(windows):
-        rows[k] = extract_features(window, vocab, stdev_mode).values
+        _check_extraction(window.length, stdev_mode)
+        rows[k] = _window_features(window.frames.log, window.length, vocab_ids,
+                                   vocab.include_other_bucket, stdev_mode)
     return rows, list(labels)
 
 

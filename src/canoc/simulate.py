@@ -9,6 +9,7 @@ format-pure.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .canlog import CAN_SFF_MAX, CanFrame, CanLog
+from .canlog import CAN_SFF_MAX, COLUMNS, MAX_PAYLOAD_BYTES, CanLog
 from .features import (LABEL_NORMAL, LABEL_RANDOM_ID, LABEL_REPLAY,
                        LABEL_ZERO_ID, Window)
 
@@ -126,14 +127,21 @@ class LabeledLog:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "frame_labels", tuple(self.frame_labels))
-        if len(self.frame_labels) != len(self.log.frames):
+        if len(self.frame_labels) != len(self.log):
             raise ValueError("one label per frame required")
+
+
+def _payload_rows(payloads: np.ndarray) -> np.ndarray:
+    """``[n, k]`` payload bytes padded with zeros to the log's ``[n, 8]``."""
+    rows = np.zeros((payloads.shape[0], MAX_PAYLOAD_BYTES), dtype=np.uint8)
+    rows[:, :payloads.shape[1]] = payloads
+    return rows
 
 
 def generate_normal(spec: BusSpec) -> CanLog:
     """Synthesize attack-free traffic; deterministic for a fixed seed."""
     streams = np.random.SeedSequence(spec.seed).spawn(len(spec.ids))
-    times_parts, id_parts, payload_parts = [], [], []
+    times_parts, id_parts, dlc_parts, payload_parts = [], [], [], []
     for ecu, stream in zip(spec.ids, streams):
         rng = np.random.default_rng(stream)
         count = int(np.ceil(spec.duration / ecu.period)) + 2
@@ -146,25 +154,24 @@ def generate_normal(spec: BusSpec) -> CanLog:
         t = t[keep]
         times_parts.append(t)
         id_parts.append(np.full(t.size, ecu.can_id, dtype=np.int64))
-        payload_parts.append(rng.integers(0, 256, size=(count, ecu.payload_length),
-                                          dtype=np.uint8)[keep])
-    times = np.concatenate(times_parts) if times_parts else np.empty(0)
-    ids = np.concatenate(id_parts) if id_parts else np.empty(0, dtype=np.int64)
-    payloads = [bytes(row) for part in payload_parts for row in part]
+        dlc_parts.append(np.full(t.size, ecu.payload_length, dtype=np.uint8))
+        payload_parts.append(_payload_rows(rng.integers(
+            0, 256, size=(count, ecu.payload_length), dtype=np.uint8)[keep]))
+    times = np.concatenate(times_parts)
     order = np.argsort(times, kind="stable")
-    frames = tuple(CanFrame(float(times[i]), int(ids[i]), payloads[i])
-                   for i in order)
-    return CanLog(frames)
+    return CanLog(times[order], np.concatenate(id_parts)[order],
+                  np.zeros(times.size, dtype=np.bool_), np.concatenate(dlc_parts)[order],
+                  np.concatenate(payload_parts)[order])
 
 
 def _as_labeled(log: CanLog | LabeledLog) -> LabeledLog:
     if isinstance(log, LabeledLog):
         return log
-    return LabeledLog(log, (LABEL_NORMAL,) * len(log.frames))
+    return LabeledLog(log, (LABEL_NORMAL,) * len(log))
 
 
 def _check_window_overlap(base: CanLog, start: float, end: float) -> None:
-    if not base.frames:
+    if not len(base):
         return
     t_first, t_last = base.span
     if end <= t_first or start > t_last:
@@ -172,17 +179,15 @@ def _check_window_overlap(base: CanLog, start: float, end: float) -> None:
                          f"log span [{t_first}, {t_last}]")
 
 
-def _merge(base: LabeledLog, times: np.ndarray, frames: list[CanFrame],
-           kind: str) -> LabeledLog:
-    """Append injected frames, re-sort stably; base frames are never touched."""
-    base_times = np.array([f.timestamp for f in base.log.frames])
-    all_times = np.concatenate([base_times, times])
-    all_frames = list(base.log.frames) + frames
-    all_labels = list(base.frame_labels) + [kind] * len(frames)
-    order = np.argsort(all_times, kind="stable")
-    merged = tuple(all_frames[i] for i in order)
-    labels = tuple(all_labels[i] for i in order)
-    return LabeledLog(CanLog(merged), labels)
+def _merge(base: LabeledLog, added: tuple[np.ndarray, ...], kind: str) -> LabeledLog:
+    """Append injected rows (log columns in ``COLUMNS`` order), re-sort
+    stably; base rows are never touched."""
+    columns = [np.concatenate([getattr(base.log, name), column])
+               for name, column in zip(COLUMNS, added)]
+    order = np.argsort(columns[0], kind="stable")
+    labels = base.frame_labels + (kind,) * added[0].size
+    return LabeledLog(CanLog(*(column[order] for column in columns)),
+                      tuple(map(labels.__getitem__, order.tolist())))
 
 
 def _inject_flood(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
@@ -202,9 +207,9 @@ def _inject_flood(log: CanLog | LabeledLog, scenario: AttackScenario) -> Labeled
         ids = np.zeros(count, dtype=np.int64)
         plen = 0 if scenario.payload_length is None else scenario.payload_length
     payloads = rng.integers(0, 256, size=(count, plen), dtype=np.uint8)
-    frames = [CanFrame(float(times[i]), int(ids[i]), bytes(payloads[i]))
-              for i in range(count)]
-    return _merge(base, times, frames, kind)
+    return _merge(base, (times, ids, np.zeros(count, dtype=np.bool_),
+                         np.full(count, plen, dtype=np.uint8), _payload_rows(payloads)),
+                  kind)
 
 
 def _inject_replay(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
@@ -212,20 +217,18 @@ def _inject_replay(log: CanLog | LabeledLog, scenario: AttackScenario) -> Labele
     ``repeat`` times back-to-back, preserving intra-segment gaps."""
     base = _as_labeled(log)
     src_start, src_end = scenario.replay_segment
-    segment = [f for f in base.log.frames if src_start <= f.timestamp < src_end]
-    if not segment:
+    times = base.log.times
+    inside = (src_start <= times) & (times < src_end)
+    if not inside.any():
         raise ValueError(f"replay segment [{src_start}, {src_end}) contains no frames")
     span = src_end - src_start
     start = scenario.window[0]
     _check_window_overlap(base.log, start, start + scenario.repeat * span)
-    times, frames = [], []
-    for r in range(scenario.repeat):
-        shift = start + r * span - src_start
-        for f in segment:
-            times.append(f.timestamp + shift)
-            frames.append(CanFrame(f.timestamp + shift, f.can_id, f.payload,
-                                   channel=f.channel, extended=f.extended))
-    return _merge(base, np.array(times), frames, LABEL_REPLAY)
+    segment = [getattr(base.log, name)[inside] for name in COLUMNS]
+    shifted = [segment[0] + (start + r * span - src_start) for r in range(scenario.repeat)]
+    added = [np.concatenate(shifted)] + [np.concatenate([column] * scenario.repeat)
+                                          for column in segment[1:]]
+    return _merge(base, tuple(added), LABEL_REPLAY)
 
 
 def inject(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
@@ -243,25 +246,26 @@ def label_windows(labeled: LabeledLog, windows: Sequence[Window]) -> list[str]:
 
     Each window must be a slice of ``labeled.log``, as segment_windows cuts
     it: it starts at the first frame at or after ``w.start``."""
-    frames, labels = labeled.log.frames, labeled.frame_labels
-    times = np.array([f.timestamp for f in frames])
-    starts = np.searchsorted(times, [w.start for w in windows], side="left")
+    log, labels = labeled.log, labeled.frame_labels
+    injected = [i for i, label in enumerate(labels) if label != LABEL_NORMAL]
+    starts = np.searchsorted(log.times, [w.start for w in windows], side="left")
     out = []
     for k, (w, lo) in enumerate(zip(windows, starts.tolist())):
         hi = lo + len(w.frames)
-        if frames[lo:hi] != w.frames:
+        if log.frames[lo:hi] != w.frames:
             raise ValueError(f"window {k} (start {w.start}) is not a slice of the "
                              "labeled log")
-        injected = [labels[i] for i in range(lo, hi) if labels[i] != LABEL_NORMAL]
-        if not injected:
+        kinds = [labels[i] for i in
+                 injected[bisect.bisect_left(injected, lo):bisect.bisect_left(injected, hi)]]
+        if not kinds:
             out.append(LABEL_NORMAL)
             continue
         counts: dict[str, int] = {}
-        for kind in injected:
+        for kind in kinds:
             counts[kind] = counts.get(kind, 0) + 1
         top = max(counts.values())
         tied = {kind for kind, c in counts.items() if c == top}
-        out.append(next(kind for kind in injected if kind in tied))
+        out.append(next(kind for kind in kinds if kind in tied))
     return out
 
 

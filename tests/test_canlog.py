@@ -1,11 +1,17 @@
+import csv
 import io
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canoc import (CanFrame, CanLog, LogParseError,
-                   parse_candump_line, parse_csv_log, write_csv_log)
-from canoc.canlog import read_candump
+from canoc import (AttackScenario, CanFrame, CanLog, LogParseError, apply_scaler,
+                   build_vocabulary, extract_matrix, fit_model, fit_scaler, inject,
+                   label_windows, parse_candump_line, parse_csv_log, score_samples,
+                   segment_windows, write_csv_log)
+from canoc import canlog
+from canoc.canlog import COLUMNS, FrameView, load_log, read_candump, save_log
 from canoc.simulate import default_bus, generate_normal
 
 
@@ -31,7 +37,8 @@ def test_frame_rejects_bad_timestamp():
 
 def test_log_requires_sorted_frames():
     with pytest.raises(ValueError, match="sorted"):
-        CanLog((CanFrame(1.0, 1), CanFrame(0.5, 1)))
+        CanLog(np.array([1.0, 0.5]), np.array([1, 1]), np.zeros(2, dtype=bool),
+               np.zeros(2, dtype=np.uint8), np.zeros((2, 8), dtype=np.uint8))
 
 
 def test_log_ties_keep_input_order():
@@ -47,7 +54,6 @@ def test_parse_candump_basic():
     assert frame.timestamp == 1679000000.123456
     assert frame.can_id == 0x1F4
     assert frame.payload == bytes([0xDE, 0xAD, 0xBE, 0xEF])
-    assert frame.channel == "can0"
     assert not frame.extended
 
 
@@ -163,7 +169,7 @@ def test_parse_csv_structural_errors():
 
 def test_write_empty_log_header_only():
     sink = io.StringIO()
-    write_csv_log(CanLog(()), sink)
+    write_csv_log(CanLog.from_frames(()), sink)
     assert sink.getvalue() == "timestamp,id,dlc,payload\n"
 
 
@@ -174,7 +180,7 @@ def _roundtrip(log):
 
 
 def test_roundtrip_single_frame():
-    log = CanLog((CanFrame(1.25, 0x1F4, b"\xde\xad"),))
+    log = CanLog.from_frames((CanFrame(1.25, 0x1F4, b"\xde\xad"),))
     back = _roundtrip(log)
     assert len(back.frames) == 1
     f = back.frames[0]
@@ -215,3 +221,172 @@ def test_roundtrip_large_synthetic_log_is_stable():
     for a, b in zip(log.frames, back.frames):
         assert (round(a.timestamp, 6), a.can_id, a.payload) == \
                (b.timestamp, b.can_id, b.payload)
+
+
+# --- the frames view ----------------------------------------------------------
+
+def test_frames_view_indexes_slices_and_compares():
+    a, b, c = CanFrame(0.5, 0x10, b"\x01"), CanFrame(1.0, 0x1FFFF, b"", True), CanFrame(2.0, 0x7FF)
+    log = CanLog.from_frames([c, a, b])
+    frames = log.frames
+    assert len(frames) == 3
+    assert frames[0] == a and frames[-1] == c
+    with pytest.raises(IndexError):
+        frames[3]
+    middle = frames[1:]
+    assert isinstance(middle, FrameView) and middle == (b, c)
+    assert middle.log.times.base is not None  # a view, not a copy
+    assert frames[::2] == (a, c)
+    assert frames == (a, b, c) and frames != (a, b)
+    assert frames == CanLog.from_frames([a, b, c]).frames
+    assert frames[:0] == () and list(frames) == [a, b, c]
+
+
+def test_log_columns_are_read_only():
+    log = CanLog.from_frames([CanFrame(0.5, 0x10, b"\x01")])
+    for name in COLUMNS:
+        with pytest.raises(ValueError):
+            getattr(log, name)[0] = 0
+
+
+def test_log_rejects_bytes_past_dlc():
+    with pytest.raises(ValueError, match="past dlc"):
+        CanLog(np.array([0.0]), np.array([1]), np.zeros(1, dtype=bool),
+               np.zeros(1, dtype=np.uint8), np.ones((1, 8), dtype=np.uint8))
+
+
+def test_hot_paths_build_no_frames(tmp_path, monkeypatch):
+    built = []
+    check = CanFrame.__post_init__
+
+    def counting(frame):
+        built.append(frame)
+        check(frame)
+
+    monkeypatch.setattr(CanFrame, "__post_init__", counting)
+    normal = generate_normal(default_bus(6.0, seed=1))
+    labeled = inject(normal, AttackScenario(kind="random_id", rate=200.0,
+                                            window=(1.0, 2.0), seed=2))
+    labeled = inject(labeled, AttackScenario(kind="replay", window=(3.0, 4.0),
+                                             replay_segment=(0.5, 1.0), repeat=2))
+    vocab = build_vocabulary(normal)
+    windows = segment_windows(labeled.log, 1.0)
+    X, _ = extract_matrix(windows, vocab, labels=label_windows(labeled, windows))
+    scaler = fit_scaler(X)
+    model = fit_model("svdd", apply_scaler(scaler, X), C=1.0, scaler=scaler)
+    csv_path, candump_path = tmp_path / "log.csv", tmp_path / "log.candump"
+    save_log(labeled.log, str(csv_path))
+    candump_path.write_text("".join(f"({t:.6f}) can0 {i:03X}#00\n" for t, i in
+                                    zip(normal.times.tolist(), normal.ids.tolist())))
+    for path in (csv_path, candump_path):
+        loaded = load_log(str(path))
+        X2, _ = extract_matrix(segment_windows(loaded, 1.0), vocab)
+        assert np.isfinite(score_samples(model, X2)).all()
+        assert len(loaded.frames) == len(loaded)
+    assert built == []
+    assert normal.frames[3] == built[0]  # indexing does build one
+
+
+# --- chunked readers against the line-by-line readers ----------------------
+
+def read_outcome(reader, text, line_by_line):
+    """A reader's result on ``text``: the log's columns, or the error raised.
+    ``line_by_line`` turns the strict batch path off."""
+    strict = "_candump_strict" if reader is read_candump else "_csv_strict"
+    batch_path = (lambda *args: None) if line_by_line else getattr(canlog, strict)
+    with mock.patch.object(canlog, "CHUNK_LINES", 3), \
+            mock.patch.object(canlog, strict, batch_path):
+        try:
+            log = reader(io.StringIO(text))
+        except LogParseError as err:
+            return "LogParseError", str(err), err.row
+        except csv.Error as err:
+            return "csv.Error", str(err), None
+    return [getattr(log, name).tolist() for name in COLUMNS]
+
+
+def assert_readers_agree(reader, text):
+    assert read_outcome(reader, text, False) == read_outcome(reader, text, True)
+
+
+FRAME_FIELDS = st.tuples(st.integers(0, 10 ** 12), st.integers(0, 0x7FF),
+                         st.binary(max_size=8))
+
+CANDUMP_MUTANTS = (
+    "\n", "   \n", "\t\n",                                     # blank lines
+    "(1.000000) can0 100#00\r\n", "(1.0) can0\r100#00\n",
+    "(1.000000)\u00a0can0 100#00\n", "\u2003(1.0) can0 100#00\n",
+    "(1.0) can0 100#00\u3000\n", "(1.0) can0 100#\u200000\n",
+    "(+1.5) can0 100#00\n", "(-1.5) can0 100#00\n", "(1e3) can0 100#00\n",
+    "(1.5E-2) can0 100#00\n", "(" + "9" * 400 + ".0) can0 100#00\n",
+    "(1.0) can0 0100#00\n", "(1.0) can0 00001FFF#00\n", "(1.0) can0 1FFFFFFF#00\n",
+    "(1.0) can0 800#00\n", "(1.0) can0 20000000#00\n", "(1.0) can0 123456789#00\n",
+    "(1.0) can0 100#ABC\n", "(1.0) can0 100#" + "00" * 9 + "\n",
+    "(1.0)  can0 100#00\n", "(1.0) can0 100#00 extra\n",
+)
+
+
+@given(st.lists(FRAME_FIELDS, max_size=16),
+       st.lists(st.tuples(st.integers(0, 16), st.sampled_from(CANDUMP_MUTANTS)), max_size=4),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_chunked_candump_reader_matches_line_reader(frames, mutants, last_newline):
+    lines = [f"({t // 10 ** 6}.{t % 10 ** 6:06d}) can0 {i:03X}#{p.hex().upper()}\n"
+             for t, i, p in frames]
+    for pos, mutant in mutants:
+        lines.insert(min(pos, len(lines)), mutant)
+    text = "".join(lines)
+    if not last_newline:
+        text = text[:-1]
+    assert_readers_agree(read_candump, text)
+
+
+CSV_MUTANTS = (
+    ("timestamp", "+1.5"), ("timestamp", "-1.5"), ("timestamp", "1e3"),
+    ("timestamp", "1.5E-2"), ("timestamp", "9" * 400 + ".0"), ("timestamp", "1.5\r"),
+    ("timestamp", "\u00a01.5"), ("timestamp", " 1.5"), ("timestamp", "7"),
+    ("id", "0x0100"), ("id", "0x1FFFFFFF"), ("id", "12345678"), ("id", "0x20000000"),
+    ("id", "536870912"), ("id", "0x123456789"), ("id", "0X7ff"),
+    ("payload", "ABC"), ("payload", "00" * 9), ("payload", "0xAABB"), ("payload", "0x"),
+    ("dlc", "3"), ("dlc", "9"), ("dlc", "12"), ("dlc", " 2"), ("note", '"quoted, text"'),
+    ("note", "\u2003"), (None, "\n"), (None, "\r\n"),
+)
+
+
+@given(st.permutations(("timestamp", "id", "dlc", "payload", "note")),
+       st.sets(st.sampled_from(("dlc", "note"))),
+       st.lists(FRAME_FIELDS, max_size=16),
+       st.lists(st.tuples(st.integers(0, 16), st.sampled_from(CSV_MUTANTS)), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_chunked_csv_reader_matches_line_reader(order, dropped, frames, mutants):
+    header = [name for name in order if name not in dropped]
+    rows = [{"timestamp": f"{t // 10 ** 6}.{t % 10 ** 6:06d}", "id": f"0x{i:X}",
+             "dlc": str(len(p)), "payload": p.hex().upper(), "note": "n"}
+            for t, i, p in frames]
+    lines = [",".join(row[name] for name in header) + "\n" for row in rows]
+    for pos, (name, value) in mutants:
+        if name is None:  # a whole line: blank, or a bare CRLF
+            lines.insert(min(pos, len(lines)), value)
+        elif pos < len(rows) and name in header:
+            rows[pos][name] = value
+            lines[pos] = ",".join(rows[pos][n] for n in header) + "\n"
+    assert_readers_agree(parse_csv_log, ",".join(header) + "\n" + "".join(lines))
+
+
+def test_readers_take_each_stream_element_as_one_line():
+    # joined, these elements would be two valid lines
+    with pytest.raises(LogParseError, match="does not match candump") as err:
+        read_candump(["(1.0) can0 100#\n(2.0) can0 1", "00#\n"])
+    assert err.value.row == 1
+
+
+@pytest.mark.parametrize("reader, good, bad, header", [
+    (read_candump, "(1.000000) can0 100#00\n", "(1.000000) can0 100#0\n", ""),
+    (parse_csv_log, "1.000000,0x100,1,00\n", "1.000000,0x100,1,0\n", "timestamp,id,dlc,payload\n"),
+])
+def test_bad_line_deep_in_the_stream_reports_its_row(reader, good, bad, header):
+    row = 2 * canlog.CHUNK_LINES + 7
+    text = header + good * (row - 1) + bad + good * 5
+    with pytest.raises(LogParseError, match="odd payload hex length") as err:
+        reader(io.StringIO(text))
+    assert err.value.row == row

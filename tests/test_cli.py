@@ -261,6 +261,15 @@ def test_detect_scores_empty_windows_by_convention(tmp_path, capsys):
     assert code in (0, 4)
 
 
+def test_detect_rejects_empty_log(tmp_path, capsys):
+    model = trained_model(tmp_path, capsys, duration=20.0)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("timestamp,id,dlc,payload\n")
+    code, out, err = run(capsys, "detect", "--model", model, "--in", empty)
+    assert code == 2 and out == ""
+    assert err == f"error: input log {empty} is empty\n"
+
+
 def test_detect_deterministic_output(tmp_path, capsys):
     model = trained_model(tmp_path, capsys, duration=30.0)
     clean = tmp_path / "probe.csv"

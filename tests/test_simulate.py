@@ -85,7 +85,7 @@ def test_flood_preserves_base_frames():
 def test_flood_on_empty_log_contains_only_injection():
     from canoc import CanLog
     scenario = AttackScenario(kind="random_id", rate=50.0, window=(0.0, 2.0), seed=1)
-    out = inject(CanLog(()), scenario)
+    out = inject(CanLog.from_frames(()), scenario)
     assert len(out.log.frames) > 0
     assert all(lab == "random_id" for lab in out.frame_labels)
 
