@@ -426,13 +426,29 @@ def _csv_strict(text: str, layout: tuple[int, int, int, int | None, int],
     return times, ids, ids > CAN_SFF_MAX, dlc, payload
 
 
-def _csv_rows(records: Iterable[list[str]],
-              layout: tuple[int, int, int, int | None, int],
-              first_row: int) -> tuple[np.ndarray, ...]:
-    """Columns of CSV records parsed one by one; errors name the data row."""
+def _csv_records(lines: Iterable[str], first_row: int) -> Iterator[tuple[int, list[str]]]:
+    """``(row, fields)`` for each CSV record; a ``csv.Error`` becomes a
+    :class:`LogParseError` naming the row being read."""
+    import csv
+
+    reader = csv.reader(lines)
+    for row in itertools.count(first_row):
+        try:
+            fields = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            raise LogParseError(f"malformed CSV record: {err}", row=row) from None
+        yield row, fields
+
+
+def _csv_rows(records: Iterable[tuple[int, list[str]]],
+              layout: tuple[int, int, int, int | None, int]) -> tuple[np.ndarray, ...]:
+    """Columns of numbered CSV records parsed one by one; errors name the
+    data row."""
     ts_idx, id_idx, payload_idx, dlc_idx, width = layout
     rows = []
-    for rownum, fields in enumerate(records, start=first_row):
+    for rownum, fields in records:
         if not fields:
             continue
         if len(fields) != width:
@@ -484,6 +500,8 @@ def parse_csv_log(stream: Iterable[str]) -> CanLog:
         header = next(csv.reader(lines))
     except StopIteration:
         raise LogParseError("missing header row") from None
+    except csv.Error as err:
+        raise LogParseError(f"malformed header row: {err}") from None
     layout = _csv_layout(header)
     strict = _csv_strict_re(layout)
     parts = []
@@ -492,7 +510,7 @@ def parse_csv_log(stream: Iterable[str]) -> CanLog:
         text = _batch_text(batch)
         columns = None if text is None else _csv_strict(text, layout, strict)
         if columns is None:
-            parts.append(_csv_rows(csv.reader(itertools.chain(batch, lines)), layout, row))
+            parts.append(_csv_rows(_csv_records(itertools.chain(batch, lines), row), layout))
             break
         parts.append(columns)
         row += len(batch)

@@ -1,17 +1,26 @@
 """Per-ID timing features over fixed windows of CAN traffic.
 
 For each vocabulary ID appearing ``j >= 2`` times in a window at times
-``t_1..t_j`` the window contributes the triple
+``t_1..t_j`` (log order) the window contributes the triple
 
-* mean consecutive gap ``dt = (t_j - t_1) / (j - 1)``,
-* frequency ``f = 1 / dt``,
-* gap spread ``s`` = population standard deviation of the ``j - 1`` gaps
-  (or of the raw timestamps with ``stdev_mode="timestamps"``).
+* mean consecutive gap ``dt = np.mean(np.diff(t))``: the ``j - 1`` gaps
+  ``t_{i+1} - t_i`` summed in numpy's pairwise order, divided by ``j - 1``
+  and floored at ``MIN_MEAN_GAP``. In exact arithmetic this is
+  ``(t_j - t_1) / (j - 1)``; as floats the two can differ in the last bits;
+* frequency ``f = 1 / dt``;
+* gap spread ``s = np.std(np.diff(t))`` (``np.std(t)`` with
+  ``stdev_mode="timestamps"``): the unfloored mean, each value's deviation
+  from it squared, those squares summed pairwise and divided by their
+  count, then the square root.
 
 IDs absent or seen once take the convention ``(f, dt, s) = (0, length, 0)``.
 Features depend only on timestamps and IDs, never on payload bytes. An
 optional "other" bucket pools every non-vocabulary frame into one extra
 pseudo-ID so foreign-ID traffic stays visible.
+
+:func:`extract_matrix` computes many windows at once as array operations,
+with every sum in ``np.add.reduce``'s order (:func:`_pairwise_sums`), so
+each value is bit-identical to the numpy expressions above.
 """
 
 from __future__ import annotations
@@ -180,43 +189,123 @@ class FeatureVector:
     values: np.ndarray
 
 
-def _gap_stats(times: np.ndarray, window_length: float, stdev_mode: str) -> tuple[float, float, float]:
-    j = times.size
-    if j <= 1:
-        return 0.0, float(window_length), 0.0
-    gaps = np.diff(times)
-    dt = max(float(gaps.mean()), MIN_MEAN_GAP)
-    if stdev_mode == "gaps":
-        s = float(np.std(gaps))
-    else:
-        s = float(np.std(times))
-    return 1.0 / dt, dt, s
+# np.add.reduce sums runs of at most this many elements with eight strided
+# accumulators, and splits longer runs in two
+PAIRWISE_LEAF = 128
+
+# frames per block of the all-window pass; bounds its temporary arrays
+BLOCK_ROWS = 1 << 14
 
 
-def _window_features(log: CanLog, length: float, vocab_ids: np.ndarray,
-                     include_other_bucket: bool, stdev_mode: str) -> np.ndarray:
-    """Feature values of one window's frames.
+def _padded(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """Row k holds ``x[starts[k]:starts[k] + lengths[k]]`` padded to
+    ``width`` with -0.0, the one value whose addition changes no float."""
+    cols = np.arange(width)
+    return np.where(cols < lengths[:, None],
+                    x.take(starts[:, None] + cols, mode="clip"), -0.0)
 
-    A stable argsort groups the frames by vocabulary slot (the "other"
-    bucket last) and keeps each slot's timestamps in log order, so every
-    slot's statistics run on a contiguous view holding the same values, in
-    the same order, as a per-ID mask would select. Per-slot ``mean`` and
-    ``std`` keep numpy's pairwise summation; ``np.add.reduceat`` sums
-    sequentially and rounds differently, which would change feature-CSV
-    bytes.
+
+def _pairwise_sums(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(x[s:s + n])`` for every segment, bit for bit.
+
+    This follows numpy's ``pairwise_sum``: under 8 elements, a sequential
+    sum from +0.0; up to 128, eight strided accumulators combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail in order; longer
+    segments split at ``n // 2`` rounded down to a multiple of 8, each half
+    summed the same way. Every step runs across all segments at once, and
+    each level of splits is one recursive call.
     """
-    pos = np.searchsorted(vocab_ids, log.ids)
-    known = vocab_ids[np.minimum(pos, vocab_ids.size - 1)] == log.ids
-    slots = np.where(known, pos, vocab_ids.size)
-    order = np.argsort(slots, kind="stable")
-    bounds = np.searchsorted(slots[order], np.arange(vocab_ids.size + 2)).tolist()
-    grouped = log.times[order]
-    used = vocab_ids.size + (1 if include_other_bucket else 0)
-    values = np.empty(3 * used)
-    for slot in range(used):
-        values[3 * slot:3 * slot + 3] = _gap_stats(grouped[bounds[slot]:bounds[slot + 1]],
-                                                   length, stdev_mode)
-    return values
+    out = np.zeros(starts.size)
+    if not x.size:  # then every segment is empty, and take() needs an element
+        return out
+    leaf = lengths <= PAIRWISE_LEAF
+    s, n = starts[leaf], lengths[leaf]
+    bulk = n - n % 8  # the accumulators' share; 0 under 8 elements
+    mid = bulk > 0
+    total = np.zeros(s.size)
+    if mid.any():
+        width = bulk.max()
+        blocks = _padded(x, s[mid], bulk[mid], width).reshape(-1, width // 8, 8)
+        r = blocks[:, 0]
+        for b in range(1, blocks.shape[1]):
+            r = r + blocks[:, b]
+        total[mid] = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
+                      + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
+    for column in _padded(x, s + bulk, n - bulk, 7).T:
+        total += column
+    out[leaf] = total
+    if not leaf.all():
+        s, n = starts[~leaf], lengths[~leaf]
+        half = n // 2
+        half -= half % 8
+        halves = _pairwise_sums(x, np.concatenate([s, s + half]),
+                                np.concatenate([half, n - half]))
+        out[~leaf] = halves[:s.size] + halves[s.size:]
+    return out
+
+
+def _mean_std(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each non-empty segment's ``np.mean`` and ``np.std``, by numpy's own
+    steps: the sum over the count, ``x - mean``, ``d * d``, the sum over the
+    count and ``sqrt``."""
+    mean = _pairwise_sums(x, starts, lengths) / lengths
+    dev = x - np.repeat(mean, lengths)
+    return mean, np.sqrt(_pairwise_sums(dev * dev, starts, lengths) / lengths)
+
+
+def _grouped(windows: Sequence[Window], vocab_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The windows' frame times and (window, vocabulary slot) keys, sorted
+    stably by key; the "other" slot is ``len(vocab_ids)``. Each key's run
+    holds that slot's timestamps in log order: the same values, in the same
+    order, as a per-ID mask would select."""
+    logs = [w.frames.log for w in windows]
+    ids = np.concatenate([log.ids for log in logs])
+    pos = np.searchsorted(vocab_ids, ids)
+    known = vocab_ids[np.minimum(pos, vocab_ids.size - 1)] == ids
+    width = vocab_ids.size + 1
+    key = (np.where(known, pos, vocab_ids.size)
+           + width * np.repeat(np.arange(len(logs)), [len(log) for log in logs]))
+    if width * len(logs) <= 1 << 16:
+        key = key.astype(np.uint16)  # a stable argsort radix-sorts 16-bit keys
+    order = np.argsort(key, kind="stable")
+    return np.concatenate([log.times for log in logs])[order], key[order]
+
+
+def _block_features(windows: Sequence[Window], vocab: IdVocabulary,
+                    stdev_mode: str) -> np.ndarray:
+    """Feature rows of consecutive windows, computed together from their
+    frames grouped by (window, slot). ``np.diff`` over the grouped times,
+    less the differences that cross a group's edge, leaves each group's
+    gaps."""
+    vocab_ids = np.array(vocab.ids, dtype=np.int64)
+    times, key = _grouped(windows, vocab_ids)
+    counts = np.bincount(key, minlength=(vocab_ids.size + 1) * len(windows))
+    repeated = counts >= 2
+    gaps = np.diff(times)[key[1:] == key[:-1]]
+    gap_counts = counts[repeated] - 1
+    mean_gap, sd = _mean_std(gaps, np.cumsum(gap_counts) - gap_counts, gap_counts)
+    if stdev_mode == "timestamps":
+        n = counts[repeated]
+        _, sd = _mean_std(times[repeated[key]], np.cumsum(n) - n, n)
+    dt = np.maximum(mean_gap, MIN_MEAN_GAP)
+    triples = np.zeros((counts.size, 3))
+    triples[:, 1] = np.repeat([float(w.length) for w in windows], vocab_ids.size + 1)
+    triples[repeated] = np.stack([1.0 / dt, dt, sd], axis=1)
+    return triples.reshape(len(windows), -1)[:, :vocab.dimension]
+
+
+def _blocks(windows: Sequence[Window]) -> Iterable[tuple[int, int]]:
+    """``(lo, hi)`` runs of consecutive windows holding at most
+    ``BLOCK_ROWS`` frames together; a larger window forms a run alone."""
+    lo = rows = 0
+    for k, window in enumerate(windows):
+        size = len(window.frames)
+        if rows + size > BLOCK_ROWS and k > lo:
+            yield lo, k
+            lo, rows = k, 0
+        rows += size
+    if lo < len(windows):
+        yield lo, len(windows)
 
 
 def _check_extraction(length: float, stdev_mode: str) -> None:
@@ -228,31 +317,33 @@ def _check_extraction(length: float, stdev_mode: str) -> None:
 
 def extract_features(window: Window, vocab: IdVocabulary,
                      stdev_mode: str = "gaps") -> FeatureVector:
-    """Compute the per-ID timing triples for one window.
+    """Compute the per-ID timing triples for one window: row 0 of
+    :func:`extract_matrix` over ``[window]``.
 
     Layout is ``[f(id_1), dt(id_1), s(id_1), f(id_2), ...]`` in vocabulary
     order, with the pooled "other" bucket last when enabled.
     """
-    _check_extraction(window.length, stdev_mode)
-    return FeatureVector(_window_features(window.frames.log, window.length,
-                                          np.array(vocab.ids, dtype=np.int64),
-                                          vocab.include_other_bucket, stdev_mode))
+    X, _ = extract_matrix([window], vocab, stdev_mode)
+    return FeatureVector(X[0])
 
 
 def extract_matrix(windows: Sequence[Window], vocab: IdVocabulary,
                    stdev_mode: str = "gaps",
                    labels: Sequence[str] | None = None) -> tuple[np.ndarray, list[str]]:
-    """Feature matrix (one row per window) plus per-row labels."""
+    """Feature matrix (one row per window) plus per-row labels.
+
+    Windows are featurized in blocks of about ``BLOCK_ROWS`` frames, each
+    block as array operations with no per-window loop.
+    """
     if labels is None:
         labels = [LABEL_NORMAL] * len(windows)
     elif len(labels) != len(windows):
         raise ValueError("labels length must match windows")
-    vocab_ids = np.array(vocab.ids, dtype=np.int64)
+    for length in dict.fromkeys(w.length for w in windows):
+        _check_extraction(length, stdev_mode)
     rows = np.empty((len(windows), vocab.dimension))
-    for k, window in enumerate(windows):
-        _check_extraction(window.length, stdev_mode)
-        rows[k] = _window_features(window.frames.log, window.length, vocab_ids,
-                                   vocab.include_other_bucket, stdev_mode)
+    for lo, hi in _blocks(windows):
+        rows[lo:hi] = _block_features(windows[lo:hi], vocab, stdev_mode)
     return rows, list(labels)
 
 

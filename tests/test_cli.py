@@ -386,6 +386,32 @@ def test_detect_rejects_overflowing_number(tmp_path, capsys, detect_inputs, text
     assert code == 2 and err.startswith("error:") and "'extraction.stride'" in err
 
 
+LONG_FIELD = "x" * 200_000  # past the csv module's 131,072-character field limit
+
+
+@pytest.mark.parametrize("where, expected", [("header", "malformed header row"),
+                                             ("data", "row 2")])
+@pytest.mark.parametrize("command", ["extract", "inject", "detect"])
+def test_oversized_csv_field_is_an_input_error(tmp_path, capsys, detect_inputs, command,
+                                               where, expected):
+    _, doc = detect_inputs
+    log, model = tmp_path / "log.csv", tmp_path / "model.json"
+    if where == "header":
+        log.write_text(f"timestamp,id,dlc,payload,{LONG_FIELD}\n0.0,0x100,0,,\n")
+    else:
+        log.write_text(f"timestamp,id,dlc,payload\n0.0,0x100,0,\n0.1,0x100,0,{LONG_FIELD}\n")
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    argv = {"extract": ["extract", "--in", log, "--out", out],
+            "inject": ["inject", "--in", log, "--out", out, "--kind", "zero_id",
+                       "--rate", 10, "--start", 0, "--end", 1],
+            "detect": ["detect", "--model", model, "--in", log]}[command]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and err.startswith("error:") and expected in err, err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "model.json"]
+
+
 # --- vocabulary files and vocabulary mismatches ------------------------------------
 
 def _old_nested_layout(spec):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from canoc import features
 from canoc import (CanFrame, IdVocabulary, Window, apply_scaler,
                    build_vocabulary, extract_features, fit_scaler,
                    segment_windows)
@@ -251,21 +252,83 @@ def test_dimension_constant_across_windows(rng):
         assert extract_features(w, vocab).values.shape == (vocab.dimension,)
 
 
+def numpy_reference_row(window, vocab, stdev_mode):
+    """One window's features by a per-ID mask and numpy's own diff/mean/std."""
+    times, ids = window.frames.log.times, window.frames.log.ids
+    masks = [ids == i for i in vocab.ids]
+    if vocab.include_other_bucket:
+        masks.append(~np.isin(ids, vocab.ids))
+    row = []
+    for mask in masks:
+        t = times[mask]
+        if t.size <= 1:
+            row += [0.0, window.length, 0.0]
+            continue
+        gaps = np.diff(t)
+        dt = max(float(np.mean(gaps)), 1e-9)
+        row += [1.0 / dt, dt, float(np.std(gaps if stdev_mode == "gaps" else t))]
+    return np.array(row)
+
+
 @pytest.mark.parametrize("stdev_mode", STDEV_MODES)
 @pytest.mark.parametrize("other_bucket", [True, False])
 @pytest.mark.parametrize("stride", [1.0, 0.4], ids=["tumbling", "sliding"])
 def test_matrix_rows_equal_features_of_rebuilt_windows(stride, other_bucket, stdev_mode):
-    # per-slot mean/std, not np.add.reduceat: reduceat rounded differently from
-    # np.add.reduce on 41 of 200 random 3-element segments, changing CSV bytes
-    log = inject(generate_normal(default_bus(12.0, seed=4)),
+    # 90 s of traffic is several blocks of the all-window pass, and the
+    # zero-ID flood puts 800-odd frames per window into the 0x0 slot, past
+    # the 128 elements where numpy's pairwise summation starts to split
+    log = inject(generate_normal(default_bus(90.0, seed=4)),
                  AttackScenario(kind="random_id", rate=300.0, window=(2.0, 5.0), seed=3)).log
-    vocab = build_vocabulary(generate_normal(default_bus(2.0, seed=4)), other_bucket)
+    log = inject(log, AttackScenario(kind="zero_id", rate=800.0, window=(40.0, 60.0),
+                                     seed=5)).log
+    assert len(log) > 3 * features.BLOCK_ROWS
+    normal_ids = build_vocabulary(generate_normal(default_bus(2.0, seed=4))).ids
+    vocab = IdVocabulary((0x0,) + normal_ids, other_bucket)
     windows = segment_windows(log, 1.0, stride)
     X, _ = extract_matrix(windows, vocab, stdev_mode)
     assert X.shape == (len(windows), vocab.dimension)
+    assert np.count_nonzero(log.ids == 0) > 800 * 19
     for row, w in zip(X, windows):
+        assert np.array_equal(row, numpy_reference_row(w, vocab, stdev_mode))
         rebuilt = Window(w.start, w.length, tuple(w.frames))
         assert np.array_equal(row, extract_features(rebuilt, vocab, stdev_mode).values)
+
+
+def test_matrix_rows_of_a_mostly_silent_log_equal_the_reference():
+    # two bursts 7000 s apart: one block of about 7000 windows times 11 slots
+    # is more (window, slot) keys than 16 bits hold
+    times = np.concatenate([np.arange(0.0, 2.0, 0.01), 7000.0 + np.arange(0.0, 2.0, 0.01)])
+    log = make_log([(float(t), 0x1 + k % 11) for k, t in enumerate(times)])
+    vocab = IdVocabulary(tuple(range(0x1, 0xB)))
+    windows = segment_windows(log, 1.0)
+    assert len(windows) * (len(vocab.ids) + 1) > 1 << 16
+    X, _ = extract_matrix(windows, vocab)
+    for row, w in zip(X, windows):
+        assert np.array_equal(row, numpy_reference_row(w, vocab, "gaps"))
+
+
+segment_lengths = st.integers(0, 1100) | st.sampled_from(
+    [0, 1, 7, 8, 9, 15, 16, 127, 128, 129, 135, 255, 256, 257, 263, 1100])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(segment_lengths, st.integers(0, 20)), max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_pairwise_sums_equal_numpy_reduce_bit_for_bit(segments, seed):
+    rng = np.random.default_rng(seed)
+    size = sum(n + skip for n, skip in segments)
+    x = 10.0 ** rng.uniform(-9.0, 3.0, size)
+    x[rng.random(size) < 0.05] = 0.0
+    starts, at = [], 0
+    for n, skip in segments:
+        starts.append(at + skip)
+        at += skip + n
+    lengths = [n for n, _ in segments]
+    got = features._pairwise_sums(x, np.array(starts, dtype=np.int64),
+                                  np.array(lengths, dtype=np.int64))
+    want = np.array([np.add.reduce(x[s:s + n]) for s, n in zip(starts, lengths)],
+                    dtype=float)
+    assert got.tobytes() == want.tobytes()
 
 
 # --- scaler -------------------------------------------------------------------
