@@ -426,29 +426,22 @@ def _csv_strict(text: str, layout: tuple[int, int, int, int | None, int],
     return times, ids, ids > CAN_SFF_MAX, dlc, payload
 
 
-def _csv_records(lines: Iterable[str], first_row: int) -> Iterator[tuple[int, list[str]]]:
-    """``(row, fields)`` for each CSV record; a ``csv.Error`` becomes a
-    :class:`LogParseError` naming the row being read."""
+def _csv_rows(lines: Iterable[str], layout: tuple[int, int, int, int | None, int],
+              first_row: int) -> tuple[np.ndarray, ...]:
+    """Columns of CSV records parsed one by one; errors, a ``csv.Error``
+    included, name the data row, counted from ``first_row``."""
     import csv
 
+    ts_idx, id_idx, payload_idx, dlc_idx, width = layout
     reader = csv.reader(lines)
-    for row in itertools.count(first_row):
+    rows = []
+    for rownum in itertools.count(first_row):
         try:
             fields = next(reader)
         except StopIteration:
-            return
+            break
         except csv.Error as err:
-            raise LogParseError(f"malformed CSV record: {err}", row=row) from None
-        yield row, fields
-
-
-def _csv_rows(records: Iterable[tuple[int, list[str]]],
-              layout: tuple[int, int, int, int | None, int]) -> tuple[np.ndarray, ...]:
-    """Columns of numbered CSV records parsed one by one; errors name the
-    data row."""
-    ts_idx, id_idx, payload_idx, dlc_idx, width = layout
-    rows = []
-    for rownum, fields in records:
+            raise LogParseError(f"malformed CSV record: {err}", row=rownum) from None
         if not fields:
             continue
         if len(fields) != width:
@@ -510,7 +503,7 @@ def parse_csv_log(stream: Iterable[str]) -> CanLog:
         text = _batch_text(batch)
         columns = None if text is None else _csv_strict(text, layout, strict)
         if columns is None:
-            parts.append(_csv_rows(_csv_records(itertools.chain(batch, lines), row), layout))
+            parts.append(_csv_rows(itertools.chain(batch, lines), layout, row))
             break
         parts.append(columns)
         row += len(batch)

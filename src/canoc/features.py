@@ -189,58 +189,22 @@ class FeatureVector:
     values: np.ndarray
 
 
-# np.add.reduce sums runs of at most this many elements with eight strided
-# accumulators, and splits longer runs in two
-PAIRWISE_LEAF = 128
-
-# frames per block of the all-window pass; bounds its temporary arrays
+# rows per block of the all-window pass, counting each window's frames and
+# its (window, slot) pairs; bounds the block's temporary arrays
 BLOCK_ROWS = 1 << 14
-
-
-def _padded(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
-    """Row k holds ``x[starts[k]:starts[k] + lengths[k]]`` padded to
-    ``width`` with -0.0, the one value whose addition changes no float."""
-    cols = np.arange(width)
-    return np.where(cols < lengths[:, None],
-                    x.take(starts[:, None] + cols, mode="clip"), -0.0)
 
 
 def _pairwise_sums(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``np.add.reduce(x[s:s + n])`` for every segment, bit for bit.
 
-    This follows numpy's ``pairwise_sum``: under 8 elements, a sequential
-    sum from +0.0; up to 128, eight strided accumulators combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail in order; longer
-    segments split at ``n // 2`` rounded down to a multiple of 8, each half
-    summed the same way. Every step runs across all segments at once, and
-    each level of splits is one recursive call.
+    The segments of each length are stacked as the rows of one C-contiguous
+    array; numpy sums each row in the same pairwise order as the 1-d slice.
     """
     out = np.zeros(starts.size)
-    if not x.size:  # then every segment is empty, and take() needs an element
-        return out
-    leaf = lengths <= PAIRWISE_LEAF
-    s, n = starts[leaf], lengths[leaf]
-    bulk = n - n % 8  # the accumulators' share; 0 under 8 elements
-    mid = bulk > 0
-    total = np.zeros(s.size)
-    if mid.any():
-        width = bulk.max()
-        blocks = _padded(x, s[mid], bulk[mid], width).reshape(-1, width // 8, 8)
-        r = blocks[:, 0]
-        for b in range(1, blocks.shape[1]):
-            r = r + blocks[:, b]
-        total[mid] = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
-                      + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
-    for column in _padded(x, s + bulk, n - bulk, 7).T:
-        total += column
-    out[leaf] = total
-    if not leaf.all():
-        s, n = starts[~leaf], lengths[~leaf]
-        half = n // 2
-        half -= half % 8
-        halves = _pairwise_sums(x, np.concatenate([s, s + half]),
-                                np.concatenate([half, n - half]))
-        out[~leaf] = halves[:s.size] + halves[s.size:]
+    for n in np.unique(lengths).tolist():
+        if n:
+            at = lengths == n
+            out[at] = np.add.reduce(x[starts[at, None] + np.arange(n)], axis=1)
     return out
 
 
@@ -265,8 +229,6 @@ def _grouped(windows: Sequence[Window], vocab_ids: np.ndarray) -> tuple[np.ndarr
     width = vocab_ids.size + 1
     key = (np.where(known, pos, vocab_ids.size)
            + width * np.repeat(np.arange(len(logs)), [len(log) for log in logs]))
-    if width * len(logs) <= 1 << 16:
-        key = key.astype(np.uint16)  # a stable argsort radix-sorts 16-bit keys
     order = np.argsort(key, kind="stable")
     return np.concatenate([log.times for log in logs])[order], key[order]
 
@@ -294,12 +256,14 @@ def _block_features(windows: Sequence[Window], vocab: IdVocabulary,
     return triples.reshape(len(windows), -1)[:, :vocab.dimension]
 
 
-def _blocks(windows: Sequence[Window]) -> Iterable[tuple[int, int]]:
+def _blocks(windows: Sequence[Window], width: int) -> Iterable[tuple[int, int]]:
     """``(lo, hi)`` runs of consecutive windows holding at most
-    ``BLOCK_ROWS`` frames together; a larger window forms a run alone."""
+    ``BLOCK_ROWS`` rows together, a window being its frames plus ``width``
+    slots, so that empty windows count too; a larger window forms a run
+    alone."""
     lo = rows = 0
     for k, window in enumerate(windows):
-        size = len(window.frames)
+        size = len(window.frames) + width
         if rows + size > BLOCK_ROWS and k > lo:
             yield lo, k
             lo, rows = k, 0
@@ -332,8 +296,9 @@ def extract_matrix(windows: Sequence[Window], vocab: IdVocabulary,
                    labels: Sequence[str] | None = None) -> tuple[np.ndarray, list[str]]:
     """Feature matrix (one row per window) plus per-row labels.
 
-    Windows are featurized in blocks of about ``BLOCK_ROWS`` frames, each
-    block as array operations with no per-window loop.
+    Windows are featurized in blocks of about ``BLOCK_ROWS`` frames and
+    (window, slot) pairs, each block as array operations with no per-window
+    loop.
     """
     if labels is None:
         labels = [LABEL_NORMAL] * len(windows)
@@ -342,7 +307,7 @@ def extract_matrix(windows: Sequence[Window], vocab: IdVocabulary,
     for length in dict.fromkeys(w.length for w in windows):
         _check_extraction(length, stdev_mode)
     rows = np.empty((len(windows), vocab.dimension))
-    for lo, hi in _blocks(windows):
+    for lo, hi in _blocks(windows, len(vocab.ids) + 1):
         rows[lo:hi] = _block_features(windows[lo:hi], vocab, stdev_mode)
     return rows, list(labels)
 

@@ -294,14 +294,18 @@ def test_matrix_rows_equal_features_of_rebuilt_windows(stride, other_bucket, std
         assert np.array_equal(row, extract_features(rebuilt, vocab, stdev_mode).values)
 
 
-def test_matrix_rows_of_a_mostly_silent_log_equal_the_reference():
-    # two bursts 7000 s apart: one block of about 7000 windows times 11 slots
-    # is more (window, slot) keys than 16 bits hold
+def test_mostly_silent_log_spans_several_blocks_and_equals_the_reference():
+    # two bursts 7000 s apart: the 7000-odd windows between them hold no
+    # frames, yet each still makes a row per slot, so they fill several blocks
     times = np.concatenate([np.arange(0.0, 2.0, 0.01), 7000.0 + np.arange(0.0, 2.0, 0.01)])
     log = make_log([(float(t), 0x1 + k % 11) for k, t in enumerate(times)])
     vocab = IdVocabulary(tuple(range(0x1, 0xB)))
     windows = segment_windows(log, 1.0)
-    assert len(windows) * (len(vocab.ids) + 1) > 1 << 16
+    width = len(vocab.ids) + 1
+    blocks = list(features._blocks(windows, width))
+    assert len(blocks) > 1
+    for lo, hi in blocks:
+        assert sum(len(w.frames) + width for w in windows[lo:hi]) <= features.BLOCK_ROWS
     X, _ = extract_matrix(windows, vocab)
     for row, w in zip(X, windows):
         assert np.array_equal(row, numpy_reference_row(w, vocab, "gaps"))
