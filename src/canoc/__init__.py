@@ -7,7 +7,7 @@ traffic only, and flag anomalous windows caused by injection attacks.
 
 from .canlog import (CanFrame, CanLog, LogParseError, parse_candump_line,
                      parse_csv_log, write_csv_log)
-from .evaluate import SplitSpec, evaluate, gmean, grid_search, split, write_report_table
+from .evaluate import SplitSpec, evaluate, gmean, split, write_report_table
 from .features import (IdVocabulary, Window, apply_scaler, build_vocabulary,
                        extract_features, extract_matrix, fit_scaler,
                        segment_windows)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok/clean, 2 usage or input error, 3 contract violation
 (non-normal training rows), 4 anomaly detected. Every command is
-deterministic given its config and seed. A flat ``key = value`` config file
-can supply any flag; explicit flags win.
+deterministic given its inputs and flags; ``simulate`` and ``inject`` draw
+from ``--seed``. A flat ``key = value`` config file can supply any flag;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 
 from . import canlog, features, simulate
 from .evaluate import evaluate, write_report_table
-from .models import (FAMILY_PARAMS, MODEL_FAMILIES, KernelSpec, fit_model,
-                     load_model, save_model, score_samples)
+from .models import (FAMILY_PARAMS, MODEL_FAMILIES, PSI_VARIANTS, KernelSpec,
+                     fit_model, load_model, save_model, score_samples)
+from .models.kernels import KERNEL_KINDS
 from .models.persist import model_tag
 
 EXIT_OK = 0
@@ -82,8 +84,8 @@ def _parse_bus(args: argparse.Namespace) -> simulate.BusSpec:
         return simulate.BusSpec(ecus, args.duration, args.seed)
     spec = simulate.default_bus(args.duration, args.seed)
     if args.bus_jitter != simulate.DEFAULT_JITTER:
-        ecus = tuple(simulate.EcuSpec(e.can_id, e.period, args.bus_jitter,
-                                      e.payload_length) for e in spec.ids)
+        ecus = tuple(simulate.EcuSpec(e.can_id, e.period, args.bus_jitter)
+                     for e in spec.ids)
         spec = simulate.BusSpec(ecus, args.duration, args.seed)
     return spec
 
@@ -244,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=0, help="deterministic RNG seed")
         p.set_defaults(_subparser=p)
 
     p = sub.add_parser("simulate", help="generate synthetic normal traffic")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="deterministic RNG seed")
     p.add_argument("--out", required=True, help="output CSV log path")
     p.add_argument("--labels-out", help="sidecar label file (default <out>.labels.csv)")
     p.add_argument("--duration", type=float, default=120.0, help="seconds of traffic")
@@ -260,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inject", help="apply an injection attack to a log")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="deterministic RNG seed")
     p.add_argument("--in", dest="input", required=True, help="base log (CSV or candump)")
     p.add_argument("--labels", help="sidecar labels of the base log")
     p.add_argument("--out", required=True)
@@ -292,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="feature CSV (normal rows)")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--family", default="svdd", choices=MODEL_FAMILIES)
-    p.add_argument("--kernel", choices=("linear", "rbf"), default="linear")
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="linear")
     p.add_argument("--sigma", type=float, help="rbf bandwidth (default: median heuristic)")
     p.add_argument("--c", type=float, default=1.0, help="SVDD trade-off C")
     p.add_argument("--nu", type=float, default=0.1, help="OC-SVM fraction parameter")
     p.add_argument("--d", type=int, help="subspace dimension (default min(10, D))")
     p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--psi", choices=("psi0", "psi1", "psi2", "psi3"), default="psi1")
+    p.add_argument("--psi", choices=PSI_VARIANTS, default="psi1")
     p.add_argument("--eta", type=float, default=0.1, help="subspace learning rate")
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--k-neighbors", type=int, default=5)

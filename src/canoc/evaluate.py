@@ -1,19 +1,16 @@
-"""Evaluation harness: one-class split, Gmean, per-attack breakdowns, and
-hyperparameter grid search. Anomaly is the positive class throughout."""
+"""Evaluation harness: one-class split, Gmean and per-attack breakdowns.
+Anomaly is the positive class throughout."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .features import LABEL_NORMAL
-from .models import (LABEL_ANOMALY, Detector, KernelSpec, LINEAR,
-                     config_digest, fit_model, median_heuristic, model_tag,
-                     predict)
+from .models import LABEL_ANOMALY, Detector, config_digest, model_tag, predict
 
 
 @dataclass(frozen=True)
@@ -126,85 +123,3 @@ def write_report_table(sink: IO[str], reports: Sequence[EvalReport]) -> None:
             value = rpt.per_attack.get(kind)
             cells.append("" if value is None else f"{value:.4f}")
         sink.write(",".join(cells) + "\n")
-
-
-DEFAULT_GRIDS: Mapping[str, Mapping[str, tuple]] = {
-    "svdd": {"C": (0.05, 0.1, 0.2, 0.5, 1.0)},
-    "ssvdd": {"C": (0.05, 0.1, 0.2, 0.5, 1.0), "d": (2, 5, 10),
-              "beta": (1e-3, 1e-2, 1e-1)},
-    "esvdd": {"C": (0.05, 0.1, 0.2, 0.5, 1.0)},
-    "gesvdd": {"C": (0.05, 0.1, 0.2, 0.5, 1.0)},
-    "ocsvm": {"nu": (0.05, 0.1, 0.2)},
-    "geocsvm": {"nu": (0.05, 0.1, 0.2)},
-}
-
-SIGMA_SCALES = (0.5, 1.0, 2.0)
-
-
-def default_sigma_grid(train_X) -> tuple[float, ...]:
-    """rbf bandwidth grid: {0.5, 1, 2} x the median heuristic of the
-    training data. Feed the values into a grid's "sigma" key."""
-    base = median_heuristic(np.asarray(train_X, dtype=float))
-    return tuple(scale * base for scale in SIGMA_SCALES)
-
-
-@dataclass
-class GridSearchResult:
-    best_config: dict
-    best_gmean: float
-    table: list[tuple[dict, float | None, str | None]]
-
-
-def expand_grid(grid: Mapping[str, Sequence] | Sequence[Mapping]) -> list[dict]:
-    """Materialize a {param: values} grid (or pass through a config list) in
-    deterministic order."""
-    if isinstance(grid, Mapping):
-        if not grid:
-            return []
-        keys = sorted(grid)
-        return [dict(zip(keys, combo))
-                for combo in itertools.product(*(grid[k] for k in keys))]
-    return [dict(cfg) for cfg in grid]
-
-
-def _tie_key(config: dict) -> tuple:
-    inf = math.inf
-    c = config.get("C", config.get("nu", inf))
-    return (c, config.get("d", inf), config.get("sigma", inf))
-
-
-def grid_search(family: str, grid, train_X, validation: tuple[np.ndarray, Sequence[str]],
-                *, kernel: KernelSpec = LINEAR, scaler=None) -> GridSearchResult:
-    """Exhaustive sweep scored by validation Gmean.
-
-    The validation set must be carved from training normals plus synthetic
-    attacks, never the final test set. Ties go to the smaller C (nu), then
-    smaller d, then smaller sigma. Single-cell failures are recorded in the
-    table; only an all-fail sweep raises.
-    """
-    configs = expand_grid(grid)
-    if not configs:
-        raise ValueError("empty hyperparameter grid")
-    val_X, val_labels = validation
-    table: list[tuple[dict, float | None, str | None]] = []
-    best: tuple[float, tuple, dict] | None = None
-    for config in configs:
-        params = dict(config)
-        cell_kernel = kernel
-        if "sigma" in params:
-            cell_kernel = KernelSpec(kernel.kind, params.pop("sigma"))
-        try:
-            model = fit_model(family, train_X, kernel=cell_kernel,
-                              scaler=scaler, **params)
-            score = evaluate(model, val_X, val_labels).gmean
-        except (ValueError, RuntimeError) as err:
-            table.append((config, None, str(err)))
-            continue
-        table.append((config, score, None))
-        key = (-score, _tie_key(config))
-        if best is None or key < (-best[0], best[1]):
-            best = (score, _tie_key(config), config)
-    if best is None:
-        raise RuntimeError("every grid cell failed to fit")
-    return GridSearchResult(best_config=dict(best[2]), best_gmean=best[0],
-                            table=table)

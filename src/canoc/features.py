@@ -39,12 +39,6 @@ LABEL_NORMAL = "normal"
 LABEL_RANDOM_ID = "random_id"
 LABEL_ZERO_ID = "zero_id"
 LABEL_REPLAY = "replay"
-LABEL_UNKNOWN_ANOMALY = "unknown_anomaly"
-LABELS = (LABEL_NORMAL, LABEL_RANDOM_ID, LABEL_ZERO_ID, LABEL_REPLAY,
-          LABEL_UNKNOWN_ANOMALY)
-
-ATTACK_LABELS = (LABEL_RANDOM_ID, LABEL_ZERO_ID, LABEL_REPLAY,
-                 LABEL_UNKNOWN_ANOMALY)
 
 OTHER_TAG = "other"
 
@@ -150,12 +144,19 @@ class Window:
             object.__setattr__(self, "frames", CanLog.from_frames(self.frames).frames)
 
 
+# the most windows segment_windows builds: a Window costs about 0.9 KB and
+# 10 us, so this many take about 1 GB and 10 s (a day of traffic at a 0.1 s
+# stride is 864,000 windows)
+MAX_WINDOWS = 1 << 20
+
+
 def segment_windows(log: CanLog, length: float, stride: float | None = None) -> list[Window]:
     """Tile the log's time span with fixed windows.
 
     With the default ``stride == length`` the windows are non-overlapping
     and every frame lands in exactly one of them; a smaller stride yields
     sliding windows. The trailing window is kept and flagged partial.
+    Raises when the span needs more than ``MAX_WINDOWS`` windows.
     """
     if length <= 0:
         raise ValueError("window length must be > 0")
@@ -167,7 +168,11 @@ def segment_windows(log: CanLog, length: float, stride: float | None = None) -> 
         return []
 
     t_first, t_last = log.span
-    count = int(np.floor((t_last - t_first) / stride)) + 1
+    count = np.floor((t_last - t_first) / stride) + 1
+    if count > MAX_WINDOWS:
+        raise ValueError(f"a {t_last - t_first:g} s log at a {stride:g} s stride "
+                         f"needs {count:.0f} windows, more than {MAX_WINDOWS}")
+    count = int(count)
     # per-window boundaries come from one shared grid so that, for tumbling
     # windows, consecutive windows meet at the exact same float and every
     # frame lands in exactly one of them

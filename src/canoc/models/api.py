@@ -16,7 +16,8 @@ from .whiten import esvdd_fit, geocsvm_fit, gesvdd_fit
 LABEL_ANOMALY = "anomaly"
 
 # the hyperparameters each family takes: fit_model rejects any other key,
-# and the CLI passes each key from the flag of the same name (C from --c)
+# and the CLI passes each key that has a flag of the same name (C from
+# --c); q_init and seed have none, so the CLI's ssvdd starts from PCA
 FAMILY_PARAMS = {
     "svdd": ("C",),
     "ssvdd": ("C", "d", "beta", "psi", "eta", "iterations", "q_init", "seed"),
@@ -61,9 +62,9 @@ def predict(model: Detector, X) -> np.ndarray:
 
 def fit_model(family: str, X, *, kernel: KernelSpec = LINEAR,
               scaler: Scaler | None = None, **params) -> Detector:
-    """Train any family from a flat hyperparameter dict (grid-search/CLI
-    entry); FAMILY_PARAMS lists the keys each family takes. C and nu
-    default to 1.0 and 0.1."""
+    """Train any family from a flat hyperparameter dict (the CLI's entry);
+    FAMILY_PARAMS lists the keys each family takes. C and nu default to
+    1.0 and 0.1."""
     if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown model family '{family}'; expected one of {MODEL_FAMILIES}")
     unknown = set(params) - set(FAMILY_PARAMS[family])

@@ -10,7 +10,7 @@ Both one-class duals are instances of this program:
 Each step picks the maximal-violating pair (steepest feasible descent
 coordinate up, steepest ascent coordinate down) and moves mass between the
 two, which preserves the simplex constraint exactly. Termination when the
-worst KKT violation drops below ``tol``. The search starts from the uniform
+worst KKT violation drops below ``KKT_TOL``. The search starts from the uniform
 point, or from a caller's feasible ``a0`` (a warm start).
 """
 
@@ -26,6 +26,10 @@ class DualSolverError(RuntimeError):
         super().__init__(f"{message} (best KKT residual {residual:.3e})")
         self.residual = residual
 
+
+# the stopping threshold on the worst KKT violation (tightened on
+# tiny-scale problems, see solve_simplex_box_qp)
+KKT_TOL = 1e-6
 
 # how far sum(a0) may stray from 1 before a start counts as infeasible
 START_SUM_TOL = 1e-9
@@ -46,8 +50,7 @@ def _feasible_start(a0, n: int, box: float) -> np.ndarray:
 
 
 def solve_simplex_box_qp(Q: np.ndarray, p: np.ndarray, box: float,
-                         tol: float = 1e-6, max_iter: int = 100_000,
-                         a0: np.ndarray | None = None) -> np.ndarray:
+                         max_iter: int = 100_000, a0: np.ndarray | None = None) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     p = np.asarray(p, dtype=float)
     n = Q.shape[0]
@@ -67,7 +70,7 @@ def solve_simplex_box_qp(Q: np.ndarray, p: np.ndarray, box: float,
     # threshold on tiny-scale problems (e.g. strongly whitened data) so the
     # solution stays scale-equivariant, but never loosen it
     scale = max(float(np.abs(np.diag(Q)).max()), float(np.abs(p).max()), 1e-12)
-    tol = tol * min(1.0, scale)
+    tol = KKT_TOL * min(1.0, scale)
     best = np.inf
 
     for _ in range(max_iter):
@@ -95,12 +98,12 @@ def solve_simplex_box_qp(Q: np.ndarray, p: np.ndarray, box: float,
     raise DualSolverError(f"no convergence after {max_iter} iterations", residual=float(best))
 
 
-def solve_svdd_dual(K: np.ndarray, C: float, tol: float = 1e-6,
-                    max_iter: int = 100_000, a0: np.ndarray | None = None) -> np.ndarray:
+def solve_svdd_dual(K: np.ndarray, C: float, max_iter: int = 100_000,
+                    a0: np.ndarray | None = None) -> np.ndarray:
     """Dual coefficients of the soft hypersphere description.
 
     Maximizes ``sum_i a_i K_ii - a'Ka`` over the simplex with box ``C``; the
-    returned alphas satisfy the distance-form KKT conditions within ``tol``.
+    returned alphas satisfy the distance-form KKT conditions within ``KKT_TOL``.
     A feasible ``a0`` (e.g. the alphas of a nearby problem) starts the search
     there instead of at the uniform point.
     """
@@ -111,11 +114,10 @@ def solve_svdd_dual(K: np.ndarray, C: float, tol: float = 1e-6,
     if C < 1.0 / n - 1e-12:
         raise ValueError(f"C={C} is infeasible: the simplex needs C >= 1/n = {1.0 / n:.6g}")
     return solve_simplex_box_qp(2.0 * K, -np.diag(K).copy(), box=float(C),
-                                tol=tol, max_iter=max_iter, a0=a0)
+                                max_iter=max_iter, a0=a0)
 
 
-def solve_ocsvm_dual(K: np.ndarray, nu: float, tol: float = 1e-6,
-                     max_iter: int = 100_000) -> np.ndarray:
+def solve_ocsvm_dual(K: np.ndarray, nu: float, max_iter: int = 100_000) -> np.ndarray:
     """Dual coefficients of the one-class SVM: min 0.5 a'Ka, box 1/(nu n)."""
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
@@ -124,7 +126,7 @@ def solve_ocsvm_dual(K: np.ndarray, nu: float, tol: float = 1e-6,
     if not 0 < nu <= 1:
         raise ValueError(f"nu must be in (0, 1], got {nu}")
     return solve_simplex_box_qp(K, np.zeros(n), box=1.0 / (nu * n),
-                                tol=tol, max_iter=max_iter)
+                                max_iter=max_iter)
 
 
 def center_distances_sq(K: np.ndarray, alphas: np.ndarray) -> np.ndarray:

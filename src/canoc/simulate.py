@@ -30,20 +30,18 @@ _KIND_TAGS = {LABEL_RANDOM_ID: 1, LABEL_ZERO_ID: 2, LABEL_REPLAY: 3}
 
 @dataclass(frozen=True)
 class EcuSpec:
-    """One periodic transmitter: nominal period with uniform +/- jitter."""
+    """One periodic transmitter: nominal period with uniform +/- jitter,
+    sending 8 random payload bytes per frame."""
 
     can_id: int
     period: float
     jitter: float = 0.0
-    payload_length: int = 8
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.period) and self.period > 0):
             raise ValueError(f"period must be finite and > 0, got {self.period!r}")
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter fraction must be in [0, 1)")
-        if not 0 <= self.payload_length <= 8:
-            raise ValueError("payload length must be 0..8")
 
 
 @dataclass(frozen=True)
@@ -154,9 +152,9 @@ def generate_normal(spec: BusSpec) -> CanLog:
         t = t[keep]
         times_parts.append(t)
         id_parts.append(np.full(t.size, ecu.can_id, dtype=np.int64))
-        dlc_parts.append(np.full(t.size, ecu.payload_length, dtype=np.uint8))
-        payload_parts.append(_payload_rows(rng.integers(
-            0, 256, size=(count, ecu.payload_length), dtype=np.uint8)[keep]))
+        dlc_parts.append(np.full(t.size, MAX_PAYLOAD_BYTES, dtype=np.uint8))
+        payload_parts.append(rng.integers(
+            0, 256, size=(count, MAX_PAYLOAD_BYTES), dtype=np.uint8)[keep])
     times = np.concatenate(times_parts)
     order = np.argsort(times, kind="stable")
     return CanLog(times[order], np.concatenate(id_parts)[order],

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,26 @@ def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):
     assert n1 > n2
 
 
+@pytest.mark.parametrize("argv", [["extract", "--in", "log.csv", "--out", "f.csv"],
+                                  ["train", "--features", "f.csv", "--out", "m.json"],
+                                  ["eval", "--model", "m.json", "--features", "f.csv"],
+                                  ["detect", "--model", "m.json", "--in", "log.csv"]],
+                         ids=lambda argv: argv[0])
+def test_only_simulate_and_inject_take_a_seed(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_seed_config_key_is_unknown_to_detect(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n")
+    code, out, err = run(capsys, "detect", "--config", cfg, "--model", tmp_path / "m.json",
+                         "--in", tmp_path / "log.csv")
+    assert code == 2 and out == "" and "unknown config key 'seed'" in err
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
@@ -409,6 +430,23 @@ def test_oversized_csv_field_is_an_input_error(tmp_path, capsys, detect_inputs, 
     code, stdout, err = run(capsys, *argv)
     assert code == 2 and stdout == "" and err.startswith("error:") and expected in err, err
     assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "model.json"]
+
+
+@pytest.mark.parametrize("command", ["extract", "detect"])
+def test_log_spanning_too_many_windows_is_an_input_error(tmp_path, capsys, detect_inputs,
+                                                         command):
+    _, doc = detect_inputs
+    log, model = tmp_path / "log.csv", tmp_path / "model.json"
+    log.write_text("timestamp,id,dlc,payload\n0.0,0x100,0,\n10000000000.0,0x100,0,\n")
+    model.write_text(json.dumps(doc))
+    argv = {"extract": ["extract", "--in", log, "--out", tmp_path / "out.csv"],
+            "detect": ["detect", "--model", model, "--in", log]}[command]
+    started = time.perf_counter()
+    code, stdout, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and stdout == "" and err.count("error:") == 1, err
+    assert "1e+10 s log at a 1 s stride needs 10000000001 windows" in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "model.json"]
 
 

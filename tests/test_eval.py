@@ -4,9 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from canoc import (KernelSpec, SplitSpec, evaluate, gmean, grid_search,
-                   split, svdd_fit, write_report_table)
-from canoc.evaluate import expand_grid
+from canoc import SplitSpec, evaluate, gmean, split, svdd_fit, write_report_table
 
 
 def labeled_rows(rng, n_normal=10, n_attack=5):
@@ -136,74 +134,6 @@ def test_report_table_shape(rng):
     assert lines[0] == "model,normal,random_id,replay,zero_id"
     assert lines[1].startswith("svdd-linear,1.0000")
     assert lines[1].endswith("1.0000")
-
-
-# --- grid search -------------------------------------------------------------------
-
-def validation_set(rng):
-    X = np.vstack([rng.normal(0, 1, (30, 3)), rng.normal(50, 1, (10, 3))])
-    return X, ["normal"] * 30 + ["zero_id"] * 10
-
-
-def test_expand_grid_deterministic_order():
-    cells = expand_grid({"C": (1.0, 0.5), "d": (2,)})
-    assert cells == [{"C": 1.0, "d": 2}, {"C": 0.5, "d": 2}]
-    assert expand_grid([{"C": 1.0}]) == [{"C": 1.0}]
-
-
-def test_grid_search_singleton(rng):
-    train = rng.normal(0, 1, (40, 3))
-    result = grid_search("svdd", {"C": (0.5,)}, train, validation_set(rng))
-    assert result.best_config == {"C": 0.5}
-
-
-def test_grid_search_prefers_working_config(rng):
-    train = rng.normal(0, 1, (40, 3))
-    result = grid_search("ocsvm", {"nu": (0.1, 1.0)}, train, validation_set(rng),
-                         kernel=KernelSpec("rbf"))
-    assert result.best_config == {"nu": 0.1}  # nu=1 is the degenerate cell
-    assert len(result.table) == 2
-
-
-def test_grid_search_tie_breaks_to_smaller_c(rng):
-    train = rng.normal(0, 1, (40, 3))
-    result = grid_search("svdd", {"C": (1.0, 0.5)}, train, validation_set(rng))
-    scores = [row[1] for row in result.table]
-    assert scores[0] == scores[1]  # exact tie on this fixture
-    assert result.best_config == {"C": 0.5}
-
-
-def test_grid_search_records_failures(rng):
-    train = rng.normal(0, 1, (40, 3))
-    result = grid_search("svdd", {"C": (0.001, 0.5)}, train, validation_set(rng))
-    failed = [row for row in result.table if row[1] is None]
-    assert len(failed) == 1 and "infeasible" in failed[0][2]
-    assert result.best_config == {"C": 0.5}
-
-
-def test_grid_search_all_fail_raises(rng):
-    train = rng.normal(0, 1, (40, 3))
-    with pytest.raises(RuntimeError, match="every grid cell"):
-        grid_search("svdd", {"C": (0.001,)}, train, validation_set(rng))
-    with pytest.raises(ValueError, match="empty"):
-        grid_search("svdd", {}, train, validation_set(rng))
-
-
-def test_default_sigma_grid_scales_median(rng):
-    from canoc.evaluate import default_sigma_grid
-    from canoc.models import median_heuristic
-    X = rng.standard_normal((30, 3))
-    grid = default_sigma_grid(X)
-    med = median_heuristic(X)
-    assert grid == (0.5 * med, med, 2.0 * med)
-
-
-def test_grid_search_sigma_cells_set_bandwidth(rng):
-    train = rng.normal(0, 1, (40, 3))
-    from canoc.evaluate import default_sigma_grid
-    result = grid_search("svdd", {"C": (0.5,), "sigma": default_sigma_grid(train)},
-                         train, validation_set(rng), kernel=KernelSpec("rbf"))
-    assert "sigma" in result.best_config and len(result.table) == 3
 
 
 def test_report_to_dict_roundtrip(rng):

@@ -81,7 +81,8 @@ def test_fit_model_factory_covers_families(rng):
 
 
 def test_family_params_are_exactly_the_fitter_keywords():
-    # every setting a fitter takes is reachable through fit_model and the CLI
+    # every setting a fitter takes is reachable through fit_model; the CLI
+    # has a flag for each but ssvdd's q_init and seed
     for family, keys in api.FAMILY_PARAMS.items():
         signature = inspect.signature(getattr(api, f"{family}_fit"))
         taken = set(signature.parameters) - {"X", "kernel", "scaler", "iteration_callback"}

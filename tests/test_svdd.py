@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from canoc import KernelSpec, predict, score_samples, svdd_fit
+from canoc.models import median_heuristic, resolve_kernel
 
 
 def test_identical_training_set_flags_everything_else():
@@ -125,3 +126,23 @@ def test_boundary_tie_classified_normal(rng):
     assert (score_samples(model, X) <= 1e-6).all()
     fake = np.where(np.zeros(3) > 0, "anomaly", "normal")
     assert (fake == "normal").all()
+
+
+def test_median_heuristic_is_the_median_pairwise_distance():
+    # pairwise distances 3, 4 and 5
+    X = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
+    assert median_heuristic(X) == 4.0
+
+
+def test_median_heuristic_degenerate_inputs_give_one():
+    assert median_heuristic(np.array([[2.0, 3.0]])) == 1.0
+    assert median_heuristic(np.array([2.0, 3.0])) == 1.0
+    assert median_heuristic(np.tile([2.0, 3.0], (5, 1))) == 1.0
+
+
+def test_resolve_kernel_fills_sigma_only_for_unset_rbf(rng):
+    X = rng.standard_normal((20, 3))
+    resolved = resolve_kernel(KernelSpec("rbf"), X)
+    assert resolved == KernelSpec("rbf", median_heuristic(X))
+    for kernel in (KernelSpec("linear"), KernelSpec("rbf", 2.5)):
+        assert resolve_kernel(kernel, X) is kernel
