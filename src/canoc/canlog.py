@@ -1,8 +1,8 @@
 """CAN traffic logs held as columns, plus the two on-disk traffic formats.
 
-A :class:`CanLog` stores its frames as five arrays; ``log.frames`` is a
-read-only sequence view over them, and a :class:`CanFrame` is built only
-when a caller indexes or iterates that view.
+A :class:`CanLog` stores its frames as five arrays and is a read-only
+sequence of them: a :class:`CanFrame` is built only when a caller indexes
+or iterates the log.
 
 Two formats are supported: the candump text format
 ``(<sec.usec>) <iface> <ID>#<DATA>`` and a CSV format with header
@@ -102,12 +102,17 @@ def _payload_matrix(dlc: np.ndarray, raw: bytes) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CanLog:
+class CanLog(Sequence):
     """A timestamp-sorted CAN log held as columns; ties keep input order.
 
     ``times`` f8 seconds, ``ids`` i8, ``extended`` bool, ``dlc`` u1 payload
     byte count and ``payload`` u1 ``[n, 8]``, zero past ``dlc``. The log
     keeps read-only views of the arrays it is given.
+
+    A log is a read-only sequence of its frames: ``len`` is O(1), an index
+    builds one :class:`CanFrame`, a step-1 slice is a log sharing this
+    log's memory, and a log equals another log with the same columns or a
+    tuple of the same frames.
     """
 
     times: np.ndarray
@@ -142,22 +147,15 @@ class CanLog:
         return self.times.shape[0]
 
     @property
-    def frames(self) -> "FrameView":
-        return FrameView(self)
+    def frames(self) -> "CanLog":
+        """The log itself, for callers that write ``len(log.frames)``."""
+        return self
 
     @classmethod
     def from_frames(cls, frames: Iterable[CanFrame]) -> "CanLog":
         """Build a log from frames in any order (stable sort by timestamp)."""
         return _assemble([_columns([(f.timestamp, f.can_id, f.extended, f.payload)
                                     for f in frames])])
-
-    def rows(self, lo: int, hi: int) -> "CanLog":
-        """Rows ``[lo, hi)`` as a log sharing this log's memory. A slice of a
-        valid log is valid, so nothing is checked again."""
-        view = object.__new__(CanLog)
-        for name in COLUMNS:
-            object.__setattr__(view, name, getattr(self, name)[lo:hi])
-        return view
 
     @property
     def span(self) -> tuple[float, float]:
@@ -166,46 +164,30 @@ class CanLog:
             raise ValueError("empty log has no time span")
         return float(self.times[0]), float(self.times[-1])
 
-
-class FrameView(Sequence):
-    """Read-only sequence view over the rows of a log.
-
-    ``len`` is O(1), an index builds one :class:`CanFrame`, a step-1 slice
-    is another view, and a view equals a tuple of the same frames.
-    """
-
-    __slots__ = ("log",)
-
-    def __init__(self, log: CanLog) -> None:
-        self.log = log
-
-    def __len__(self) -> int:
-        return len(self.log)
-
     def __getitem__(self, key):
         if isinstance(key, slice):
             lo, hi, step = key.indices(len(self))
             if step != 1:
                 return tuple(self[k] for k in range(lo, hi, step))
-            return FrameView(self.log.rows(lo, max(lo, hi)))
+            # a slice of a valid log is valid, so nothing is checked again
+            view = object.__new__(CanLog)
+            for name in COLUMNS:
+                object.__setattr__(view, name, getattr(self, name)[lo:max(lo, hi)])
+            return view
         k = range(len(self))[key]
-        log = self.log
-        return CanFrame(float(log.times[k]), int(log.ids[k]),
-                        log.payload[k, :log.dlc[k]].tobytes(), bool(log.extended[k]))
+        return CanFrame(float(self.times[k]), int(self.ids[k]),
+                        self.payload[k, :self.dlc[k]].tobytes(), bool(self.extended[k]))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, FrameView):
+        if isinstance(other, CanLog):
             return len(self) == len(other) and all(
-                np.array_equal(getattr(self.log, name), getattr(other.log, name))
+                np.array_equal(getattr(self, name), getattr(other, name))
                 for name in COLUMNS)
         if isinstance(other, tuple):
             return len(self) == len(other) and tuple(self) == other
         return NotImplemented
 
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"<FrameView of {len(self)} frames>"
 
 
 def _columns(rows: list[tuple[float, int, bool, bytes]]) -> tuple[np.ndarray, ...]:
@@ -516,7 +498,7 @@ def write_csv_log(log: CanLog, sink: IO[str]) -> None:
     id_texts = {can_id: f"0x{can_id:X}" for can_id in np.unique(log.ids).tolist()}
     width = 2 * MAX_PAYLOAD_BYTES
     for lo in range(0, len(log), CHUNK_LINES):
-        rows = log.rows(lo, lo + CHUNK_LINES)
+        rows = log[lo:lo + CHUNK_LINES]
         hexes = rows.payload.tobytes().hex().upper()
         sink.write("".join(
             f"{t:.{TIMESTAMP_DECIMALS}f},{id_texts[can_id]},{dlc},"

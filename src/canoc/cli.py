@@ -97,9 +97,9 @@ def _labels_path(args: argparse.Namespace) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _parse_bus(args)
     log = simulate.generate_normal(spec)
-    labeled = simulate.LabeledLog(log, (features.LABEL_NORMAL,) * len(log.frames))
+    labeled = simulate.LabeledLog(log, (features.LABEL_NORMAL,) * len(log))
     simulate.save_labeled(labeled, args.out, _labels_path(args))
-    print(f"wrote {len(log.frames)} frames over {args.duration:g} s "
+    print(f"wrote {len(log)} frames over {args.duration:g} s "
           f"({len(spec.ids)} ids) to {args.out}")
     return EXIT_OK
 
@@ -122,11 +122,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
     )
     result = simulate.inject(labeled, scenario)
     simulate.save_labeled(result, args.out, _labels_path(args))
-    injected = len(result.log.frames) - (len(labeled.log.frames)
-                                         if isinstance(labeled, simulate.LabeledLog)
-                                         else len(labeled.frames))
-    print(f"injected {injected} {args.kind} frames; wrote "
-          f"{len(result.log.frames)} frames to {args.out}")
+    base = labeled.log if isinstance(labeled, simulate.LabeledLog) else labeled
+    print(f"injected {len(result.log) - len(base)} {args.kind} frames; wrote "
+          f"{len(result.log)} frames to {args.out}")
     return EXIT_OK
 
 
@@ -189,7 +187,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if X.shape[0] < 2:
         raise ValueError("need at least 2 normal training rows")
     scaler = features.fit_scaler(X)
-    # every hyperparameter of the family that has a flag (C from --c)
+    # every hyperparameter of the family whose flag is set (C from --c)
     params = {key: getattr(args, key.lower()) for key in FAMILY_PARAMS[args.family]
               if getattr(args, key.lower(), None) is not None}
     model = fit_model(args.family, features.apply_scaler(scaler, X),
@@ -297,15 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="svdd", choices=MODEL_FAMILIES)
     p.add_argument("--kernel", choices=KERNEL_KINDS, default="linear")
     p.add_argument("--sigma", type=float, help="rbf bandwidth (default: median heuristic)")
-    p.add_argument("--c", type=float, default=1.0, help="SVDD trade-off C")
-    p.add_argument("--nu", type=float, default=0.1, help="OC-SVM fraction parameter")
+    p.add_argument("--c", type=float, help="SVDD trade-off C")
+    p.add_argument("--nu", type=float, help="OC-SVM fraction parameter")
     p.add_argument("--d", type=int, help="subspace dimension (default min(10, D))")
-    p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--psi", choices=PSI_VARIANTS, default="psi1")
-    p.add_argument("--eta", type=float, default=0.1, help="subspace learning rate")
-    p.add_argument("--iterations", type=int, default=50)
-    p.add_argument("--k-neighbors", type=int, default=5)
-    p.add_argument("--epsilon", type=float, default=1e-3, help="ridge regularizer")
+    p.add_argument("--beta", type=float)
+    p.add_argument("--psi", choices=PSI_VARIANTS)
+    p.add_argument("--eta", type=float, help="subspace learning rate")
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--k-neighbors", type=int)
+    p.add_argument("--epsilon", type=float, help="ridge regularizer")
     p.add_argument("--filter-normal", action="store_true",
                    help="silently drop non-normal rows instead of failing")
     p.add_argument("--extraction-config", help="vocabulary JSON from extract --save-vocab")

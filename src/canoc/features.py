@@ -33,7 +33,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .canlog import CanLog, FrameView
+from .canlog import CAN_EFF_MAX, CanLog
 
 LABEL_NORMAL = "normal"
 LABEL_RANDOM_ID = "random_id"
@@ -47,10 +47,13 @@ MIN_MEAN_GAP = 1e-9
 
 STDEV_MODES = ("gaps", "timestamps")
 
+# an id as feature_names and spec_to_dict spell it, and the only form read back
+_HEX_ID_RE = re.compile("0x[0-9A-Fa-f]+")
+
 
 @dataclass(frozen=True)
 class IdVocabulary:
-    """Ordered set of arbitration IDs defining the feature layout."""
+    """Ordered set of CAN ids (``0..CAN_EFF_MAX``) defining the feature layout."""
 
     ids: tuple[int, ...]
     include_other_bucket: bool = True
@@ -62,6 +65,8 @@ class IdVocabulary:
             raise ValueError("vocabulary must contain at least one id")
         if any(b <= a for a, b in zip(ids, ids[1:])):
             raise ValueError("vocabulary ids must be strictly increasing")
+        if not 0 <= ids[0] <= ids[-1] <= CAN_EFF_MAX:
+            raise ValueError(f"vocabulary ids must be CAN ids in 0x0..0x{CAN_EFF_MAX:X}")
 
     @property
     def dimension(self) -> int:
@@ -106,15 +111,15 @@ def build_vocabulary(log: CanLog, include_other_bucket: bool = True) -> IdVocabu
 
 def vocabulary_from_feature_names(names: Sequence[str]) -> IdVocabulary:
     """Recover the vocabulary from a feature CSV header (inverse of
-    :meth:`IdVocabulary.feature_names`)."""
+    :meth:`IdVocabulary.feature_names`); an id tag is ``0x``-hex."""
     if len(names) % 3:
         raise ValueError("feature columns must come in (f, dt, sd) triples")
     ids = []
     other = False
     for k in range(0, len(names), 3):
         triple = names[k:k + 3]
-        prefixes = [n.split("_", 1)[0] for n in triple]
-        tags = {n.split("_", 1)[1] for n in triple if "_" in n}
+        prefixes = [n.partition("_")[0] for n in triple]
+        tags = {n.partition("_")[2] for n in triple}
         if prefixes != ["f", "dt", "sd"] or len(tags) != 1:
             raise ValueError(f"malformed feature triple {triple}")
         tag = tags.pop()
@@ -122,26 +127,28 @@ def vocabulary_from_feature_names(names: Sequence[str]) -> IdVocabulary:
             other = True
             if k + 3 != len(names):
                 raise ValueError("'other' bucket must be the last triple")
-        else:
+        elif _HEX_ID_RE.fullmatch(tag):
             ids.append(int(tag, 16))
+        else:
+            raise ValueError(f"feature column tag {tag!r} is not a 0x-hex CAN id")
     return IdVocabulary(tuple(ids), include_other_bucket=other)
 
 
 @dataclass(frozen=True)
 class Window:
-    """A [start, start+length) slice of a log. ``frames`` is a view into the
-    log; a sequence of frames given here becomes one through
+    """A [start, start+length) slice of a log. ``frames`` is a row view of
+    the log; a sequence of frames given here becomes a log through
     :meth:`CanLog.from_frames`. ``partial`` marks a trailing window not fully
     covered by the observed time span."""
 
     start: float
     length: float
-    frames: FrameView
+    frames: CanLog
     partial: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.frames, FrameView):
-            object.__setattr__(self, "frames", CanLog.from_frames(self.frames).frames)
+        if not isinstance(self.frames, CanLog):
+            object.__setattr__(self, "frames", CanLog.from_frames(self.frames))
 
 
 # the most windows segment_windows builds: a Window costs about 0.9 KB and
@@ -181,8 +188,7 @@ def segment_windows(log: CanLog, length: float, stride: float | None = None) -> 
     ends = grid[1:starts.size + 1] if stride == length else starts + length
     lo = np.searchsorted(log.times, starts, side="left").tolist()
     hi = np.searchsorted(log.times, ends, side="left").tolist()
-    frames = log.frames
-    return [Window(start=start, length=length, frames=frames[a:b],
+    return [Window(start=start, length=length, frames=log[a:b],
                    partial=start + length > t_last)
             for start, a, b in zip(starts.tolist(), lo, hi)]
 
@@ -227,15 +233,14 @@ def _grouped(windows: Sequence[Window], vocab_ids: np.ndarray) -> tuple[np.ndarr
     stably by key; the "other" slot is ``len(vocab_ids)``. Each key's run
     holds that slot's timestamps in log order: the same values, in the same
     order, as a per-ID mask would select."""
-    logs = [w.frames.log for w in windows]
-    ids = np.concatenate([log.ids for log in logs])
+    ids = np.concatenate([w.frames.ids for w in windows])
     pos = np.searchsorted(vocab_ids, ids)
     known = vocab_ids[np.minimum(pos, vocab_ids.size - 1)] == ids
     width = vocab_ids.size + 1
     key = (np.where(known, pos, vocab_ids.size)
-           + width * np.repeat(np.arange(len(logs)), [len(log) for log in logs]))
+           + width * np.repeat(np.arange(len(windows)), [len(w.frames) for w in windows]))
     order = np.argsort(key, kind="stable")
-    return np.concatenate([log.times for log in logs])[order], key[order]
+    return np.concatenate([w.frames.times for w in windows])[order], key[order]
 
 
 def _block_features(windows: Sequence[Window], vocab: IdVocabulary,
@@ -414,7 +419,7 @@ def spec_from_dict(doc, where: str) -> FeatureSpec:
         raise ValueError(f"{where} is missing {missing}")
     ids = doc["ids"]
     if not (isinstance(ids, list)
-            and all(isinstance(i, str) and re.fullmatch("0x[0-9A-Fa-f]+", i) for i in ids)):
+            and all(isinstance(i, str) and _HEX_ID_RE.fullmatch(i) for i in ids)):
         raise ValueError(f"{where}: ids must be a list of 0x-hex strings")
     if not isinstance(doc["include_other_bucket"], bool):
         raise ValueError(f"{where}: include_other_bucket must be true or false")

@@ -17,7 +17,8 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .canlog import CAN_SFF_MAX, COLUMNS, MAX_PAYLOAD_BYTES, CanLog
+from .canlog import (CAN_SFF_MAX, COLUMNS, MAX_PAYLOAD_BYTES, CanLog, _assemble,
+                     _payload_matrix)
 from .features import (LABEL_NORMAL, LABEL_RANDOM_ID, LABEL_REPLAY,
                        LABEL_ZERO_ID, Window)
 
@@ -129,17 +130,10 @@ class LabeledLog:
             raise ValueError("one label per frame required")
 
 
-def _payload_rows(payloads: np.ndarray) -> np.ndarray:
-    """``[n, k]`` payload bytes padded with zeros to the log's ``[n, 8]``."""
-    rows = np.zeros((payloads.shape[0], MAX_PAYLOAD_BYTES), dtype=np.uint8)
-    rows[:, :payloads.shape[1]] = payloads
-    return rows
-
-
 def generate_normal(spec: BusSpec) -> CanLog:
     """Synthesize attack-free traffic; deterministic for a fixed seed."""
     streams = np.random.SeedSequence(spec.seed).spawn(len(spec.ids))
-    times_parts, id_parts, dlc_parts, payload_parts = [], [], [], []
+    parts = []
     for ecu, stream in zip(spec.ids, streams):
         rng = np.random.default_rng(stream)
         count = int(np.ceil(spec.duration / ecu.period)) + 2
@@ -150,16 +144,11 @@ def generate_normal(spec: BusSpec) -> CanLog:
         t.sort(kind="stable")
         keep = t < spec.duration
         t = t[keep]
-        times_parts.append(t)
-        id_parts.append(np.full(t.size, ecu.can_id, dtype=np.int64))
-        dlc_parts.append(np.full(t.size, MAX_PAYLOAD_BYTES, dtype=np.uint8))
-        payload_parts.append(rng.integers(
-            0, 256, size=(count, MAX_PAYLOAD_BYTES), dtype=np.uint8)[keep])
-    times = np.concatenate(times_parts)
-    order = np.argsort(times, kind="stable")
-    return CanLog(times[order], np.concatenate(id_parts)[order],
-                  np.zeros(times.size, dtype=np.bool_), np.concatenate(dlc_parts)[order],
-                  np.concatenate(payload_parts)[order])
+        payload = rng.integers(0, 256, size=(count, MAX_PAYLOAD_BYTES), dtype=np.uint8)
+        parts.append((t, np.full(t.size, ecu.can_id, dtype=np.int64),
+                      np.zeros(t.size, dtype=np.bool_),
+                      np.full(t.size, MAX_PAYLOAD_BYTES, dtype=np.uint8), payload[keep]))
+    return _assemble(parts)
 
 
 def _as_labeled(log: CanLog | LabeledLog) -> LabeledLog:
@@ -205,9 +194,9 @@ def _inject_flood(log: CanLog | LabeledLog, scenario: AttackScenario) -> Labeled
         ids = np.zeros(count, dtype=np.int64)
         plen = 0 if scenario.payload_length is None else scenario.payload_length
     payloads = rng.integers(0, 256, size=(count, plen), dtype=np.uint8)
-    return _merge(base, (times, ids, np.zeros(count, dtype=np.bool_),
-                         np.full(count, plen, dtype=np.uint8), _payload_rows(payloads)),
-                  kind)
+    dlc = np.full(count, plen, dtype=np.uint8)
+    return _merge(base, (times, ids, np.zeros(count, dtype=np.bool_), dlc,
+                         _payload_matrix(dlc, payloads.tobytes())), kind)
 
 
 def _inject_replay(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
@@ -250,7 +239,7 @@ def label_windows(labeled: LabeledLog, windows: Sequence[Window]) -> list[str]:
     out = []
     for k, (w, lo) in enumerate(zip(windows, starts.tolist())):
         hi = lo + len(w.frames)
-        if log.frames[lo:hi] != w.frames:
+        if log[lo:hi] != w.frames:
             raise ValueError(f"window {k} (start {w.start}) is not a slice of the "
                              "labeled log")
         kinds = [labels[i] for i in

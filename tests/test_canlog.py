@@ -11,7 +11,7 @@ from canoc import (AttackScenario, CanFrame, CanLog, LogParseError, apply_scaler
                    label_windows, parse_candump_line, parse_csv_log, score_samples,
                    segment_windows, write_csv_log)
 from canoc import canlog
-from canoc.canlog import COLUMNS, FrameView, load_log, read_candump, save_log
+from canoc.canlog import COLUMNS, load_log, read_candump, save_log
 from canoc.simulate import default_bus, generate_normal
 
 
@@ -234,12 +234,21 @@ def test_frames_view_indexes_slices_and_compares():
     with pytest.raises(IndexError):
         frames[3]
     middle = frames[1:]
-    assert isinstance(middle, FrameView) and middle == (b, c)
-    assert middle.log.times.base is not None  # a view, not a copy
+    assert isinstance(middle, CanLog) and middle == (b, c)
+    assert middle.times.base is not None  # a view, not a copy
     assert frames[::2] == (a, c)
     assert frames == (a, b, c) and frames != (a, b)
     assert frames == CanLog.from_frames([a, b, c]).frames
     assert frames[:0] == () and list(frames) == [a, b, c]
+
+
+def test_log_compares_by_value_and_is_unhashable():
+    frames = [CanFrame(0.5, 0x10, b"\x01"), CanFrame(1.0, 0x1FFFF, b"", True)]
+    log = CanLog.from_frames(frames)
+    assert log == CanLog.from_frames(frames) and log != CanLog.from_frames(frames[:1])
+    assert log[0:1] == CanLog.from_frames(frames[:1]) and log != frames
+    with pytest.raises(TypeError):
+        hash(log)
 
 
 def test_log_columns_are_read_only():

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from canoc.cli import main
+from canoc.features import FeatureSpec, apply_scaler, fit_scaler, read_feature_csv
+from canoc.models import MODEL_FAMILIES, fit_model, save_model
 
 
 def run(capsys, *argv):
@@ -490,6 +492,61 @@ def test_malformed_vocabulary_file_is_a_usage_error(tmp_path, capsys, detect_inp
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error:") and expected in err, err
     assert "Traceback" not in err and not out.exists()
+
+
+# an id tag and the feature-CSV column of the f_ name it replaces: past the
+# 29-bit range in the last vocabulary triple, or negative in the first; a
+# vocabulary file spells every id in 0x-hex, so it takes only the first two
+BAD_ID_TAGS = {"huge": ("0x1FFFFFFFFFFFFFFFFFFFF", -6), "past 29 bits": ("0x20000000", -6),
+               "negative": ("-1", 1)}
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for command in ("train", "extract", "detect") for case in BAD_ID_TAGS
+    if command == "train" or BAD_ID_TAGS[case][0].startswith("0x")])
+def test_vocabulary_id_that_is_no_can_id_is_an_input_error(tmp_path, capsys, detect_inputs,
+                                                           command, case):
+    log, doc = detect_inputs
+    tag, column = BAD_ID_TAGS[case]
+    out = tmp_path / "out"
+    if command == "train":
+        lines = log.with_name("features.csv").read_text().splitlines(keepends=True)
+        old = lines[0].split(",")[column].removeprefix("f_")
+        lines[0] = lines[0].replace(f"_{old},", f"_{tag},")
+        source = tmp_path / "features.csv"
+        source.write_text("".join(lines))
+        argv = ["train", "--features", source, "--out", out]
+    else:
+        spec = dict(doc["extraction"])
+        spec["ids"] = spec["ids"][:-1] + [tag]
+        if command == "extract":
+            source = tmp_path / "vocab.json"
+            source.write_text(json.dumps(spec))
+            argv = ["extract", "--in", log, "--vocab", source, "--out", out]
+        else:
+            source = tmp_path / "model.json"
+            source.write_text(json.dumps({**doc, "extraction": spec}))
+            argv = ["detect", "--model", source, "--in", log]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and err.count("error:") == 1, err
+    assert err.startswith("error:") and "CAN id" in err and "Traceback" not in err, err
+    assert [p.name for p in tmp_path.iterdir()] == [source.name]
+
+
+@pytest.mark.parametrize("family", MODEL_FAMILIES)
+def test_train_without_hyperparameter_flags_uses_the_fitters_defaults(tmp_path, capsys,
+                                                                     detect_inputs, family):
+    log, _ = detect_inputs
+    feats = log.with_name("features.csv")
+    with open(feats, encoding="utf-8") as f:
+        X, _, vocab = read_feature_csv(f)
+    scaler = fit_scaler(X)
+    expected = tmp_path / "expected.json"
+    save_model(fit_model(family, apply_scaler(scaler, X), scaler=scaler), str(expected),
+               FeatureSpec(vocab))
+    model = tmp_path / "model.json"
+    assert run(capsys, "train", "--features", feats, "--out", model, "--family", family)[0] == 0
+    assert model.read_bytes() == expected.read_bytes()
 
 
 def other_bus_features(tmp_path, capsys):

@@ -1,14 +1,16 @@
+import io
 import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canoc import features
 from canoc import (CanFrame, IdVocabulary, Window, apply_scaler,
                    build_vocabulary, extract_features, fit_scaler,
                    segment_windows)
-from canoc.features import (STDEV_MODES, FeatureSpec, extract_matrix,
+from canoc.canlog import CAN_EFF_MAX
+from canoc.features import (SPEC_KEYS, STDEV_MODES, FeatureSpec, extract_matrix,
                             read_feature_csv, spec_from_dict, spec_to_dict,
                             vocabulary_from_feature_names, write_feature_csv)
 from canoc.simulate import AttackScenario, default_bus, generate_normal, inject
@@ -66,6 +68,27 @@ def test_vocabulary_rejects_bad_ids():
         IdVocabulary((0x200, 0x100))
     with pytest.raises(ValueError):
         IdVocabulary(())
+
+
+def test_vocabulary_takes_only_can_ids():
+    for ids in [(-1, 0x100), (0x100, CAN_EFF_MAX + 1), (2 ** 81,)]:
+        with pytest.raises(ValueError, match="CAN ids"):
+            IdVocabulary(ids)
+    assert IdVocabulary((0, CAN_EFF_MAX)).ids == (0, CAN_EFF_MAX)
+
+
+@pytest.mark.parametrize("tag", ["100", "0X100", "0x1_00", "0x\u0661", "-1", "0x", " 0x100"])
+def test_feature_names_take_only_hex_id_tags(tag):
+    with pytest.raises(ValueError, match="0x-hex CAN id"):
+        vocabulary_from_feature_names([f"f_{tag}", f"dt_{tag}", f"sd_{tag}"])
+
+
+@pytest.mark.parametrize("triple", [
+    ["f", "dt_0x10", "sd_0x10"], ["f_0x10", "dt_0x10", "sd"],
+    ["f_0x10", "dt_0x10", "sd_0x11"], ["f_0x10", "sd_0x10", "dt_0x10"]])
+def test_feature_names_reject_a_malformed_triple(triple):
+    with pytest.raises(ValueError, match="malformed feature triple"):
+        vocabulary_from_feature_names(triple)
 
 
 def test_empty_log_vocabulary_errors():
@@ -254,7 +277,7 @@ def test_dimension_constant_across_windows(rng):
 
 def numpy_reference_row(window, vocab, stdev_mode):
     """One window's features by a per-ID mask and numpy's own diff/mean/std."""
-    times, ids = window.frames.log.times, window.frames.log.ids
+    times, ids = window.frames.times, window.frames.ids
     masks = [ids == i for i in vocab.ids]
     if vocab.include_other_bucket:
         masks.append(~np.isin(ids, vocab.ids))
@@ -396,3 +419,80 @@ def test_feature_csv_rejects_bad_cell_naming_line_and_column(tmp_path, cell):
     path.write_text("\n".join(lines) + "\n")
     with open(path) as f, pytest.raises(ValueError, match=f"line 3, column '{names[4]}'"):
         read_feature_csv(f)
+
+
+# --- reader properties -----------------------------------------------------------
+
+# id tags as a writer or a hand edit might spell them: mostly 0x-hex, with
+# values well past the 29-bit range, negatives and stray text
+ID_TAGS = st.one_of(
+    st.tuples(st.sampled_from(["0x{:X}", "0x{:x}", "0X{:X}", "{:X}", "{:d}"]),
+              st.integers(-2 ** 40, 2 ** 80)).map(lambda fi: fi[0].format(fi[1])),
+    st.sampled_from(["other", "0x1FFFFFFF", "0x20000000", "0x-1", "0x1_0"]),
+    st.text(max_size=5))
+CELLS = st.one_of(st.floats().map(repr), st.integers().map(str), st.text(max_size=4))
+
+
+@st.composite
+def feature_csv_texts(draw):
+    tags = draw(st.lists(ID_TAGS, min_size=1, max_size=3))
+    names = [f"{prefix}_{tag}" for tag in tags for prefix in ("f", "dt", "sd")]
+    for pos, name in draw(st.lists(st.tuples(st.integers(0, len(names)), st.text(max_size=6)),
+                                   max_size=1)):
+        names.insert(pos, name)
+    rows = draw(st.lists(st.lists(CELLS, min_size=len(names), max_size=len(names) + 1),
+                         max_size=3))
+    return "".join(",".join(["label"] + cells) + "\n"
+                   for cells in [names] + [["normal"] + row[:len(names)] for row in rows])
+
+
+@given(feature_csv_texts())
+@example("label,f_-1,dt_-1,sd_-1\nnormal,1.0,1.0,0.0\n")
+@example("label,f_0x20000000,dt_0x20000000,sd_0x20000000\n")
+@settings(max_examples=300, deadline=None)
+def test_feature_csv_reader_returns_can_ids_and_a_finite_matrix_or_raises(text):
+    try:
+        X, labels, vocab = read_feature_csv(io.StringIO(text))
+    except ValueError:
+        return
+    assert all(0 <= i <= CAN_EFF_MAX for i in vocab.ids)
+    width = len(text.split("\n", 1)[0].split(",")) - 1
+    assert X.shape == (len(labels), width) and width == vocab.dimension
+    assert np.isfinite(X).all()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def spec_docs(draw):
+    """A well-formed vocabulary document, then at most one key replaced by
+    any JSON value, dropped, or added."""
+    doc = {"ids": draw(st.lists(ID_TAGS, min_size=1, max_size=3)),
+           "include_other_bucket": draw(st.booleans()),
+           "window": draw(st.floats(0.01, 10)), "stride": draw(st.floats(0.01, 10)),
+           "stdev_mode": draw(st.sampled_from(STDEV_MODES))}
+    key = draw(st.sampled_from(SPEC_KEYS + ("bogus",)))
+    edit = draw(st.sampled_from(["keep", "replace", "drop"]))
+    if edit == "replace":
+        doc[key] = draw(JSON_VALUES)
+    elif edit == "drop":
+        doc.pop(key, None)
+    return doc
+
+
+@given(spec_docs() | JSON_VALUES)
+@example({"ids": ["0x100", "0x1FFFFFFFFFFFFFFFFFFFF"], "include_other_bucket": True,
+          "window": 1.0, "stride": 1.0, "stdev_mode": "gaps"})
+@settings(max_examples=300, deadline=None)
+def test_spec_reader_returns_can_ids_or_raises(doc):
+    try:
+        spec = spec_from_dict(doc, "spec")
+    except ValueError:
+        return
+    assert all(0 <= i <= CAN_EFF_MAX for i in spec.vocab.ids)
+    assert spec_from_dict(spec_to_dict(spec), "spec") == spec

@@ -80,6 +80,18 @@ def test_fit_model_factory_covers_families(rng):
         fit_model("svdd", X, bogus=1)
 
 
+def test_every_family_records_each_of_its_hyperparameters(rng):
+    X = rng.standard_normal((40, 6))
+    for family, keys in api.FAMILY_PARAMS.items():
+        model = fit_model(family, X, **({"d": 2, "iterations": 3} if family == "ssvdd" else {}))
+        assert set(keys) <= set(model.params), family
+    # the subspace start changes the scores, so it changes the config hash
+    starts = [{}, {"q_init": "random", "seed": 1}, {"q_init": "random", "seed": 2}]
+    models = [fit_model("ssvdd", X, d=2, iterations=3, C=0.1, **start) for start in starts]
+    assert len({config_digest(model) for model in models}) == 3
+    assert len({score_samples(model, X).tobytes() for model in models}) == 3
+
+
 def test_family_params_are_exactly_the_fitter_keywords():
     # every setting a fitter takes is reachable through fit_model; the CLI
     # has a flag for each but ssvdd's q_init and seed
