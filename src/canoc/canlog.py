@@ -13,7 +13,6 @@ on bad input; logs are immutable value objects safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -38,26 +37,10 @@ CHUNK_LINES = 1 << 13
 
 
 class LogParseError(ValueError):
-    """Malformed traffic input, with the offending line/row attached."""
+    """Malformed traffic input, with the offending data row attached when known."""
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        line: str | None = None,
-        offset: int | None = None,
-        row: int | None = None,
-    ) -> None:
-        context = []
-        if row is not None:
-            context.append(f"row {row}")
-        if offset is not None:
-            context.append(f"offset {offset}")
-        if context:
-            message = f"{message} ({', '.join(context)})"
-        super().__init__(message)
-        self.line = line
-        self.offset = offset
+    def __init__(self, message: str, *, row: int | None = None) -> None:
+        super().__init__(message if row is None else f"{message} (row {row})")
         self.row = row
 
 
@@ -200,20 +183,6 @@ def _columns(rows: list[tuple[float, int, bool, bytes]]) -> tuple[np.ndarray, ..
             dlc, _payload_matrix(dlc, b"".join(row[3] for row in rows)))
 
 
-def _hex_payloads(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(dlc, payload rows) of even-length hex payload fields of at most 8 bytes."""
-    dlc = (np.fromiter(map(len, texts), dtype=np.uint8, count=len(texts)) // 2)
-    return dlc, _payload_matrix(dlc, bytes.fromhex("".join(texts)))
-
-
-def _convert_distinct(texts: list[str], convert, dtype) -> np.ndarray:
-    """``convert`` applied to every text, calling it once per distinct text."""
-    index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
-    distinct = np.array([convert(text) for text in index], dtype=dtype)
-    return distinct[np.fromiter(map(index.__getitem__, texts), dtype=np.intp,
-                                count=len(texts))]
-
-
 def _assemble(parts: list[tuple[np.ndarray, ...]]) -> CanLog:
     """One log from per-batch columns in file order (stable sort by timestamp)."""
     columns = [np.concatenate(column) for column in zip(*(parts or [_columns([])]))]
@@ -224,21 +193,45 @@ def _assemble(parts: list[tuple[np.ndarray, ...]]) -> CanLog:
     return CanLog(*columns)
 
 
-def _batches(lines: Iterator[str]) -> Iterator[list[str]]:
+def _read(lines: Iterator[str], strict, slow) -> CanLog:
+    """One log from a stream of lines, parsed in batches of ``CHUNK_LINES``.
+
+    A batch whose elements are each one whole line goes to ``strict(text)``
+    with the lines joined; when that returns None, or the batch is not such
+    lines, ``slow(batch, first_row)`` parses it and may take more of
+    ``lines``. Either returns the batch's columns.
+    """
+    parts = []
+    row = 1
     while batch := list(itertools.islice(lines, CHUNK_LINES)):
-        yield batch
+        text = "".join(batch)
+        if not text.endswith("\n"):
+            text += "\n"
+        columns = None
+        if (text.count("\n") == len(batch)
+                and all(map(str.endswith, batch[:-1], itertools.repeat("\n")))):
+            columns = strict(text)
+        parts.append(slow(batch, row) if columns is None else columns)
+        row += len(batch)
+    return _assemble(parts)
 
 
-def _batch_text(batch: list[str]) -> str | None:
-    """The batch joined, ending in a newline, when every element is exactly
-    one line; else None."""
-    text = "".join(batch)
-    if not text.endswith("\n"):
-        text += "\n"
-    if (text.count("\n") != len(batch)
-            or not all(map(str.endswith, batch[:-1], itertools.repeat("\n")))):
+def _strict_columns(stamps: list[str], id_texts: list[str], parse_id,
+                    payloads: list[str]) -> tuple[np.ndarray, ...] | None:
+    """Log columns of a strict batch's field texts: unsigned decimal
+    timestamps, id texts that ``parse_id`` turns into (id, extended), once per
+    distinct text, and even-length hex payloads of at most 8 bytes. None when
+    a timestamp is not finite or an id is out of range for its addressing."""
+    index = {text: k for k, text in enumerate(dict.fromkeys(id_texts))}
+    distinct = np.array([parse_id(text) for text in index], dtype=np.int64)
+    at = np.fromiter(map(index.__getitem__, id_texts), dtype=np.intp, count=len(id_texts))
+    ids, extended = distinct[at, 0], distinct[at, 1].astype(np.bool_)
+    times = np.fromiter(map(float, stamps), dtype=np.float64, count=len(stamps))
+    if (not np.isfinite(times).all()
+            or (ids > np.where(extended, CAN_EFF_MAX, CAN_SFF_MAX)).any()):
         return None
-    return text
+    dlc = np.fromiter(map(len, payloads), dtype=np.uint8, count=len(payloads)) // 2
+    return times, ids, extended, dlc, _payload_matrix(dlc, bytes.fromhex("".join(payloads)))
 
 
 _CANDUMP_RE = re.compile(
@@ -250,6 +243,11 @@ _CANDUMP_RE = re.compile(
 # that parse_candump_line gives; any other batch goes line by line.
 _CANDUMP_STRICT_RE = re.compile(
     r"\([0-9]+\.[0-9]+\) [!-~]+ [0-9A-Fa-f]{1,8}#(?:[0-9A-Fa-f]{2}){0,8}\n")
+# The same for CSV data lines under the header that write_csv_log writes:
+# unsigned decimal timestamps, 0x-hex or decimal ids of at most 8 or 10
+# digits, a one-digit dlc and whole payload bytes without a prefix.
+_CSV_STRICT_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?,(?:0[xX][0-9A-Fa-f]{1,8}|[0-9]{1,10}),"
+                            r"[0-8],(?:[0-9A-Fa-f]{2}){0,8}\n")
 # field grammars, ASCII only: float() and int() alone would also take "1_0"
 # and non-ASCII digits
 _TIMESTAMP_RE = re.compile(r"\s*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\s*",
@@ -260,27 +258,31 @@ _CSV_ID_RE = re.compile(r"\s*(?:0[xX](?P<hex>[0-9A-Fa-f]+)|(?P<dec>[0-9]+))\s*",
 _DLC_RE = re.compile(r"\s*[0-9]+\s*", re.ASCII)
 
 
+def _candump_id(text: str) -> tuple[int, bool]:
+    """A candump hex id and whether it is extended: more than 3 digits."""
+    return int(text, 16), len(text) > 3
+
+
 def _candump_fields(line: str) -> tuple[float, int, bool, bytes]:
     m = _CANDUMP_RE.match(line)
     if m is None:
-        raise LogParseError("line does not match candump format", line=line, offset=0)
+        raise LogParseError("line does not match candump format (offset 0)")
 
     ts_text = m.group("ts")
     timestamp = float(ts_text) if _TIMESTAMP_RE.fullmatch(ts_text) else math.nan
     if not math.isfinite(timestamp) or timestamp < 0:
-        raise LogParseError("malformed timestamp", line=line, offset=m.start("ts"))
+        raise LogParseError(f"malformed timestamp (offset {m.start('ts')})")
 
     id_text = m.group("id")
     if not id_text or not _HEX_RE.fullmatch(id_text):
-        raise LogParseError("invalid hex id", line=line, offset=m.start("id"))
+        raise LogParseError(f"invalid hex id (offset {m.start('id')})")
     if len(id_text) > 8:
-        raise LogParseError("id out of range", line=line, offset=m.start("id"))
-    can_id = int(id_text, 16)
-    extended = len(id_text) > 3
+        raise LogParseError(f"id out of range (offset {m.start('id')})")
+    can_id, extended = _candump_id(id_text)
     if can_id > (CAN_EFF_MAX if extended else CAN_SFF_MAX):
-        raise LogParseError("id out of range", line=line, offset=m.start("id"))
+        raise LogParseError(f"id out of range (offset {m.start('id')})")
 
-    payload = _parse_payload_hex(m.group("data"), line=line, offset=m.start("data"))
+    payload = _parse_payload_hex(m.group("data"), f" (offset {m.start('data')})")
     return timestamp, can_id, extended, payload
 
 
@@ -295,34 +297,26 @@ def parse_candump_line(line: str) -> CanFrame:
     return CanFrame(timestamp, can_id, payload, extended)
 
 
-def _parse_payload_hex(text: str, *, line: str | None = None,
-                       offset: int | None = None, row: int | None = None) -> bytes:
+def _parse_payload_hex(text: str, where: str = "", row: int | None = None) -> bytes:
+    """Payload bytes of a hex field; ``where`` ends each error message."""
     if not _HEX_RE.fullmatch(text):
-        raise LogParseError("invalid payload hex", line=line, offset=offset, row=row)
+        raise LogParseError("invalid payload hex" + where, row=row)
     if len(text) % 2:
-        raise LogParseError("odd payload hex length", line=line, offset=offset, row=row)
+        raise LogParseError("odd payload hex length" + where, row=row)
     if len(text) > 2 * MAX_PAYLOAD_BYTES:
-        raise LogParseError("payload longer than 8 bytes", line=line, offset=offset, row=row)
+        raise LogParseError("payload longer than 8 bytes" + where, row=row)
     return bytes.fromhex(text)
 
 
 def _candump_strict(text: str) -> tuple[np.ndarray, ...] | None:
     """Columns of a batch text whose lines all match ``_CANDUMP_STRICT_RE``
     and hold finite timestamps and in-range ids; else None."""
-    rest, count = _CANDUMP_STRICT_RE.subn("", text)
-    if rest:
+    if _CANDUMP_STRICT_RE.sub("", text):
         return None
     tokens = text.split()  # "(ts)", interface, "ID#DATA" per line
-    stamps = "".join(tokens[0::3])[1:-1].split(")(")
-    times = np.fromiter(map(float, stamps), dtype=np.float64, count=count)
     fields = "#".join(tokens[2::3]).split("#")
-    id_texts = fields[0::2]
-    ids = _convert_distinct(id_texts, functools.partial(int, base=16), np.int64)
-    extended = np.fromiter(map(len, id_texts), dtype=np.uint8, count=count) > 3
-    if (not np.isfinite(times).all()
-            or (ids > np.where(extended, CAN_EFF_MAX, CAN_SFF_MAX)).any()):
-        return None
-    return (times, ids, extended, *_hex_payloads(fields[1::2]))
+    return _strict_columns("".join(tokens[0::3])[1:-1].split(")("), fields[0::2],
+                           _candump_id, fields[1::2])
 
 
 def _candump_lines(lines: list[str], first_row: int) -> tuple[np.ndarray, ...]:
@@ -334,7 +328,7 @@ def _candump_lines(lines: list[str], first_row: int) -> tuple[np.ndarray, ...]:
         try:
             rows.append(_candump_fields(line))
         except LogParseError as err:
-            raise LogParseError(str(err), line=line, row=lineno) from err
+            raise LogParseError(str(err), row=lineno) from err
     return _columns(rows)
 
 
@@ -345,14 +339,7 @@ def read_candump(stream: Iterable[str]) -> CanLog:
     fills the columns at once, any other batch goes line by line, so errors
     carry the 1-based line number within the whole stream.
     """
-    parts = []
-    row = 1
-    for batch in _batches(iter(stream)):
-        text = _batch_text(batch)
-        columns = None if text is None else _candump_strict(text)
-        parts.append(_candump_lines(batch, row) if columns is None else columns)
-        row += len(batch)
-    return _assemble(parts)
+    return _read(iter(stream), _candump_strict, _candump_lines)
 
 
 def _csv_layout(header: list[str]) -> tuple[int, int, int, int | None, int]:
@@ -366,46 +353,24 @@ def _csv_layout(header: list[str]) -> tuple[int, int, int, int | None, int]:
             columns.get("dlc"), len(header))
 
 
-def _csv_strict_re(layout: tuple[int, int, int, int | None, int]) -> re.Pattern:
-    """One whole data line per match: unsigned decimal timestamps, 0x-hex or
-    decimal ids of at most 8 or 10 digits, a one-digit dlc, whole payload
-    bytes without a prefix, and other columns of at most 256 characters
-    free of quotes, commas, NULs and line breaks."""
-    ts_idx, id_idx, payload_idx, dlc_idx, width = layout
-    fields = [r'[^,"\r\n\x00]{0,256}'] * width
-    fields[ts_idx] = r"[0-9]+(?:\.[0-9]+)?"
-    fields[id_idx] = r"(?:0[xX][0-9A-Fa-f]{1,8}|[0-9]{1,10})"
-    if dlc_idx is not None:
-        fields[dlc_idx] = "[0-8]"
-    fields[payload_idx] = "(?:[0-9A-Fa-f]{2}){0,8}"
-    return re.compile(",".join(fields) + "\n")
+def _csv_id(text: str) -> tuple[int, bool]:
+    """A strict CSV id and whether it is extended: above the 11-bit range."""
+    can_id = int(text[2:], 16) if text[:2] in ("0x", "0X") else int(text)
+    return can_id, can_id > CAN_SFF_MAX
 
 
-def _csv_id(text: str) -> int:
-    return int(text[2:], 16) if text[:2] in ("0x", "0X") else int(text)
-
-
-def _csv_strict(text: str, layout: tuple[int, int, int, int | None, int],
-                strict: re.Pattern) -> tuple[np.ndarray, ...] | None:
-    """Columns of a batch text whose lines all match ``strict`` and hold
-    finite timestamps, in-range ids and a dlc equal to the payload length;
-    else None."""
-    rest, count = strict.subn("", text)
-    if rest:
+def _csv_strict(text: str) -> tuple[np.ndarray, ...] | None:
+    """Columns of a batch text under the written header whose lines all
+    match ``_CSV_STRICT_RE`` and hold finite timestamps, in-range ids and a
+    dlc equal to the payload length; else None."""
+    if _CSV_STRICT_RE.sub("", text):
         return None
-    ts_idx, id_idx, payload_idx, dlc_idx, width = layout
     fields = text.replace("\n", ",").split(",")[:-1]  # the text ends in a newline
-    times = np.fromiter(map(float, fields[ts_idx::width]), dtype=np.float64, count=count)
-    ids = _convert_distinct(fields[id_idx::width], _csv_id, np.int64)
-    dlc, payload = _hex_payloads(fields[payload_idx::width])
-    if not np.isfinite(times).all() or (ids > CAN_EFF_MAX).any():
+    columns = _strict_columns(fields[0::4], fields[1::4], _csv_id, fields[3::4])
+    stated = np.frombuffer("".join(fields[2::4]).encode("ascii"), dtype=np.uint8) - ord("0")
+    if columns is None or not np.array_equal(stated, columns[3]):
         return None
-    if dlc_idx is not None:
-        stated = np.frombuffer("".join(fields[dlc_idx::width]).encode("ascii"),
-                               dtype=np.uint8) - ord("0")
-        if not np.array_equal(stated, dlc):
-            return None
-    return times, ids, ids > CAN_SFF_MAX, dlc, payload
+    return columns
 
 
 def _csv_rows(lines: Iterable[str], layout: tuple[int, int, int, int | None, int],
@@ -463,10 +428,11 @@ def parse_csv_log(stream: Iterable[str]) -> CanLog:
     length. The payload may carry a ``0x`` prefix. Errors carry the 1-based
     data row number.
 
-    Data lines are parsed in batches of ``CHUNK_LINES``. Batches of strict
-    lines fill the columns at once; from the first batch that is not, the
-    rest of the stream goes through the CSV reader record by record, because
-    a quoted field may span lines.
+    Under the header that :func:`write_csv_log` writes, data lines are
+    parsed in batches of ``CHUNK_LINES``, and batches of strict lines fill
+    the columns at once. From the first batch that is not, and under any
+    other header from the start, the rest of the stream goes through the CSV
+    reader record by record, because a quoted field may span lines.
     """
     import csv
 
@@ -478,18 +444,9 @@ def parse_csv_log(stream: Iterable[str]) -> CanLog:
     except csv.Error as err:
         raise LogParseError(f"malformed header row: {err}") from None
     layout = _csv_layout(header)
-    strict = _csv_strict_re(layout)
-    parts = []
-    row = 1
-    for batch in _batches(lines):
-        text = _batch_text(batch)
-        columns = None if text is None else _csv_strict(text, layout, strict)
-        if columns is None:
-            parts.append(_csv_rows(itertools.chain(batch, lines), layout, row))
-            break
-        parts.append(columns)
-        row += len(batch)
-    return _assemble(parts)
+    strict = _csv_strict if header == list(CSV_HEADER) else (lambda text: None)
+    return _read(lines, strict,
+                 lambda batch, row: _csv_rows(itertools.chain(batch, lines), layout, row))
 
 
 def write_csv_log(log: CanLog, sink: IO[str]) -> None:
@@ -510,15 +467,9 @@ def write_csv_log(log: CanLog, sink: IO[str]) -> None:
 def load_log(path: str) -> CanLog:
     """Read a traffic log file, sniffing candump vs CSV from the first line."""
     with open(path, "r", encoding="utf-8") as f:
-        head = ""
-        for line in f:
-            if line.strip():
-                head = line.lstrip()
-                break
-    with open(path, "r", encoding="utf-8") as f:
-        if head.startswith("("):
-            return read_candump(f)
-        return parse_csv_log(f)
+        head = next((line.lstrip() for line in f if line.strip()), "")
+        f.seek(0)
+        return read_candump(f) if head.startswith("(") else parse_csv_log(f)
 
 
 def save_log(log: CanLog, path: str) -> None:

@@ -176,6 +176,8 @@ def segment_windows(log: CanLog, length: float, stride: float | None = None) -> 
 
     t_first, t_last = log.span
     count = np.floor((t_last - t_first) / stride) + 1
+    if t_first + count * stride <= t_last:  # the quotient rounded down past a grid point
+        count += 1
     if count > MAX_WINDOWS:
         raise ValueError(f"a {t_last - t_first:g} s log at a {stride:g} s stride "
                          f"needs {count:.0f} windows, more than {MAX_WINDOWS}")

@@ -221,7 +221,8 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
 
     inner = svdd_fit(Z @ Q.T, C, LINEAR)
     params = {"d": d, "C": float(C), "beta": beta, "psi": psi, "eta": eta,
-              "iterations": iterations, "q_init": q_init, "seed": seed,
+              "iterations": iterations, "q_init": q_init,
+              "seed": seed if q_init == "random" else None,  # only that start reads it
               "kernel": asdict(kernel)}
     steps = (Projection(Q),) if npt is None else (npt, Projection(Q))
     return replace(inner, family="ssvdd", params=params, scaler=scaler,

@@ -11,7 +11,7 @@ from canoc import (AttackScenario, CanFrame, CanLog, LogParseError, apply_scaler
                    label_windows, parse_candump_line, parse_csv_log, score_samples,
                    segment_windows, write_csv_log)
 from canoc import canlog
-from canoc.canlog import COLUMNS, load_log, read_candump, save_log
+from canoc.canlog import COLUMNS, CSV_HEADER, load_log, read_candump, save_log
 from canoc.simulate import default_bus, generate_normal
 
 
@@ -364,11 +364,13 @@ CSV_MUTANTS = (
 
 @given(st.permutations(("timestamp", "id", "dlc", "payload", "note")),
        st.sets(st.sampled_from(("dlc", "note"))),
+       st.booleans(),
        st.lists(FRAME_FIELDS, max_size=16),
        st.lists(st.tuples(st.integers(0, 16), st.sampled_from(CSV_MUTANTS)), max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_chunked_csv_reader_matches_line_reader(order, dropped, frames, mutants):
-    header = [name for name in order if name not in dropped]
+def test_chunked_csv_reader_matches_line_reader(order, dropped, written, frames, mutants):
+    # half the examples take the written header, the only one with a batch path
+    header = list(CSV_HEADER) if written else [name for name in order if name not in dropped]
     rows = [{"timestamp": f"{t // 10 ** 6}.{t % 10 ** 6:06d}", "id": f"0x{i:X}",
              "dlc": str(len(p)), "payload": p.hex().upper(), "note": "n"}
             for t, i, p in frames]
@@ -380,6 +382,17 @@ def test_chunked_csv_reader_matches_line_reader(order, dropped, frames, mutants)
             rows[pos][name] = value
             lines[pos] = ",".join(rows[pos][n] for n in header) + "\n"
     assert_readers_agree(parse_csv_log, ",".join(header) + "\n" + "".join(lines))
+
+
+def test_csv_batch_path_runs_only_under_the_written_header():
+    expected = CanLog.from_frames([CanFrame(1.0, 0x100, b"\xab")])
+    for text, calls in (("timestamp,id,dlc,payload\n1.0,0x100,1,AB\n", 1),
+                        ("id,timestamp,dlc,payload\n0x100,1.0,1,AB\n", 0),
+                        ("timestamp,id,dlc,payload,note\n1.0,0x100,1,AB,n\n", 0),
+                        ("timestamp,id,payload\n1.0,0x100,AB\n", 0)):
+        with mock.patch.object(canlog, "_csv_strict", wraps=canlog._csv_strict) as strict:
+            assert parse_csv_log(io.StringIO(text)) == expected
+        assert strict.call_count == calls, text
 
 
 def test_readers_take_each_stream_element_as_one_line():

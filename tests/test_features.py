@@ -161,6 +161,7 @@ def test_segment_sliding_stride():
                 min_size=1, max_size=200),
        st.floats(min_value=0.1, max_value=5.0, allow_nan=False))
 @settings(max_examples=100, deadline=None)
+@example(times=[2.0, 0.1], length=0.1)  # 1.9 / 0.1 rounds down to 18.999...
 def test_segment_assignment_conservation(times, length):
     # brute-force oracle: every frame lands in exactly one window, and window
     # boundaries tile the span (window k ends where window k+1 starts)
@@ -171,6 +172,18 @@ def test_segment_assignment_conservation(times, length):
         upper = windows[k + 1].start if k + 1 < len(windows) else np.inf
         for f in w.frames:
             assert w.start <= f.timestamp < upper
+
+
+def test_sliding_windows_start_at_every_grid_point_up_to_the_last_frame():
+    # the same rounding as the example above: the grid point 0.1 + 19 * 0.1
+    # equals the last timestamp, so a window starts there
+    log = make_log([(0.1, 1), (2.0, 1)])
+    for length, stride in ((0.1, 0.05), (0.2, 0.1), (0.3, 0.1)):
+        windows = segment_windows(log, length, stride=stride)
+        grid = 0.1 + np.arange(len(windows) + 1) * stride
+        assert [w.start for w in windows] == grid[:-1].tolist()
+        assert grid[-1] > 2.0 and windows[-1].start == 2.0
+        assert windows[-1].partial and len(windows[-1].frames) == 1
 
 
 def test_segment_60s_synthetic_conservation():

@@ -92,6 +92,15 @@ def test_every_family_records_each_of_its_hyperparameters(rng):
     assert len({score_samples(model, X).tobytes() for model in models}) == 3
 
 
+def test_ssvdd_seed_enters_the_config_hash_only_for_the_random_start(rng):
+    X = rng.standard_normal((40, 6))
+    for q_init, distinct in (("pca", 1), ("random", 2)):
+        models = [fit_model("ssvdd", X, d=2, iterations=3, C=0.1, q_init=q_init, seed=seed)
+                  for seed in (1, 2)]
+        assert len({config_digest(model) for model in models}) == distinct, q_init
+        assert len({score_samples(model, X).tobytes() for model in models}) == distinct
+
+
 def test_family_params_are_exactly_the_fitter_keywords():
     # every setting a fitter takes is reachable through fit_model; the CLI
     # has a flag for each but ssvdd's q_init and seed
