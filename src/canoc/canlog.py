@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -193,13 +194,18 @@ def _assemble(parts: list[tuple[np.ndarray, ...]]) -> CanLog:
     return CanLog(*columns)
 
 
+_LAST_CHAR = operator.itemgetter(slice(-1, None))  # "" for an empty string
+
+
 def _read(lines: Iterator[str], strict, slow) -> CanLog:
     """One log from a stream of lines, parsed in batches of ``CHUNK_LINES``.
 
-    A batch whose elements are each one whole line goes to ``strict(text)``
-    with the lines joined; when that returns None, or the batch is not such
-    lines, ``slow(batch, first_row)`` parses it and may take more of
-    ``lines``. Either returns the batch's columns.
+    A batch whose elements all end in a newline, but perhaps the last, goes
+    to ``strict(text)`` joined, and the columns it returns, one row per line
+    of the text, are kept when they hold one row per element: then each
+    element is one whole line. Otherwise ``slow(batch, first_row)`` parses
+    the batch and may take more of ``lines``. Either returns the batch's
+    columns.
     """
     parts = []
     row = 1
@@ -207,47 +213,131 @@ def _read(lines: Iterator[str], strict, slow) -> CanLog:
         text = "".join(batch)
         if not text.endswith("\n"):
             text += "\n"
-        columns = None
-        if (text.count("\n") == len(batch)
-                and all(map(str.endswith, batch[:-1], itertools.repeat("\n")))):
-            columns = strict(text)
-        parts.append(slow(batch, row) if columns is None else columns)
+        columns = strict(text) if set(map(_LAST_CHAR, batch[:-1])) <= {"\n"} else None
+        if columns is None or len(columns[0]) != len(batch):
+            columns = slow(batch, row)
+        parts.append(columns)
         row += len(batch)
     return _assemble(parts)
 
 
-def _strict_columns(stamps: list[str], id_texts: list[str], parse_id,
-                    payloads: list[str]) -> tuple[np.ndarray, ...] | None:
-    """Log columns of a strict batch's field texts: unsigned decimal
-    timestamps, id texts that ``parse_id`` turns into (id, extended), once per
-    distinct text, and even-length hex payloads of at most 8 bytes. None when
-    a timestamp is not finite or an id is out of range for its addressing."""
-    index = {text: k for k, text in enumerate(dict.fromkeys(id_texts))}
-    distinct = np.array([parse_id(text) for text in index], dtype=np.int64)
-    at = np.fromiter(map(index.__getitem__, id_texts), dtype=np.intp, count=len(id_texts))
-    ids, extended = distinct[at, 0], distinct[at, 1].astype(np.bool_)
-    times = np.fromiter(map(float, stamps), dtype=np.float64, count=len(stamps))
-    if (not np.isfinite(times).all()
+# byte -> hex digit value, 255 for a byte that is not a hex digit
+_HEX = np.full(256, 255, dtype=np.uint8)
+_HEX[np.frombuffer(b"0123456789ABCDEFabcdef", dtype=np.uint8)] = [*range(16), *range(10, 16)]
+# exact doubles: 10**18 = 2**18 * 5**18 and 5**18 < 2**53
+_POW10 = (10 ** np.arange(19)).astype(np.float64)
+# Digit sums of nonnegative terms are exact doubles while below 2**53, and
+# one that reaches 2**53 stays at or above it. Below 2**53, a timestamp's
+# digits N and a power of ten up to 1e22 are exact doubles, so one division
+# gives the double nearest the decimal text, as float() does.
+_EXACT = 2.0 ** 53
+# zero bytes around a batch's bytes, so that every window read below (at
+# most 19 bytes from a field's edge) stays inside them
+_PAD = 20
+# row k: the first k, or the last k, of _PAD cells
+_FIRST = np.arange(_PAD) < np.arange(_PAD + 1)[:, None]
+_LAST = _FIRST[:, ::-1].copy()
+
+
+def _lines(text: str, sep: str, count: int):
+    """(padded bytes, line starts, newline positions, [n, count] separator
+    positions) of a batch text of printable ASCII lines, each ending in a
+    newline and holding ``count`` ``sep`` bytes after its first byte; else
+    None. Positions index the padded bytes."""
+    try:
+        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    ends = np.flatnonzero(raw == 10)
+    n = ends.shape[0]
+    # newlines are the only bytes outside " " to "~" (uint8 arithmetic wraps)
+    if not n or raw[-1] != 10 or np.count_nonzero(raw - 32 > 94) != n:
+        return None
+    seps = np.flatnonzero(raw == ord(sep))
+    if seps.shape[0] != count * n:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    seps = seps.reshape(n, count)
+    # sorted positions: each line's first and last separator bound the others
+    if (seps[:, 0] <= starts).any() or (seps[:, -1] > ends).any():
+        return None
+    pad = np.zeros(_PAD, dtype=np.uint8)
+    return np.concatenate((pad, raw, pad)), starts + _PAD, ends + _PAD, seps + _PAD
+
+
+def _windows(raw: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
+    """[n, width] copy of the bytes ``raw[lo:lo + width]`` of each line."""
+    return np.lib.stride_tricks.sliding_window_view(raw, width)[lo]
+
+
+def _first(raw: np.ndarray, byte: str, lo: np.ndarray, hi: np.ndarray, span: int) -> np.ndarray:
+    """Per line, the position of the first ``byte`` in ``raw[lo:min(hi, lo + span)]``,
+    else ``hi``."""
+    at = lo + (_windows(raw, lo, span) == ord(byte)).argmax(axis=1)
+    return np.where((raw[at] == ord(byte)) & (at < hi), at, hi)
+
+
+def _number(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int, most: int):
+    """Per line, the value of the digit field ``raw[lo:hi]`` in ``base``; None
+    when a field is longer than ``most`` or holds a byte that is not a digit
+    of its base."""
+    width = hi - lo
+    w = int(width.max(initial=0))
+    if w > most:
+        return None
+    # right-aligned, so that each column has one weight; cells before a
+    # field's first byte are padding
+    cells = _HEX.take(_windows(raw, hi - w, w))
+    cells *= _LAST.take(width, axis=0)[:, _PAD - w:]
+    if cells.max(initial=0) >= base:
+        return None
+    return cells @ float(base) ** np.arange(w - 1, -1, -1)
+
+
+def _times(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """Per line, the timestamp ``raw[lo:hi]``: digits with at most one ``.``,
+    read exactly when they make an integer below 2**53; else None."""
+    dot = _first(raw, ".", lo, hi, _PAD - 1)
+    frac_lo = np.minimum(dot + 1, hi)
+    decimals = hi - frac_lo
+    if (dot - lo + decimals < 1).any():  # no digit
+        return None
+    whole, frac = _number(raw, lo, dot, 10, 18), _number(raw, frac_lo, hi, 10, 18)
+    if whole is None or frac is None:
+        return None
+    scale = _POW10[decimals]
+    scaled = whole * scale + frac
+    if (scaled >= _EXACT).any():
+        return None
+    return scaled / scale
+
+
+def _payload(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(dlc, [n, 8] payload) of the hex fields ``raw[lo:hi]``, whole bytes
+    and at most 8; else None."""
+    width = hi - lo
+    if (width % 2).any() or (width > 2 * MAX_PAYLOAD_BYTES).any():
+        return None
+    cells = _HEX.take(_windows(raw, lo, 2 * MAX_PAYLOAD_BYTES))
+    cells *= _FIRST.take(width, axis=0)[:, :2 * MAX_PAYLOAD_BYTES]
+    if cells.max(initial=0) > 15:
+        return None
+    pairs = cells.view("<u2")  # a byte's high nibble, then its low one
+    return (width // 2).astype(np.uint8), (pairs << 4 | pairs >> 8).astype(np.uint8)
+
+
+def _batch_columns(times, ids, extended, payload) -> tuple[np.ndarray, ...] | None:
+    """Log columns of converted fields, or None when a conversion failed or
+    an id is out of range for its addressing."""
+    if (times is None or ids is None or payload is None
             or (ids > np.where(extended, CAN_EFF_MAX, CAN_SFF_MAX)).any()):
         return None
-    dlc = np.fromiter(map(len, payloads), dtype=np.uint8, count=len(payloads)) // 2
-    return times, ids, extended, dlc, _payload_matrix(dlc, bytes.fromhex("".join(payloads)))
+    return (times, ids.astype(np.int64), extended, *payload)
 
 
 _CANDUMP_RE = re.compile(
     r"^\s*\((?P<ts>[^)]*)\)\s+(?P<chan>\S+)\s+(?P<id>[^#\s]*)#(?P<data>\S*)\s*$"
 )
-# A strict subset of the candump grammar, one whole line per match: single
-# spaces, an ASCII interface name, a 1-8 digit hex id and whole payload bytes.
-# A batch that these matches tile parses field by field with the same values
-# that parse_candump_line gives; any other batch goes line by line.
-_CANDUMP_STRICT_RE = re.compile(
-    r"\([0-9]+\.[0-9]+\) [!-~]+ [0-9A-Fa-f]{1,8}#(?:[0-9A-Fa-f]{2}){0,8}\n")
-# The same for CSV data lines under the header that write_csv_log writes:
-# unsigned decimal timestamps, 0x-hex or decimal ids of at most 8 or 10
-# digits, a one-digit dlc and whole payload bytes without a prefix.
-_CSV_STRICT_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?,(?:0[xX][0-9A-Fa-f]{1,8}|[0-9]{1,10}),"
-                            r"[0-8],(?:[0-9A-Fa-f]{2}){0,8}\n")
 # field grammars, ASCII only: float() and int() alone would also take "1_0"
 # and non-ASCII digits
 _TIMESTAMP_RE = re.compile(r"\s*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\s*",
@@ -309,14 +399,22 @@ def _parse_payload_hex(text: str, where: str = "", row: int | None = None) -> by
 
 
 def _candump_strict(text: str) -> tuple[np.ndarray, ...] | None:
-    """Columns of a batch text whose lines all match ``_CANDUMP_STRICT_RE``
-    and hold finite timestamps and in-range ids; else None."""
-    if _CANDUMP_STRICT_RE.sub("", text):
+    """Columns of a batch text of candump lines in a strict form of the
+    format, ``(<timestamp>) <interface> <id>#<data>`` with single spaces, a
+    printable ASCII interface, a timestamp that ``_times`` reads, a 1-8 digit
+    hex id in range and whole payload bytes; else None."""
+    lines = _lines(text, " ", 2)
+    if lines is None:
         return None
-    tokens = text.split()  # "(ts)", interface, "ID#DATA" per line
-    fields = "#".join(tokens[2::3]).split("#")
-    return _strict_columns("".join(tokens[0::3])[1:-1].split(")("), fields[0::2],
-                           _candump_id, fields[1::2])
+    raw, starts, ends, seps = lines
+    iface, tail = seps.T  # the spaces before the interface and before the id
+    hashes = _first(raw, "#", tail + 2, ends, 8)  # after a 1-8 digit id
+    if ((raw[starts] != ord("(")) | (raw[iface - 1] != ord(")")) | (tail - iface < 2)
+            | (hashes == ends)).any():
+        return None
+    # more than 3 id digits is extended, as in _candump_id
+    return _batch_columns(_times(raw, starts + 1, iface - 1), _number(raw, tail + 1, hashes, 16, 8),
+                          hashes - tail > 4, _payload(raw, hashes + 1, ends))
 
 
 def _candump_lines(lines: list[str], first_row: int) -> tuple[np.ndarray, ...]:
@@ -353,24 +451,41 @@ def _csv_layout(header: list[str]) -> tuple[int, int, int, int | None, int]:
             columns.get("dlc"), len(header))
 
 
-def _csv_id(text: str) -> tuple[int, bool]:
-    """A strict CSV id and whether it is extended: above the 11-bit range."""
-    can_id = int(text[2:], 16) if text[:2] in ("0x", "0X") else int(text)
-    return can_id, can_id > CAN_SFF_MAX
-
-
 def _csv_strict(text: str) -> tuple[np.ndarray, ...] | None:
-    """Columns of a batch text under the written header whose lines all
-    match ``_CSV_STRICT_RE`` and hold finite timestamps, in-range ids and a
-    dlc equal to the payload length; else None."""
-    if _CSV_STRICT_RE.sub("", text):
+    """Columns of a batch text of CSV lines under the written header in a
+    strict form, ``<timestamp>,<id>,<dlc>,<payload>`` with a timestamp that
+    ``_times`` reads, an id of 1-10 0x-hex or decimal digits in range, a
+    one-digit dlc equal to the payload length and whole payload bytes
+    without a prefix; else None."""
+    lines = _lines(text, ",", 3)
+    if lines is None:
         return None
-    fields = text.replace("\n", ",").split(",")[:-1]  # the text ends in a newline
-    columns = _strict_columns(fields[0::4], fields[1::4], _csv_id, fields[3::4])
-    stated = np.frombuffer("".join(fields[2::4]).encode("ascii"), dtype=np.uint8) - ord("0")
-    if columns is None or not np.array_equal(stated, columns[3]):
+    raw, starts, ends, seps = lines
+    id_sep, dlc_sep, payload_sep = seps.T  # the commas before each field
+    hexid = (raw[id_sep + 1] == ord("0")) & ((raw[id_sep + 2] | 0x20) == ord("x"))
+    id_lo = id_sep + 1 + 2 * hexid
+    ids = _number(raw, id_lo, dlc_sep, 16, 10)
+    decimal = ~hexid
+    if ids is not None and decimal.any():
+        values = _number(raw, id_lo[decimal], dlc_sep[decimal], 10, 10)
+        if values is None:
+            return None
+        ids[decimal] = values
+    payload = _payload(raw, payload_sep + 1, ends)
+    if (ids is None or payload is None
+            or ((dlc_sep - id_lo < 1) | (payload_sep - dlc_sep != 2)
+                | (raw[dlc_sep + 1] - ord("0") != payload[0])).any()):
         return None
-    return columns
+    return _batch_columns(_times(raw, starts, id_sep), ids, ids > CAN_SFF_MAX, payload)
+
+
+def _decimal(text: str, name: str, row: int) -> int:
+    """The value of a decimal field; one with more significant digits than
+    int() converts is far beyond any CAN id or dlc."""
+    try:
+        return int(text.strip().lstrip("0") or "0")
+    except ValueError:
+        raise LogParseError(f"{name} out of range", row=row) from None
 
 
 def _csv_rows(lines: Iterable[str], layout: tuple[int, int, int, int | None, int],
@@ -399,7 +514,7 @@ def _csv_rows(lines: Iterable[str], layout: tuple[int, int, int, int | None, int
         m = _CSV_ID_RE.fullmatch(fields[id_idx])
         if m is None:
             raise LogParseError("invalid id", row=rownum)
-        can_id = int(m["hex"], 16) if m["hex"] else int(m["dec"])
+        can_id = int(m["hex"], 16) if m["hex"] else _decimal(m["dec"], "id", rownum)
         payload_text = fields[payload_idx].strip()
         if payload_text[:2] in ("0x", "0X"):
             payload_text = payload_text[2:]
@@ -407,7 +522,7 @@ def _csv_rows(lines: Iterable[str], layout: tuple[int, int, int, int | None, int
         if dlc_idx is not None:
             if not _DLC_RE.fullmatch(fields[dlc_idx]):
                 raise LogParseError("invalid dlc", row=rownum)
-            dlc = int(fields[dlc_idx])
+            dlc = _decimal(fields[dlc_idx], "dlc", rownum)
             if dlc != len(payload):
                 raise LogParseError(
                     f"dlc {dlc} does not match payload length {len(payload)}", row=rownum)

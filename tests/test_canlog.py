@@ -412,3 +412,85 @@ def test_bad_line_deep_in_the_stream_reports_its_row(reader, good, bad, header):
     with pytest.raises(LogParseError, match="odd payload hex length") as err:
         reader(io.StringIO(text))
     assert err.value.row == row
+
+
+# --- the batch pass against the line path at its edges ------------------------
+
+def _candump(*lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _csv_log(*lines):
+    return _candump(",".join(CSV_HEADER), *lines)
+
+
+# around 2**53 = 9007199254740992 in 16 and 17 digits, and 0 and 22 decimals
+TIMESTAMPS = ("9007199254740991", "9007199254740992", "9007199254740993",
+              "900719925474099.1", "900719925474099.3", "90071992547409.95",
+              "0.9007199254740991", "0.9007199254740993", "09007199254740991",
+              "12345678901234567", "1234567890123456.7", "7", "7.", ".5",
+              "0.0000000000000000000001", "1.0000000000000000000001")
+
+
+@pytest.mark.parametrize("reader, text", [
+    *[(read_candump, _candump(f"({ts}) can0 100#00")) for ts in TIMESTAMPS],
+    *[(parse_csv_log, _csv_log(f"{ts},0x100,1,00")) for ts in TIMESTAMPS],
+    *[(read_candump, _candump(f"(1.0) can0 {cid}#00"))
+      for cid in ("7FF", "800", "FFF", "0800", "1FFFFFFF", "20000000", "01FFFFFFF")],
+    *[(parse_csv_log, _csv_log(f"1.0,{cid},1,00")) for cid in
+      ("2047", "2048", "536870911", "536870912", "0x7FF", "0x800", "0x1FFFFFFF", "0x20000000",
+       "0x01FFFFFFF", "0x0000000100", "00000000256")],
+    # a field missing or empty, or a wrong bracket
+    *[(read_candump, _candump(line)) for line in
+      ("(1.0)  100#00", "1.0) can0 100#00", "(1.0] can0 100#00", "() can0 100#00",
+       "(.) can0 100#00", "(1.0) can0 #00")],
+    *[(parse_csv_log, _csv_log(line)) for line in
+      (",0x100,1,00", ".,0x100,1,00", "1.0,,0,", "1.0,12A,1,00", "1.0,7ff,1,00")],
+    (read_candump, _candump("(1.0) can0 100#", "(2.0) can0 100#0011223344556677")),
+    (parse_csv_log, _csv_log("1.0,0x100,0,", "2.0,0x100,8,0011223344556677")),
+    (read_candump, _candump("(1.0) can0 100#001122334455667788")),
+    (parse_csv_log, _csv_log("1.0,0x100,9,001122334455667788")),
+    (parse_csv_log, _csv_log("1.0,0x100,01,")),
+    *[(read_candump, _candump(f"(1.5) {iface} 100#00", f"(2.5) {iface} 1FFFFFFF#AB"))
+      for iface in ("can#0", "can(0", "can)0", "can.0", "#", "(", ")", ".")],
+    # CHUNK_LINES is 3: the last batch is one line without its final newline
+    (read_candump, _candump(*[f"({k}.0) can0 100#00" for k in range(4)])[:-1]),
+    (read_candump, "(1.0) can0 100#00"),
+    (parse_csv_log, _csv_log(*[f"{k}.0,0x100,1,00" for k in range(4)])[:-1]),
+    (parse_csv_log, _csv_log("1.0,0x100,1,00")[:-1]),
+])
+def test_batch_pass_matches_line_path_at_its_edges(reader, text):
+    assert_readers_agree(reader, text)
+
+
+def test_batch_pass_covers_mixed_traffic_and_written_logs():
+    # real traffic mixes payload lengths by id, id widths and interfaces
+    frames = [CanFrame(k / 8, can_id, bytes(range(k % 9)), extended)
+              for k, (can_id, extended) in enumerate(((0x1F4, False), (0x18FEF100, True)) * 18)]
+    lines = [f"({f.timestamp:.6f}) {'vcan1' if k % 3 else 'can0'} "
+             f"{f.can_id:0{8 if f.extended else 3}X}#{f.payload.hex()}\n"
+             for k, f in enumerate(frames)]
+    with mock.patch.object(canlog, "_candump_lines", wraps=canlog._candump_lines) as slow:
+        assert read_candump(lines) == CanLog.from_frames(frames)
+    assert slow.call_count == 0
+    log = CanLog.from_frames(frames + list(generate_normal(default_bus(5.0, seed=3))))
+    sink = io.StringIO()
+    write_csv_log(log, sink)
+    with mock.patch.object(canlog, "_csv_rows", wraps=canlog._csv_rows) as slow:
+        assert len(parse_csv_log(io.StringIO(sink.getvalue()))) == len(log)
+        # a whole-second timestamp followed by one with decimals
+        assert len(parse_csv_log(_csv(_csv_log("7,0x100,1,AB", "7.5,0x100,1,AB")))) == 2
+    assert slow.call_count == 0
+
+
+@pytest.mark.parametrize("field", ["id", "dlc"])
+def test_csv_decimal_beyond_int_digit_limit_is_a_row_error(field):
+    row = {"id": "0x100", "dlc": "1"}
+    row[field] = "9" * 5000
+    with pytest.raises(LogParseError, match=f"{field} out of range") as err:
+        parse_csv_log(_csv(_csv_log("0.0,0x1,0,", f"1.0,{row['id']},{row['dlc']},AB")))
+    assert err.value.row == 2
+    # leading zeros do not count: the value decides
+    row[field] = "0" * 5000 + "1"
+    log = parse_csv_log(_csv(_csv_log(f"1.0,{row['id']},{row['dlc']},AB")))
+    assert (log.ids[0], log.dlc[0]) == ((1 if field == "id" else 0x100), 1)
