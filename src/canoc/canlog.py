@@ -454,26 +454,20 @@ def _csv_layout(header: list[str]) -> tuple[int, int, int, int | None, int]:
 def _csv_strict(text: str) -> tuple[np.ndarray, ...] | None:
     """Columns of a batch text of CSV lines under the written header in a
     strict form, ``<timestamp>,<id>,<dlc>,<payload>`` with a timestamp that
-    ``_times`` reads, an id of 1-10 0x-hex or decimal digits in range, a
-    one-digit dlc equal to the payload length and whole payload bytes
-    without a prefix; else None."""
+    ``_times`` reads, an id of ``0x`` and 1-8 hex digits in range, as
+    :func:`write_csv_log` writes it, a one-digit dlc equal to the payload
+    length and whole payload bytes without a prefix; else None."""
     lines = _lines(text, ",", 3)
     if lines is None:
         return None
     raw, starts, ends, seps = lines
     id_sep, dlc_sep, payload_sep = seps.T  # the commas before each field
-    hexid = (raw[id_sep + 1] == ord("0")) & ((raw[id_sep + 2] | 0x20) == ord("x"))
-    id_lo = id_sep + 1 + 2 * hexid
-    ids = _number(raw, id_lo, dlc_sep, 16, 10)
-    decimal = ~hexid
-    if ids is not None and decimal.any():
-        values = _number(raw, id_lo[decimal], dlc_sep[decimal], 10, 10)
-        if values is None:
-            return None
-        ids[decimal] = values
+    if ((raw[id_sep + 1] != ord("0")) | ((raw[id_sep + 2] | 0x20) != ord("x"))).any():
+        return None
+    ids = _number(raw, id_sep + 3, dlc_sep, 16, 8)
     payload = _payload(raw, payload_sep + 1, ends)
     if (ids is None or payload is None
-            or ((dlc_sep - id_lo < 1) | (payload_sep - dlc_sep != 2)
+            or ((dlc_sep - id_sep < 4) | (payload_sep - dlc_sep != 2)
                 | (raw[dlc_sep + 1] - ord("0") != payload[0])).any()):
         return None
     return _batch_columns(_times(raw, starts, id_sep), ids, ids > CAN_SFF_MAX, payload)
@@ -515,6 +509,8 @@ def _csv_rows(lines: Iterable[str], layout: tuple[int, int, int, int | None, int
         if m is None:
             raise LogParseError("invalid id", row=rownum)
         can_id = int(m["hex"], 16) if m["hex"] else _decimal(m["dec"], "id", rownum)
+        if can_id > CAN_EFF_MAX:
+            raise LogParseError("id out of range", row=rownum)
         payload_text = fields[payload_idx].strip()
         if payload_text[:2] in ("0x", "0X"):
             payload_text = payload_text[2:]

@@ -3,13 +3,14 @@
 Exit codes: 0 ok/clean, 2 usage or input error, 3 contract violation
 (non-normal training rows), 4 anomaly detected. Every command is
 deterministic given its inputs and flags; ``simulate`` and ``inject`` draw
-from ``--seed``. A flat ``key = value`` config file can supply any flag;
-explicit flags win.
+from ``--seed``. A flat ``key = value`` config file can supply any optional
+flag, but not a required one; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -47,6 +48,11 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
+# a boolean flag's config value, in any case
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict:
     """Convert a config file into typed defaults for one subcommand."""
     actions = {}
@@ -60,7 +66,10 @@ def _config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict:
         if action is None:
             raise ValueError(f"unknown config key '{key}'")
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            value: object = text.lower() in ("1", "true", "yes", "on")
+            value: object = _BOOLEANS.get(text.lower())
+            if value is None:
+                raise ValueError(f"config key '{key}': {text!r} is not one of "
+                                 f"{'/'.join(_BOOLEANS)}")
         elif action.type is not None:
             value = action.type(text)
         else:
@@ -83,11 +92,8 @@ def _parse_bus(args: argparse.Namespace) -> simulate.BusSpec:
         ecus = tuple(simulate.EcuSpec(i, p, args.bus_jitter) for i, p in zip(ids, periods))
         return simulate.BusSpec(ecus, args.duration, args.seed)
     spec = simulate.default_bus(args.duration, args.seed)
-    if args.bus_jitter != simulate.DEFAULT_JITTER:
-        ecus = tuple(simulate.EcuSpec(e.can_id, e.period, args.bus_jitter)
-                     for e in spec.ids)
-        spec = simulate.BusSpec(ecus, args.duration, args.seed)
-    return spec
+    return dataclasses.replace(spec, ids=tuple(dataclasses.replace(e, jitter=args.bus_jitter)
+                                               for e in spec.ids))
 
 
 def _labels_path(args: argparse.Namespace) -> str:
@@ -134,7 +140,11 @@ def _load_spec(path: str) -> features.FeatureSpec:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    log = canlog.load_log(args.input)
+    if args.labels:
+        labeled = simulate.load_labeled(args.input, args.labels)
+        log = labeled.log
+    else:
+        log = canlog.load_log(args.input)
     if not len(log):
         raise ValueError(f"input log {args.input} is empty")
     if args.vocab:
@@ -144,13 +154,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         stride = args.window if args.stride is None else args.stride
         spec = features.FeatureSpec(vocab, args.window, stride, args.stdev_mode)
     windows = features.segment_windows(log, spec.window, spec.stride)
-    if args.labels:
-        with open(args.labels, "r", encoding="utf-8") as f:
-            frame_labels = simulate.read_labels(f)
-        labeled = simulate.LabeledLog(log, tuple(frame_labels))
-        window_labels = simulate.label_windows(labeled, windows)
-    else:
-        window_labels = [features.LABEL_NORMAL] * len(windows)
+    window_labels = simulate.label_windows(labeled, windows) if args.labels else None
     X, labels = features.extract_matrix(windows, spec.vocab, spec.stdev_mode,
                                         window_labels)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
@@ -161,10 +165,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
             f.write("\n")
     print(f"wrote {X.shape[0]} feature rows x {X.shape[1]} columns to {args.out}")
     return EXIT_OK
-
-
-def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
-    return KernelSpec(args.kernel, args.sigma)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -187,11 +187,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     if X.shape[0] < 2:
         raise ValueError("need at least 2 normal training rows")
     scaler = features.fit_scaler(X)
-    # every hyperparameter of the family whose flag is set (C from --c)
-    params = {key: getattr(args, key.lower()) for key in FAMILY_PARAMS[args.family]
-              if getattr(args, key.lower(), None) is not None}
+    # every hyperparameter whose flag is set (C from --c); fit_model rejects
+    # one that the family does not take
+    params = {key: getattr(args, key.lower()) for keys in FAMILY_PARAMS.values()
+              for key in keys if getattr(args, key.lower(), None) is not None}
     model = fit_model(args.family, features.apply_scaler(scaler, X),
-                      kernel=_kernel_from_args(args), scaler=scaler, **params)
+                      kernel=KernelSpec(args.kernel, args.sigma), scaler=scaler, **params)
     save_model(model, args.out, spec)
     print(f"trained {model_tag(model)} on {X.shape[0]} rows; wrote {args.out}")
     return EXIT_OK
@@ -222,9 +223,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     model, spec = load_model(args.model)
     if spec is None:
         raise ValueError("model file carries no vocabulary; re-train with this toolkit")
-    if model.scaler is not None and spec.vocab.dimension != model.scaler.mean.shape[0]:
-        raise ValueError(f"vocabulary dimension {spec.vocab.dimension} does not match "
-                         f"model dimension {model.scaler.mean.shape[0]}")
     log = canlog.load_log(args.input)
     if not len(log):
         raise ValueError(f"input log {args.input} is empty")

@@ -4,7 +4,7 @@ Anomaly is the positive class throughout."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
@@ -73,10 +73,7 @@ class EvalReport:
     config_hash: str = ""
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn,
-                "tpr": self.tpr, "tnr": self.tnr, "gmean": self.gmean,
-                "per_attack": dict(self.per_attack),
-                "model_tag": self.model_tag, "config_hash": self.config_hash}
+        return asdict(self)
 
 
 def _confusion(pred_anomaly: np.ndarray, true_anomaly: np.ndarray) -> tuple[int, int, int, int]:

@@ -82,6 +82,12 @@ class IdVocabulary:
         return names
 
 
+def _check_span(name: str, value: float) -> None:
+    """The one rule for a window length or stride."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Everything feature extraction depends on besides the log: a model
@@ -93,10 +99,8 @@ class FeatureSpec:
     stdev_mode: str = "gaps"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.window) and self.window > 0):
-            raise ValueError(f"window must be finite and > 0, got {self.window!r}")
-        if not (math.isfinite(self.stride) and self.stride > 0):
-            raise ValueError(f"stride must be finite and > 0, got {self.stride!r}")
+        _check_span("window", self.window)
+        _check_span("stride", self.stride)
         if self.stdev_mode not in STDEV_MODES:
             raise ValueError(f"stdev_mode must be one of {STDEV_MODES}, "
                              f"got {self.stdev_mode!r}")
@@ -165,12 +169,10 @@ def segment_windows(log: CanLog, length: float, stride: float | None = None) -> 
     sliding windows. The trailing window is kept and flagged partial.
     Raises when the span needs more than ``MAX_WINDOWS`` windows.
     """
-    if length <= 0:
-        raise ValueError("window length must be > 0")
+    _check_span("window", length)
     if stride is None:
         stride = length
-    if stride <= 0:
-        raise ValueError("window stride must be > 0")
+    _check_span("stride", stride)
     if not len(log):
         return []
 
@@ -284,13 +286,6 @@ def _blocks(windows: Sequence[Window], width: int) -> Iterable[tuple[int, int]]:
         yield lo, len(windows)
 
 
-def _check_extraction(length: float, stdev_mode: str) -> None:
-    if length <= 0:
-        raise ValueError("window length must be > 0")
-    if stdev_mode not in STDEV_MODES:
-        raise ValueError(f"stdev_mode must be one of {STDEV_MODES}")
-
-
 def extract_features(window: Window, vocab: IdVocabulary,
                      stdev_mode: str = "gaps") -> FeatureVector:
     """Compute the per-ID timing triples for one window: row 0 of
@@ -316,8 +311,10 @@ def extract_matrix(windows: Sequence[Window], vocab: IdVocabulary,
         labels = [LABEL_NORMAL] * len(windows)
     elif len(labels) != len(windows):
         raise ValueError("labels length must match windows")
+    if stdev_mode not in STDEV_MODES:
+        raise ValueError(f"stdev_mode must be one of {STDEV_MODES}")
     for length in dict.fromkeys(w.length for w in windows):
-        _check_extraction(length, stdev_mode)
+        _check_span("window", length)
     rows = np.empty((len(windows), vocab.dimension))
     for lo, hi in _blocks(windows, len(vocab.ids) + 1):
         rows[lo:hi] = _block_features(windows[lo:hi], vocab, stdev_mode)
@@ -396,6 +393,14 @@ def read_feature_csv(stream: Iterable[str]) -> tuple[np.ndarray, list[str], IdVo
     return X, labels, vocab
 
 
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number that a float holds; the
+    magnitude test also rejects an integer too large for a float, NaN and
+    the infinities."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 SPEC_KEYS = ("ids", "include_other_bucket", "window", "stride", "stdev_mode")
 
 
@@ -426,10 +431,7 @@ def spec_from_dict(doc, where: str) -> FeatureSpec:
     if not isinstance(doc["include_other_bucket"], bool):
         raise ValueError(f"{where}: include_other_bucket must be true or false")
     for key in ("window", "stride"):
-        value = doc[key]
-        # the magnitude test also catches an integer too large for a float
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or abs(value) > sys.float_info.max):
+        if not _is_number(doc[key]):
             raise ValueError(f"{where}: {key} must be a finite number")
     try:
         vocab = IdVocabulary(tuple(int(i, 16) for i in ids), doc["include_other_bucket"])

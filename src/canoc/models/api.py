@@ -16,7 +16,7 @@ from .whiten import esvdd_fit, geocsvm_fit, gesvdd_fit
 LABEL_ANOMALY = "anomaly"
 
 # the hyperparameters each family takes: fit_model rejects any other key,
-# and the CLI passes each key that has a flag of the same name (C from
+# and the CLI passes each key whose flag of the same name is set (C from
 # --c); q_init and seed have none, so the CLI's ssvdd starts from PCA
 FAMILY_PARAMS = {
     "svdd": ("C",),
@@ -63,8 +63,8 @@ def predict(model: Detector, X) -> np.ndarray:
 def fit_model(family: str, X, *, kernel: KernelSpec = LINEAR,
               scaler: Scaler | None = None, **params) -> Detector:
     """Train any family from a flat hyperparameter dict (the CLI's entry);
-    FAMILY_PARAMS lists the keys each family takes. C and nu default to
-    1.0 and 0.1."""
+    FAMILY_PARAMS lists the keys each family takes, and a key left out keeps
+    the default of the family's ``*_fit`` signature."""
     if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown model family '{family}'; expected one of {MODEL_FAMILIES}")
     unknown = set(params) - set(FAMILY_PARAMS[family])
@@ -72,9 +72,6 @@ def fit_model(family: str, X, *, kernel: KernelSpec = LINEAR,
         raise ValueError(f"unknown hyperparameters for {family}: {sorted(unknown)}")
     if "k_neighbors" in params:
         params["k"] = params.pop("k_neighbors")
-    for key, default in (("C", 1.0), ("nu", 0.1)):
-        if key in FAMILY_PARAMS[family]:
-            params.setdefault(key, default)
     # looked up at call time, so that a replaced fitter is the one called
     fit = globals()[f"{family}_fit"]
     return fit(X, kernel=kernel, scaler=scaler, **params)

@@ -15,7 +15,7 @@ from .smo import solve_ocsvm_dual
 from .svdd import SUPPORT_KEEP_EPS, boundary_support
 
 
-def ocsvm_fit(X, nu: float, kernel: KernelSpec = LINEAR, *,
+def ocsvm_fit(X, nu: float = 0.1, kernel: KernelSpec = LINEAR, *,
               scaler: Scaler | None = None) -> Detector:
     """Fit on (already standardized) target-class rows; ``nu`` bounds the
     training outlier fraction."""

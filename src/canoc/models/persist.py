@@ -13,14 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 import types
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from ..features import FeatureSpec, spec_from_dict, spec_to_dict
+from ..features import FeatureSpec, _is_number, spec_from_dict, spec_to_dict
 from .api import MODEL_FAMILIES
 from .detector import Detector, Projection, Whiten
 from .kernels import KernelSpec
@@ -48,12 +47,6 @@ def _encode(value):
 
 def model_to_dict(model: Detector) -> dict:
     return {"format": MODEL_FORMAT, "version": MODEL_VERSION, **_encode(model)}
-
-
-def _is_number(value) -> bool:
-    # the magnitude test also rejects an integer too large for a float
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 def _array(value, ndim: int, path: str) -> np.ndarray:
@@ -176,13 +169,19 @@ def save_model(model: Detector, path: str, spec: FeatureSpec | None = None) -> N
 
 
 def load_model(path: str) -> tuple[Detector, FeatureSpec | None]:
-    """Load a model file; returns (model, feature spec or None)."""
+    """Load a model file; returns (model, feature spec or None). The spec's
+    vocabulary must give the model's input dimension."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     model = model_from_dict(doc)
     if "extraction" not in doc:
         return model, None
-    return model, spec_from_dict(doc["extraction"], "model field 'extraction'")
+    spec = spec_from_dict(doc["extraction"], "model field 'extraction'")
+    if model.scaler is not None and spec.vocab.dimension != model.scaler.mean.shape[0]:
+        raise ValueError(f"model field 'extraction': vocabulary dimension "
+                         f"{spec.vocab.dimension} does not match model dimension "
+                         f"{model.scaler.mean.shape[0]}")
+    return model, spec
 
 
 def model_tag(model: Detector) -> str:

@@ -111,6 +111,8 @@ def solve_svdd_dual(K: np.ndarray, C: float, max_iter: int = 100_000,
     n = K.shape[0]
     if n == 0:
         raise ValueError("empty gram matrix")
+    if not np.isfinite(C):
+        raise ValueError(f"C must be finite, got {C}")
     if C < 1.0 / n - 1e-12:
         raise ValueError(f"C={C} is infeasible: the simplex needs C >= 1/n = {1.0 / n:.6g}")
     return solve_simplex_box_qp(2.0 * K, -np.diag(K).copy(), box=float(C),

@@ -26,7 +26,7 @@ def boundary_support(alphas: np.ndarray, box: float) -> np.ndarray:
     return unbounded if unbounded.any() else support
 
 
-def svdd_fit(X, C: float, kernel: KernelSpec = LINEAR, *,
+def svdd_fit(X, C: float = 1.0, kernel: KernelSpec = LINEAR, *,
              scaler: Scaler | None = None) -> Detector:
     """Fit the description on (already standardized) target-class rows.
 

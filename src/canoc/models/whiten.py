@@ -37,7 +37,7 @@ def inv_sqrt_psd(S: np.ndarray) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
-def esvdd_fit(X, C: float, epsilon: float = 1e-3, kernel: KernelSpec = LINEAR, *,
+def esvdd_fit(X, C: float = 1.0, epsilon: float = 1e-3, kernel: KernelSpec = LINEAR, *,
               scaler: Scaler | None = None) -> Detector:
     """Ellipsoidal description: whiten by (cov + eps I)^(-1/2), then SVDD."""
     X = _as_matrix(X, "X")
@@ -74,7 +74,7 @@ def _laplacian_whitener(X: np.ndarray, k: int, epsilon: float) -> np.ndarray:
     return inv_sqrt_psd(X.T @ L @ X + epsilon * np.eye(X.shape[1]))
 
 
-def gesvdd_fit(X, C: float, k: int = 5, epsilon: float = 1e-3,
+def gesvdd_fit(X, C: float = 1.0, k: int = 5, epsilon: float = 1e-3,
                kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None) -> Detector:
     """Graph-embedded SVDD: whiten by (X'LX + eps I)^(-1/2), then SVDD."""
     X = _as_matrix(X, "X")
@@ -83,7 +83,7 @@ def gesvdd_fit(X, C: float, k: int = 5, epsilon: float = 1e-3,
     return _whitened("gesvdd", inner, W, epsilon, int(k), scaler)
 
 
-def geocsvm_fit(X, nu: float, k: int = 5, epsilon: float = 1e-3,
+def geocsvm_fit(X, nu: float = 0.1, k: int = 5, epsilon: float = 1e-3,
                 kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None) -> Detector:
     """Graph-embedded one-class SVM (same whitening, OC-SVM inner)."""
     X = _as_matrix(X, "X")

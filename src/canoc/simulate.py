@@ -12,13 +12,14 @@ from __future__ import annotations
 import bisect
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .canlog import (CAN_SFF_MAX, COLUMNS, MAX_PAYLOAD_BYTES, CanLog, _assemble,
-                     _payload_matrix)
+                     _payload_matrix, load_log, save_log)
 from .features import (LABEL_NORMAL, LABEL_RANDOM_ID, LABEL_REPLAY,
                        LABEL_ZERO_ID, Window)
 
@@ -244,15 +245,8 @@ def label_windows(labeled: LabeledLog, windows: Sequence[Window]) -> list[str]:
                              "labeled log")
         kinds = [labels[i] for i in
                  injected[bisect.bisect_left(injected, lo):bisect.bisect_left(injected, hi)]]
-        if not kinds:
-            out.append(LABEL_NORMAL)
-            continue
-        counts: dict[str, int] = {}
-        for kind in kinds:
-            counts[kind] = counts.get(kind, 0) + 1
-        top = max(counts.values())
-        tied = {kind for kind, c in counts.items() if c == top}
-        out.append(next(kind for kind in kinds if kind in tied))
+        # max keeps the first of the tied kinds, in frame order
+        out.append(max(kinds, key=Counter(kinds).__getitem__) if kinds else LABEL_NORMAL)
     return out
 
 
@@ -281,16 +275,12 @@ def read_labels(stream: Iterable[str]) -> list[str]:
 
 
 def save_labeled(labeled: LabeledLog, log_path: str, labels_path: str) -> None:
-    from .canlog import save_log
-
     save_log(labeled.log, log_path)
     with open(labels_path, "w", encoding="utf-8", newline="") as f:
         write_labels(labeled.frame_labels, f)
 
 
 def load_labeled(log_path: str, labels_path: str) -> LabeledLog:
-    from .canlog import load_log
-
     log = load_log(log_path)
     with open(labels_path, "r", encoding="utf-8") as f:
         return LabeledLog(log, tuple(read_labels(f)))

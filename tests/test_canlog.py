@@ -384,6 +384,38 @@ def test_chunked_csv_reader_matches_line_reader(order, dropped, written, frames,
     assert_readers_agree(parse_csv_log, ",".join(header) + "\n" + "".join(lines))
 
 
+# the CSV mutants as whole lines under the written header, and a payload of 9
+# bytes with a matching dlc
+CSV_MUTANT_LINES = (
+    *[",".join({"timestamp": "1.5", "id": "0x100", "dlc": "1", "payload": "AB",
+                name: value}[key] for key in CSV_HEADER) + "\n"
+      for name, value in CSV_MUTANTS if name in CSV_HEADER],
+    *[value for name, value in CSV_MUTANTS if name is None],
+    "1.5,0x100,9," + "00" * 9 + "\n",
+)
+
+
+@pytest.mark.parametrize("reader, mutant", [
+    *[pytest.param(read_candump, line, id=f"candump-{k}")
+      for k, line in enumerate(CANDUMP_MUTANTS)],
+    *[pytest.param(parse_csv_log, line, id=f"csv-{k}")
+      for k, line in enumerate(CSV_MUTANT_LINES)]])
+@given(st.lists(FRAME_FIELDS, min_size=3, max_size=8), st.integers(0, 8))
+@settings(max_examples=20, deadline=None)
+def test_one_mutant_line_among_strict_lines_reads_as_line_by_line(reader, mutant, frames, at):
+    # CHUNK_LINES is 3, so the mutant's batch holds strict lines besides it
+    if reader is read_candump:
+        header = ""
+        lines = [f"({t // 10 ** 6}.{t % 10 ** 6:06d}) can0 {i:03X}#{p.hex().upper()}\n"
+                 for t, i, p in frames]
+    else:
+        header = ",".join(CSV_HEADER) + "\n"
+        lines = [f"{t // 10 ** 6}.{t % 10 ** 6:06d},0x{i:X},{len(p)},{p.hex().upper()}\n"
+                 for t, i, p in frames]
+    lines.insert(min(at, len(lines)), mutant)
+    assert_readers_agree(reader, header + "".join(lines))
+
+
 def test_csv_batch_path_runs_only_under_the_written_header():
     expected = CanLog.from_frames([CanFrame(1.0, 0x100, b"\xab")])
     for text, calls in (("timestamp,id,dlc,payload\n1.0,0x100,1,AB\n", 1),
@@ -494,3 +526,26 @@ def test_csv_decimal_beyond_int_digit_limit_is_a_row_error(field):
     row[field] = "0" * 5000 + "1"
     log = parse_csv_log(_csv(_csv_log(f"1.0,{row['id']},{row['dlc']},AB")))
     assert (log.ids[0], log.dlc[0]) == ((1 if field == "id" else 0x100), 1)
+
+
+@pytest.mark.parametrize("cid", ["0x20000000", "536870912", "0x123456789", "0x" + "F" * 5000,
+                                 "9" * 4000], ids=lambda cid: f"{len(cid)} characters")
+def test_csv_id_past_29_bits_is_a_short_row_error(cid):
+    with pytest.raises(LogParseError) as err:
+        parse_csv_log(_csv(_csv_log("0.0,0x1,0,", f"1.0,{cid},1,AB")))
+    assert str(err.value) == "id out of range (row 2)" and err.value.row == 2
+
+
+def test_csv_batch_pass_takes_only_the_written_id_form():
+    # decimal ids and 9-digit 0x ids, which write_csv_log never writes, go to
+    # the record parser with the same values
+    ids = {"256": 0x100, "2047": 0x7FF, "2048": 0x800, "536870911": 0x1FFFFFFF,
+           "0x000000100": 0x100, "0x01FFFFFFF": 0x1FFFFFFF, "00000000256": 0x100}
+    for text, can_id in ids.items():
+        assert canlog._csv_strict(f"1.0,{text},1,AB\n") is None, text
+    lines = [f"{k}.0,{text},1,AB" for k, text in enumerate(ids)]
+    with mock.patch.object(canlog, "_csv_rows", wraps=canlog._csv_rows) as slow:
+        log = parse_csv_log(_csv(_csv_log(*lines)))
+    assert slow.call_count == 1
+    assert log == CanLog.from_frames(CanFrame(float(k), can_id, b"\xab", can_id > 0x7FF)
+                                     for k, can_id in enumerate(ids.values()))

@@ -6,7 +6,7 @@ import pytest
 
 from canoc.cli import main
 from canoc.features import FeatureSpec, apply_scaler, fit_scaler, read_feature_csv
-from canoc.models import MODEL_FAMILIES, fit_model, save_model
+from canoc.models import FAMILY_PARAMS, MODEL_FAMILIES, fit_model, save_model
 
 
 def run(capsys, *argv):
@@ -316,6 +316,34 @@ def test_seed_config_key_is_unknown_to_detect(tmp_path, capsys):
     assert code == 2 and out == "" and "unknown config key 'seed'" in err
 
 
+# bucket None: the text is no boolean, and extract exits 2
+@pytest.mark.parametrize("text, bucket", [("1", False), ("TRUE", False), ("Yes", False),
+                                          ("on", False), ("0", True), ("False", True),
+                                          ("NO", True), ("Off", True), ("ture", None),
+                                          ("", None), ("2", None), ("enabled", None)])
+def test_config_boolean_takes_each_spelling_in_any_case_and_nothing_else(
+        tmp_path, capsys, detect_inputs, text, bucket):
+    log, _ = detect_inputs
+    cfg, out, vocab = tmp_path / "run.cfg", tmp_path / "out.csv", tmp_path / "vocab.json"
+    cfg.write_text(f"no-other-bucket = {text}\n")
+    code, stdout, err = run(capsys, "extract", "--config", cfg, "--in", log, "--out", out,
+                            "--save-vocab", vocab)
+    if bucket is None:
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith("error: config key 'no-other-bucket'") and repr(text) in err, err
+    else:
+        assert code == 0 and json.loads(vocab.read_text())["include_other_bucket"] is bucket
+
+
+def test_config_supplies_no_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {tmp_path / 'x.csv'}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
@@ -547,6 +575,65 @@ def test_train_without_hyperparameter_flags_uses_the_fitters_defaults(tmp_path, 
     model = tmp_path / "model.json"
     assert run(capsys, "train", "--features", feats, "--out", model, "--family", family)[0] == 0
     assert model.read_bytes() == expected.read_bytes()
+
+
+# a valid value for each hyperparameter that has a flag
+HYPERPARAMETER_FLAGS = {"C": ("--c", 1.0), "nu": ("--nu", 0.2), "d": ("--d", 2),
+                        "beta": ("--beta", 0.01), "psi": ("--psi", "psi0"),
+                        "eta": ("--eta", 0.1), "iterations": ("--iterations", 1),
+                        "k_neighbors": ("--k-neighbors", 3), "epsilon": ("--epsilon", 0.01)}
+
+
+@pytest.mark.parametrize("family", MODEL_FAMILIES)
+@pytest.mark.parametrize("key", sorted(set().union(*FAMILY_PARAMS.values()) - {"q_init", "seed"}))
+def test_train_takes_exactly_the_hyperparameter_flags_of_its_family(tmp_path, capsys,
+                                                                    detect_inputs, family, key):
+    log, _ = detect_inputs
+    flag, value = HYPERPARAMETER_FLAGS[key]
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, "train", "--features", log.with_name("features.csv"),
+                         "--out", model, "--family", family, flag, value)
+    if key in FAMILY_PARAMS[family]:
+        assert code == 0 and model.exists(), err
+    else:
+        assert code == 2 and out == "" and not model.exists()
+        assert f"unknown hyperparameters for {family}: ['{key}']" in err, err
+
+
+def test_train_rejects_a_config_key_its_family_does_not_take(tmp_path, capsys, detect_inputs):
+    log, _ = detect_inputs
+    cfg, model = tmp_path / "train.cfg", tmp_path / "model.json"
+    cfg.write_text("nu = 0.5\npsi = psi3\n")
+    code, _, err = run(capsys, "train", "--config", cfg, "--features",
+                       log.with_name("features.csv"), "--out", model, "--family", "svdd")
+    assert code == 2 and "unknown hyperparameters for svdd: ['nu', 'psi']" in err, err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("family", ["svdd", "ssvdd", "esvdd", "gesvdd"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_rejects_a_non_finite_c(tmp_path, capsys, detect_inputs, family, value):
+    log, _ = detect_inputs
+    model = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", "--features", log.with_name("features.csv"),
+                       "--out", model, "--family", family, "--c", value)
+    assert code == 2 and err == f"error: C must be finite, got {value}\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_model_whose_vocabulary_misses_its_dimension_is_an_input_error(tmp_path, capsys,
+                                                                       detect_inputs, command):
+    log, doc = detect_inputs
+    doc = json.loads(json.dumps(doc))
+    doc["extraction"]["include_other_bucket"] = False  # 30 columns, the scaler has 33
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    argv = {"eval": ["eval", "--model", model, "--features", log.with_name("features.csv")],
+            "detect": ["detect", "--model", model, "--in", log]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "vocabulary dimension 30 does not match model dimension 33" in err, err
 
 
 def other_bus_features(tmp_path, capsys):

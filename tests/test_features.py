@@ -144,6 +144,14 @@ def test_segment_rejects_bad_length():
         segment_windows(make_log([(0.0, 1)]), 1.0, stride=-1.0)
 
 
+@pytest.mark.parametrize("length, stride", [(float("inf"), None), (float("nan"), None),
+                                            (1.0, float("inf")), (1.0, float("nan"))])
+def test_segment_rejects_non_finite_length_or_stride(length, stride):
+    # one rule for FeatureSpec, segment_windows and extract_matrix
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        segment_windows(make_log([(0.0, 1), (2.0, 1)]), length, stride)
+
+
 def test_segment_boundary_frame_goes_to_next_window():
     log = make_log([(0.0, 1), (1.0, 1), (2.0, 1)])
     windows = segment_windows(log, 1.0)

@@ -54,6 +54,19 @@ def test_extraction_metadata_roundtrips(tmp_path, rng):
     assert loaded_spec == spec
 
 
+def test_load_model_rejects_extraction_of_another_dimension(tmp_path, rng):
+    X = rng.standard_normal((10, 6))
+    model = svdd_fit(X, 1.0, scaler=fit_scaler(X))
+    path = tmp_path / "model.json"
+    spec = FeatureSpec(IdVocabulary((0x100, 0x200), include_other_bucket=False))
+    save_model(model, str(path), spec)
+    assert load_model(str(path))[1] == spec
+    save_model(model, str(path), FeatureSpec(IdVocabulary((0x100, 0x200))))  # 9 columns
+    with pytest.raises(ValueError, match="'extraction': vocabulary dimension 9 "
+                                         "does not match model dimension 6"):
+        load_model(str(path))
+
+
 def test_rejects_foreign_or_future_files(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "something-else"}))

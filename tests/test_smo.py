@@ -59,6 +59,12 @@ def test_infeasible_c_raises():
         solve_svdd_dual(K, 0.2)  # needs C >= 1/4
 
 
+@pytest.mark.parametrize("C", [float("nan"), float("inf")])
+def test_non_finite_c_raises_naming_c(C):
+    with pytest.raises(ValueError, match="C must be finite"):
+        solve_svdd_dual(np.eye(4), C)
+
+
 def test_nonconvergence_carries_residual():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((30, 2))
