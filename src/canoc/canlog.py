@@ -519,6 +519,8 @@ def _csv_rows(lines: Iterable[str], layout: tuple[int, int, int, int | None, int
             if not _DLC_RE.fullmatch(fields[dlc_idx]):
                 raise LogParseError("invalid dlc", row=rownum)
             dlc = _decimal(fields[dlc_idx], "dlc", rownum)
+            if dlc > MAX_PAYLOAD_BYTES:
+                raise LogParseError("dlc out of range", row=rownum)
             if dlc != len(payload):
                 raise LogParseError(
                     f"dlc {dlc} does not match payload length {len(payload)}", row=rownum)

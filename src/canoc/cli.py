@@ -71,7 +71,11 @@ def _config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict:
                 raise ValueError(f"config key '{key}': {text!r} is not one of "
                                  f"{'/'.join(_BOOLEANS)}")
         elif action.type is not None:
-            value = action.type(text)
+            try:
+                value = action.type(text)
+            except ValueError:
+                raise ValueError(f"config key '{key}' in {path}: {text!r} is not a valid "
+                                 f"{action.type.__name__}") from None
         else:
             value = text
         if action.choices is not None and value not in action.choices:

@@ -51,11 +51,20 @@ def _feasible_start(a0, n: int, box: float) -> np.ndarray:
 
 def solve_simplex_box_qp(Q: np.ndarray, p: np.ndarray, box: float,
                          max_iter: int = 100_000, a0: np.ndarray | None = None) -> np.ndarray:
+    """Minimize ``0.5 a'Qa + p'a`` over ``sum(a) = 1, 0 <= a <= box``.
+
+    ``Q`` must be symmetric, as every gram is: the gradient ``Q a + p`` is
+    updated from rows of ``Q``, which are its columns only then. ``Q`` and
+    ``p`` must be finite. Raises :class:`DualSolverError` when ``max_iter``
+    steps leave the worst KKT violation above the tolerance.
+    """
     Q = np.asarray(Q, dtype=float)
     p = np.asarray(p, dtype=float)
     n = Q.shape[0]
     if Q.shape != (n, n) or p.shape != (n,):
         raise ValueError("Q must be square and p match its size")
+    if not (np.isfinite(Q).all() and np.isfinite(p).all()):
+        raise ValueError("Q and p must be finite")
     if box <= 0 or n * box < 1.0 - 1e-12:
         raise ValueError(f"box constraint 0 <= a <= {box} with sum(a)=1 is "
                          f"infeasible for n={n}")
@@ -73,27 +82,45 @@ def solve_simplex_box_qp(Q: np.ndarray, p: np.ndarray, box: float,
     tol = KKT_TOL * min(1.0, scale)
     best = np.inf
 
+    # mass can move into entry k while a_k < high and out of it while
+    # a_k > eps; the penalties keep every other entry out of the argmin
+    # (argmax), which stays exact while g is finite. Only entries i and j
+    # change per step, so only theirs are rewritten.
+    high = box - eps
+    up_pen = np.where(a < high, 0.0, np.inf)
+    dn_pen = np.where(a > eps, 0.0, -np.inf)
+    diag = Q.diagonal().tolist()
+    buf_i = np.empty(n)
+    buf_j = np.empty(n)
     for _ in range(max_iter):
-        up = a < box - eps  # mass can move in
-        dn = a > eps        # mass can move out
-        if not up.any() or not dn.any():
+        i = int(np.add(g, up_pen, out=buf_i).argmin())
+        j = int(np.add(g, dn_pen, out=buf_j).argmax())
+        if buf_i.item(i) == np.inf or buf_j.item(j) == -np.inf:
             return a
-        i = int(np.argmin(np.where(up, g, np.inf)))
-        j = int(np.argmax(np.where(dn, g, -np.inf)))
-        viol = g[j] - g[i]
+        viol = g.item(j) - g.item(i)
         best = min(best, viol)
         if viol < tol:
             return a
 
-        denom = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
-        t_max = min(box - a[i], a[j])
+        denom = diag[i] + diag[j] - 2.0 * Q.item(i, j)
+        a_i = a.item(i)
+        a_j = a.item(j)
+        t_max = min(box - a_i, a_j)
         t = min(viol / denom, t_max) if denom > 0 else t_max
-        pair_sum = a[i] + a[j]
-        ai_new = min(a[i] + t, box, pair_sum)
+        pair_sum = a_i + a_j
+        ai_new = min(a_i + t, box, pair_sum)
         aj_new = pair_sum - ai_new
-        g += (ai_new - a[i]) * Q[:, i] + (aj_new - a[j]) * Q[:, j]
+        # g += (di Q_i + dj Q_j), summed in that order, without temporaries
+        np.multiply(Q[i], ai_new - a_i, out=buf_i)
+        np.multiply(Q[j], aj_new - a_j, out=buf_j)
+        np.add(buf_i, buf_j, out=buf_i)
+        np.add(g, buf_i, out=g)
         a[i] = ai_new
         a[j] = aj_new
+        up_pen[i] = 0.0 if ai_new < high else np.inf
+        up_pen[j] = 0.0 if aj_new < high else np.inf
+        dn_pen[i] = 0.0 if ai_new > eps else -np.inf
+        dn_pen[j] = 0.0 if aj_new > eps else -np.inf
 
     raise DualSolverError(f"no convergence after {max_iter} iterations", residual=float(best))
 

@@ -167,6 +167,13 @@ def test_parse_csv_structural_errors():
         assert err.value.row == 2
 
 
+@pytest.mark.parametrize("dlc", ["9", "12", "9" * 4000], ids=["9", "12", "4000-digit"])
+def test_parse_csv_dlc_above_eight_is_out_of_range_in_a_short_message(dlc):
+    with pytest.raises(LogParseError, match="dlc out of range") as err:
+        parse_csv_log(_csv(f"timestamp,id,dlc,payload\n0.0,0x1,0,\n0.0,0x100,{dlc},AABB\n"))
+    assert err.value.row == 2 and len(str(err.value)) < 40
+
+
 def test_write_empty_log_header_only():
     sink = io.StringIO()
     write_csv_log(CanLog.from_frames(()), sink)

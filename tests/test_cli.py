@@ -335,6 +335,18 @@ def test_config_boolean_takes_each_spelling_in_any_case_and_nothing_else(
         assert code == 0 and json.loads(vocab.read_text())["include_other_bucket"] is bucket
 
 
+@pytest.mark.parametrize("line, message", [
+    ("duration = abc", "config key 'duration' in {cfg}: 'abc' is not a valid float"),
+    ("seed = 1.5", "config key 'seed' in {cfg}: '1.5' is not a valid int")])
+def test_config_value_of_the_wrong_type_names_key_file_and_text(tmp_path, capsys, line,
+                                                                message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "simulate", "--config", cfg, "--out", tmp_path / "x.csv")
+    assert code == 2 and out == "" and not (tmp_path / "x.csv").exists()
+    assert err == f"error: {message.format(cfg=cfg)}\n"
+
+
 def test_config_supplies_no_required_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"out = {tmp_path / 'x.csv'}\n")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from canoc.models import (DualSolverError, KernelSpec, center_distances_sq,
-                          gram_matrix, solve_ocsvm_dual, solve_svdd_dual)
+from canoc.models import (DualSolverError, KernelSpec, center_distances_sq, fit_model,
+                          gram_matrix, solve_ocsvm_dual, solve_simplex_box_qp,
+                          solve_svdd_dual)
+from canoc.models import smo
 
 
 def kkt_check(K, alphas, box, tol=1e-5):
@@ -162,3 +165,139 @@ def test_ocsvm_dual_feasibility(rng):
         assert abs(alphas.sum() - 1.0) <= 1e-6
         assert alphas.max() <= 1.0 / (nu * 50) + 1e-12
         assert alphas.min() >= 0.0
+
+
+# --- the iteration loop against its first form ----------------------------------
+
+def reference_solve(Q, p, box, max_iter=100_000, a0=None):
+    """The solver's first loop, kept verbatim: fresh masks, np.where and
+    column reads on every step. The solver must return its bytes."""
+    Q = np.asarray(Q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    n = Q.shape[0]
+    if Q.shape != (n, n) or p.shape != (n,):
+        raise ValueError("Q must be square and p match its size")
+    if box <= 0 or n * box < 1.0 - 1e-12:
+        raise ValueError(f"box constraint 0 <= a <= {box} with sum(a)=1 is "
+                         f"infeasible for n={n}")
+
+    a = np.full(n, 1.0 / n) if a0 is None else smo._feasible_start(a0, n, box)
+    if n * box <= 1.0 + 1e-12:
+        # box exactly 1/n: the uniform point is the only feasible one
+        return a
+    g = Q @ a + p
+    eps = 1e-12 * max(1.0, box)
+    # the KKT violation scales with the gram magnitude; tighten the stopping
+    # threshold on tiny-scale problems (e.g. strongly whitened data) so the
+    # solution stays scale-equivariant, but never loosen it
+    scale = max(float(np.abs(np.diag(Q)).max()), float(np.abs(p).max()), 1e-12)
+    tol = smo.KKT_TOL * min(1.0, scale)
+    best = np.inf
+
+    for _ in range(max_iter):
+        up = a < box - eps  # mass can move in
+        dn = a > eps        # mass can move out
+        if not up.any() or not dn.any():
+            return a
+        i = int(np.argmin(np.where(up, g, np.inf)))
+        j = int(np.argmax(np.where(dn, g, -np.inf)))
+        viol = g[j] - g[i]
+        best = min(best, viol)
+        if viol < tol:
+            return a
+
+        denom = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
+        t_max = min(box - a[i], a[j])
+        t = min(viol / denom, t_max) if denom > 0 else t_max
+        pair_sum = a[i] + a[j]
+        ai_new = min(a[i] + t, box, pair_sum)
+        aj_new = pair_sum - ai_new
+        g += (ai_new - a[i]) * Q[:, i] + (aj_new - a[j]) * Q[:, j]
+        a[i] = ai_new
+        a[j] = aj_new
+
+    raise DualSolverError(f"no convergence after {max_iter} iterations", residual=float(best))
+
+
+def _outcome(solve, *args, **kwargs):
+    """The bytes a solve returns, or the message and residual it raises."""
+    try:
+        return solve(*args, **kwargs).tobytes()
+    except DualSolverError as err:
+        return str(err), err.residual
+
+
+def _dual(K, svdd):
+    """(Q, p) of the SVDD dual (Q = 2K, p = -diag K) or the OC-SVM dual."""
+    return (2.0 * K, -np.diag(K).copy()) if svdd else (K, np.zeros(K.shape[0]))
+
+
+@st.composite
+def qp_instances(draw):
+    """(Q, p, box, a0) of an SVDD or OC-SVM dual on a linear or rbf gram."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 5))
+    if draw(st.booleans()):  # small integers: exact products, many tied gradients
+        X = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    else:
+        X = rng.standard_normal((n, dim))
+    for _ in range(draw(st.integers(0, n // 2))):  # duplicate rows tie exactly
+        X[rng.integers(n)] = X[rng.integers(n)]
+    kernel = draw(st.sampled_from([KernelSpec("linear"), KernelSpec("rbf", 1.0),
+                                   KernelSpec("rbf", 0.3)]))
+    if kernel.kind == "linear":  # a tiny-scale (strongly whitened) gram takes the tightened tol
+        X *= 10.0 ** -draw(st.sampled_from([0, 0, 2, 4]))
+    svdd = draw(st.booleans())
+    if svdd:  # box C from exactly 1/n up to 1; one near 1/n keeps many alphas at the box
+        box = draw(st.sampled_from([1.0, 1.5, 3.0])) / n
+        box = draw(st.sampled_from([box, 1.0, float(rng.uniform(1.0 / n, 1.0))]))
+    else:     # box 1/(nu n)
+        box = 1.0 / (draw(st.sampled_from([0.05, 0.3, 1.0, float(rng.uniform(0.01, 1.0))])) * n)
+    a0 = None
+    if draw(st.booleans()):  # warm start: the alphas of a neighbouring problem
+        step = draw(st.sampled_from([0.05, 0.5])) * np.abs(X).max()
+        near = X + step * rng.standard_normal(X.shape)
+        try:  # a few rbf instances stall just above the tolerance; they start cold
+            a0 = reference_solve(*_dual(gram_matrix(near, near, kernel), svdd), box,
+                                 max_iter=5_000)
+        except DualSolverError:
+            pass
+    return (*_dual(gram_matrix(X, X, kernel), svdd), box, a0)
+
+
+@given(qp_instances(), st.sampled_from([1, 2, 3, 7, 100_000]))
+@settings(max_examples=300, deadline=None)
+def test_solver_returns_the_bytes_of_the_reference_loop(instance, max_iter):
+    Q, p, box, a0 = instance
+    expected = _outcome(reference_solve, Q, p, box, max_iter=max_iter, a0=a0)
+    assert _outcome(solve_simplex_box_qp, Q, p, box, max_iter=max_iter, a0=a0) == expected
+
+
+@pytest.mark.parametrize("where, value", [("Q", np.nan), ("Q", np.inf), ("p", -np.inf)])
+def test_non_finite_q_or_p_raises(where, value):
+    Q, p = 2.0 * np.eye(3), -np.ones(3)
+    (Q[0] if where == "Q" else p)[1] = value
+    with pytest.raises(ValueError, match="Q and p must be finite"):
+        solve_simplex_box_qp(Q, p, 1.0)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("svdd", {}), ("ssvdd", {"iterations": 3}), ("esvdd", {}),
+    ("gesvdd", {}), ("ocsvm", {}), ("geocsvm", {})])
+@pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf")], ids=["linear", "rbf"])
+def test_every_family_passes_the_solver_an_exactly_symmetric_q(monkeypatch, rng, family,
+                                                                params, kernel):
+    # the solver reads rows of Q where the gradient needs its columns
+    seen = []
+
+    def record(Q, *args, **kwargs):
+        seen.append(np.array(Q))
+        return solve_simplex_box_qp(Q, *args, **kwargs)
+
+    monkeypatch.setattr(smo, "solve_simplex_box_qp", record)
+    fit_model(family, rng.standard_normal((50, 6)) * [1.0, 2.0, 0.5, 3.0, 1.0, 0.1],
+              kernel=kernel, **params)
+    assert seen
+    for Q in seen:
+        assert np.array_equal(Q, Q.T)
