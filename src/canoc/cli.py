@@ -18,8 +18,8 @@ import numpy as np
 
 from . import canlog, features, simulate
 from .evaluate import evaluate, write_report_table
-from .models import (FAMILY_PARAMS, MODEL_FAMILIES, PSI_VARIANTS, KernelSpec,
-                     fit_model, load_model, save_model, score_samples)
+from .models import (FAMILY_PARAMS, MODEL_FAMILIES, PSI_VARIANTS, DualSolverError,
+                     KernelSpec, fit_model, load_model, save_model, score_samples)
 from .models.kernels import KERNEL_KINDS
 from .models.persist import model_tag
 
@@ -139,11 +139,20 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _load_spec(path: str) -> features.FeatureSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return features.spec_from_dict(json.load(f), f"vocabulary file {path}")
+    where = f"vocabulary file {path}"
+    return features.spec_from_dict(features.read_json(path, where), where)
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    # the extraction settings given, by FeatureSpec field; the rest keep its defaults
+    given = {key: getattr(args, key) for key in ("window", "stride", "stdev_mode")
+             if getattr(args, key) is not None}
+    if args.vocab:
+        flags = [f"--{key.replace('_', '-')}" for key in given]
+        flags += ["--no-other-bucket"] if args.no_other_bucket else []
+        if flags:
+            raise ValueError(f"vocabulary file {args.vocab} fixes the extraction "
+                             f"settings; drop {', '.join(flags)}")
     if args.labels:
         labeled = simulate.load_labeled(args.input, args.labels)
         log = labeled.log
@@ -155,8 +164,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         spec = _load_spec(args.vocab)
     else:
         vocab = features.build_vocabulary(log, include_other_bucket=not args.no_other_bucket)
-        stride = args.window if args.stride is None else args.stride
-        spec = features.FeatureSpec(vocab, args.window, stride, args.stdev_mode)
+        spec = features.FeatureSpec(vocab, **given)
     windows = features.segment_windows(log, spec.window, spec.stride)
     window_labels = simulate.label_windows(labeled, windows) if args.labels else None
     X, labels = features.extract_matrix(windows, spec.vocab, spec.stdev_mode,
@@ -195,8 +203,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     # one that the family does not take
     params = {key: getattr(args, key.lower()) for keys in FAMILY_PARAMS.values()
               for key in keys if getattr(args, key.lower(), None) is not None}
-    model = fit_model(args.family, features.apply_scaler(scaler, X),
-                      kernel=KernelSpec(args.kernel, args.sigma), scaler=scaler, **params)
+    try:
+        model = fit_model(args.family, features.apply_scaler(scaler, X),
+                          kernel=KernelSpec(args.kernel, args.sigma), scaler=scaler, **params)
+    except DualSolverError as err:  # the training rows are input, so this is an input error
+        raise ValueError(f"training {args.family}: {err}") from None
     save_model(model, args.out, spec)
     print(f"trained {model_tag(model)} on {X.shape[0]} rows; wrote {args.out}")
     return EXIT_OK
@@ -283,9 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output feature CSV")
     p.add_argument("--vocab", help="existing vocabulary JSON (fixes the layout)")
     p.add_argument("--save-vocab", help="write vocabulary + extraction settings")
-    p.add_argument("--window", type=float, default=1.0, help="window length (s)")
+    p.add_argument("--window", type=float,
+                   help=f"window length in s (default {features.FeatureSpec.window:g})")
     p.add_argument("--stride", type=float, help="window stride (default: window)")
-    p.add_argument("--stdev-mode", choices=features.STDEV_MODES, default="gaps")
+    p.add_argument("--stdev-mode", choices=features.STDEV_MODES,
+                   help=f"default: {features.FeatureSpec.stdev_mode}")
     p.add_argument("--no-other-bucket", action="store_true",
                    help="disable the pooled foreign-id bucket")
     p.set_defaults(func=cmd_extract)
@@ -343,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

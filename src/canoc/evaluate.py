@@ -11,6 +11,7 @@ import numpy as np
 
 from .features import LABEL_NORMAL
 from .models import LABEL_ANOMALY, Detector, config_digest, model_tag, predict
+from .simulate import ATTACK_KINDS
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def evaluate(model: Detector, X_test, labels: Sequence[str]) -> EvalReport:
 
 
 # paper-shaped report: one row per model variant, one column per attack
-REPORT_COLUMNS = ("model", "normal", "random_id", "replay", "zero_id")
+REPORT_COLUMNS = ("model", "normal", *sorted(ATTACK_KINDS))
 
 
 def write_report_table(sink: IO[str], reports: Sequence[EvalReport]) -> None:

@@ -25,6 +25,7 @@ each value is bit-identical to the numpy expressions above.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -91,14 +92,17 @@ def _check_span(name: str, value: float) -> None:
 @dataclass(frozen=True)
 class FeatureSpec:
     """Everything feature extraction depends on besides the log: a model
-    only scores features extracted with the spec it was trained on."""
+    only scores features extracted with the spec it was trained on. The
+    stride defaults to the window length, as in :func:`segment_windows`."""
 
     vocab: IdVocabulary
     window: float = 1.0
-    stride: float = 1.0
+    stride: float | None = None
     stdev_mode: str = "gaps"
 
     def __post_init__(self) -> None:
+        if self.stride is None:
+            object.__setattr__(self, "stride", self.window)
         _check_span("window", self.window)
         _check_span("stride", self.stride)
         if self.stdev_mode not in STDEV_MODES:
@@ -399,6 +403,16 @@ def _is_number(value) -> bool:
     the infinities."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def read_json(path: str, where: str):
+    """Parse a JSON file. Nesting too deep for the parser is a
+    ``ValueError`` naming ``where``, like any other malformed document."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise ValueError(f"{where} is nested too deeply") from None
 
 
 SPEC_KEYS = ("ids", "include_other_bucket", "window", "stride", "stdev_mode")

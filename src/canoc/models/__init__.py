@@ -18,16 +18,3 @@ from .ssvdd import (NptEmbedding, PSI_VARIANTS, npt_embed,
 from .svdd import svdd_fit
 from .whiten import (esvdd_fit, geocsvm_fit, gesvdd_fit, graph_laplacian,
                      inv_sqrt_psd)
-
-__all__ = [
-    "Detector", "DualSolverError", "FAMILY_PARAMS", "KernelSpec",
-    "LABEL_ANOMALY", "LINEAR", "MODEL_FAMILIES", "NptEmbedding",
-    "PSI_VARIANTS", "Projection", "Whiten", "center_distances_sq",
-    "config_digest", "esvdd_fit", "fit_model", "geocsvm_fit", "gesvdd_fit",
-    "gram_matrix", "graph_laplacian", "inv_sqrt_psd", "load_model",
-    "median_heuristic", "model_from_dict", "model_tag", "model_to_dict",
-    "npt_embed", "ocsvm_fit", "orthonormalize_rows", "predict",
-    "resolve_kernel", "save_model", "score_samples", "solve_ocsvm_dual",
-    "solve_simplex_box_qp", "solve_svdd_dual", "ssvdd_fit", "ssvdd_gradient",
-    "ssvdd_objective", "svdd_fit",
-]

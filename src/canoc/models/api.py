@@ -40,8 +40,6 @@ def score_samples(model: Detector, X) -> np.ndarray:
     then each transform, then the kernel expansion
     ``u k(x,x) - v sum_i a_i k(x, x_i) + offset - r_squared``."""
     X = _as_matrix(X, "X")
-    if X.shape[0] == 0:
-        return np.empty(0)
     if model.scaler is not None:
         X = apply_scaler(model.scaler, X)
     for step in model.transforms:

@@ -19,7 +19,8 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from ..features import FeatureSpec, _is_number, spec_from_dict, spec_to_dict
+from ..features import (FeatureSpec, _is_number, read_json, spec_from_dict,
+                        spec_to_dict)
 from .api import MODEL_FAMILIES
 from .detector import Detector, Projection, Whiten
 from .kernels import KernelSpec
@@ -130,22 +131,25 @@ def _params(value, path: str) -> dict:
     return value
 
 
-def _check_finite(value, path: str) -> None:
-    """Raise naming the first non-finite number in a parsed JSON value."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{path}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"model field '{path}' is not finite")
+def _check_finite(doc) -> None:
+    """Raise naming the first non-finite number in a parsed JSON document.
+    The walk keeps its own stack, so it takes any nesting the parser took."""
+    stack = [(doc, "")]
+    while stack:
+        value, path = stack.pop()
+        if isinstance(value, dict):
+            stack.extend((item, f"{path}.{key}" if path else key)
+                         for key, item in reversed(value.items()))
+        elif isinstance(value, list):
+            stack.extend((value[i], f"{path}[{i}]") for i in reversed(range(len(value))))
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"model field '{path}' is not finite")
 
 
 def model_from_dict(doc: dict) -> Detector:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a canoc model file")
-    _check_finite(doc, "")
+    _check_finite(doc)
     version = doc.get("version")
     if version == 1:
         raise ValueError("model file version 1 is no longer read; re-train the model")
@@ -171,8 +175,7 @@ def save_model(model: Detector, path: str, spec: FeatureSpec | None = None) -> N
 def load_model(path: str) -> tuple[Detector, FeatureSpec | None]:
     """Load a model file; returns (model, feature spec or None). The spec's
     vocabulary must give the model's input dimension."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path, f"model file {path}")
     model = model_from_dict(doc)
     if "extraction" not in doc:
         return model, None

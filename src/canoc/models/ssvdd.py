@@ -193,6 +193,8 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
     X = _as_matrix(X, "X")
     if psi not in PSI_VARIANTS:
         raise ValueError(f"psi must be one of {PSI_VARIANTS}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     kernel = resolve_kernel(kernel, X)
     if kernel.kind == "linear":
         npt, Z = None, X

@@ -9,7 +9,6 @@ format-pure.
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
 from collections import Counter
@@ -83,7 +82,8 @@ class AttackScenario:
     Poisson arrivals at ``rate`` inside it, replay copies
     ``replay_segment`` to begin at the window start, ``repeat`` times
     back-to-back. ``payload_length`` overrides the per-kind default
-    (8 random bytes for random-ID, empty for zero-ID).
+    (8 random bytes for random-ID, empty for zero-ID). A field of the
+    other kinds must keep its default.
     """
 
     kind: str
@@ -106,7 +106,11 @@ class AttackScenario:
         if self.kind in _FLOOD_KINDS:
             if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0):
                 raise ValueError(f"flood attacks need a finite rate > 0, got {self.rate!r}")
+            if self.replay_segment is not None or self.repeat != 1:
+                raise ValueError(f"{self.kind} takes no replay segment or repeat")
         else:
+            if self.rate is not None or self.payload_length is not None:
+                raise ValueError("replay takes no rate or payload length")
             if self.replay_segment is None:
                 raise ValueError("replay needs a (src_start, src_end) segment")
             s0, s1 = self.replay_segment
@@ -235,7 +239,6 @@ def label_windows(labeled: LabeledLog, windows: Sequence[Window]) -> list[str]:
     Each window must be a slice of ``labeled.log``, as segment_windows cuts
     it: it starts at the first frame at or after ``w.start``."""
     log, labels = labeled.log, labeled.frame_labels
-    injected = [i for i, label in enumerate(labels) if label != LABEL_NORMAL]
     starts = np.searchsorted(log.times, [w.start for w in windows], side="left")
     out = []
     for k, (w, lo) in enumerate(zip(windows, starts.tolist())):
@@ -243,8 +246,7 @@ def label_windows(labeled: LabeledLog, windows: Sequence[Window]) -> list[str]:
         if log[lo:hi] != w.frames:
             raise ValueError(f"window {k} (start {w.start}) is not a slice of the "
                              "labeled log")
-        kinds = [labels[i] for i in
-                 injected[bisect.bisect_left(injected, lo):bisect.bisect_left(injected, hi)]]
+        kinds = [label for label in labels[lo:hi] if label != LABEL_NORMAL]
         # max keeps the first of the tied kinds, in frame order
         out.append(max(kinds, key=Counter(kinds).__getitem__) if kinds else LABEL_NORMAL)
     return out

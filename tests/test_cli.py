@@ -1,7 +1,9 @@
 import json
+import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from canoc.cli import main
@@ -688,3 +690,105 @@ def test_train_help_lists_no_extraction_settings(capsys):
     out = capsys.readouterr().out
     assert "--extraction-config" in out
     assert not any(flag in out for flag in ("--window", "--stride", "--stdev-mode"))
+
+
+# --- solver stalls, deep nesting and settings a command does not take ----------------
+
+def test_train_stalled_solver_is_an_input_error(tmp_path, capsys, detect_inputs, monkeypatch):
+    from canoc.models import DualSolverError, api
+
+    def stalled(X, **kwargs):
+        raise DualSolverError("no convergence after 7 iterations", residual=1.5e-6)
+
+    monkeypatch.setattr(api, "ssvdd_fit", stalled)
+    log, _ = detect_inputs
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, "train", "--features", log.with_name("features.csv"),
+                         "--out", model, "--family", "ssvdd")
+    assert code == 2 and out == "" and not model.exists()
+    assert err == ("error: training ssvdd: no convergence after 7 iterations "
+                   "(best KKT residual 1.500e-06)\n")
+
+
+def test_train_on_rows_where_the_dual_solver_stalls_is_an_input_error(tmp_path, capsys):
+    # duplicated rows plus 1e-9 noise: the rbf S-SVDD's inner solve runs all
+    # of its iterations and stops just above the KKT tolerance
+    from canoc.features import IdVocabulary, write_feature_csv
+    rng = np.random.default_rng(119)
+    X = np.repeat(rng.standard_normal((17, 6)), 3, axis=0) + 1e-9 * rng.standard_normal((51, 6))
+    feats, model = tmp_path / "f.csv", tmp_path / "model.json"
+    with open(feats, "w", encoding="utf-8", newline="") as f:
+        write_feature_csv(f, X, ["normal"] * 51, IdVocabulary((0x100, 0x110), False))
+    code, out, err = run(capsys, "train", "--features", feats, "--out", model,
+                         "--family", "ssvdd", "--kernel", "rbf", "--d", 3,
+                         "--iterations", 20)
+    assert code == 2 and out == "" and not model.exists()
+    assert re.fullmatch(r"error: training ssvdd: no convergence after 100000 iterations "
+                        r"\(best KKT residual \d\.\d{3}e-\d\d\)\n", err), err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", [DEEP, "[" * 990 + "]" * 990], ids=["100000", "990"])
+@pytest.mark.parametrize("command", ["detect", "eval", "extract", "train"])
+def test_deeply_nested_json_file_is_an_input_error(tmp_path, capsys, detect_inputs,
+                                                   command, text):
+    log, _ = detect_inputs
+    path, out = tmp_path / "doc.json", tmp_path / "out"
+    path.write_text(text)
+    feats = log.with_name("features.csv")
+    argv = {"detect": ["detect", "--model", path, "--in", log],
+            "eval": ["eval", "--model", path, "--features", feats],
+            "extract": ["extract", "--in", log, "--vocab", path, "--out", out],
+            "train": ["train", "--features", feats, "--extraction-config", path,
+                      "--out", out]}[command]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    if text is DEEP:
+        assert "is nested too deeply" in err and str(path) in err
+
+
+@pytest.mark.parametrize("iterations, expected", [(-3, 2), (0, 0)])
+def test_train_rejects_negative_iterations(tmp_path, capsys, detect_inputs, iterations,
+                                           expected):
+    log, _ = detect_inputs
+    model = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", "--features", log.with_name("features.csv"),
+                       "--out", model, "--family", "ssvdd", "--iterations", iterations)
+    assert code == expected and model.exists() == (expected == 0)
+    if expected:
+        assert err == "error: iterations must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("kind, flags, field", [
+    ("replay", ["--segment", "1:2", "--rate", 50], "rate"),
+    ("replay", ["--segment", "1:2", "--payload-len", 3], "payload length"),
+    ("zero_id", ["--rate", 50, "--segment", "1:2"], "replay segment"),
+    ("zero_id", ["--rate", 50, "--repeat", 4], "repeat"),
+    ("random_id", ["--rate", 50, "--segment", "1:2", "--repeat", 4], "replay segment")])
+def test_inject_rejects_a_flag_its_kind_does_not_take(tmp_path, capsys, kind, flags, field):
+    log, labels = simulate(tmp_path, capsys, duration=5.0)
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, "inject", "--in", log, "--labels", labels, "--out", out,
+                            "--kind", kind, "--start", 2, "--end", 3, *flags)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith(f"error: {kind} takes no ") and field in err, err
+
+
+@pytest.mark.parametrize("flags", [["--window", 2], ["--stride", 0.5],
+                                   ["--stdev-mode", "timestamps"], ["--no-other-bucket"],
+                                   ["--window", 2, "--stdev-mode", "timestamps",
+                                    "--no-other-bucket"]])
+def test_extract_rejects_window_settings_beside_a_vocabulary_file(tmp_path, capsys,
+                                                                  detect_inputs, flags):
+    log, doc = detect_inputs
+    vocab, out = tmp_path / "vocab.json", tmp_path / "f.csv"
+    vocab.write_text(json.dumps(doc["extraction"]))
+    code, stdout, err = run(capsys, "extract", "--in", log, "--vocab", vocab, "--out", out,
+                            *flags)
+    assert code == 2 and stdout == "" and not out.exists()
+    given = ", ".join(str(flag) for flag in flags if str(flag).startswith("--"))
+    assert err == (f"error: vocabulary file {vocab} fixes the extraction settings; "
+                   f"drop {given}\n"), err

@@ -136,6 +136,12 @@ def test_report_table_shape(rng):
     assert lines[1].endswith("1.0000")
 
 
+def test_report_table_has_a_column_per_attack_kind():
+    from canoc.evaluate import REPORT_COLUMNS
+    from canoc.simulate import ATTACK_KINDS
+    assert REPORT_COLUMNS == ("model", "normal", *sorted(ATTACK_KINDS))
+
+
 def test_report_to_dict_roundtrip(rng):
     X, labels = labeled_rows(rng)
     report = evaluate(perfect_model(X, labels), X, labels)

@@ -122,6 +122,17 @@ def test_feature_spec_dict_roundtrip_and_invariants():
         spec_from_dict({**doc, "window": 10 ** 400}, "spec")
 
 
+def test_feature_spec_stride_defaults_to_the_window():
+    vocab = IdVocabulary((0x100,))
+    assert FeatureSpec(vocab).stride == 1.0
+    assert FeatureSpec(vocab, window=2.0).stride == 2.0
+    assert FeatureSpec(vocab, window=2.0, stride=0.5).stride == 0.5
+    log = make_log([(0.1 * k, 0x100) for k in range(50)])
+    spec = FeatureSpec(vocab, window=2.0)
+    assert ([w.start for w in segment_windows(log, spec.window, spec.stride)]
+            == [w.start for w in segment_windows(log, 2.0)])
+
+
 # --- window segmentation ----------------------------------------------------
 
 def test_segment_span_3_5_gives_4_windows_last_partial():

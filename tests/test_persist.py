@@ -1,15 +1,22 @@
+import contextlib
 import inspect
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from canoc import (KernelSpec, esvdd_fit, fit_model, geocsvm_fit, gesvdd_fit,
                    load_model, ocsvm_fit, save_model, score_samples,
                    ssvdd_fit, svdd_fit)
-from canoc.features import FeatureSpec, IdVocabulary, fit_scaler
+from canoc.cli import main
+from canoc.features import FeatureSpec, IdVocabulary, fit_scaler, spec_to_dict
 from canoc.models import api
-from canoc.models.persist import config_digest, model_tag
+from canoc.models.persist import config_digest, model_tag, model_to_dict
+from test_features import JSON_VALUES
 
 
 def fitted_models(rng):
@@ -42,6 +49,14 @@ def test_every_family_roundtrips_bit_identically(tmp_path, rng):
         assert np.array_equal(before, after), name
         assert model_tag(loaded) == model_tag(model)
         assert config_digest(loaded) == config_digest(model)
+
+
+def test_every_family_scores_zero_rows_as_an_empty_array(rng):
+    for name, model in fitted_models(rng).items():
+        scores = score_samples(model, np.empty((0, 4)))
+        assert scores.shape == (0,) and scores.dtype == np.float64, name
+        with pytest.raises(ValueError):
+            score_samples(model, np.empty((0, 3)))
 
 
 def test_extraction_metadata_roundtrips(tmp_path, rng):
@@ -121,3 +136,86 @@ def test_family_params_are_exactly_the_fitter_keywords():
         signature = inspect.signature(getattr(api, f"{family}_fit"))
         taken = set(signature.parameters) - {"X", "kernel", "scaler", "iteration_callback"}
         assert {"k" if key == "k_neighbors" else key for key in keys} == taken, family
+
+
+# --- any model file either loads or is a ValueError ------------------------------
+
+def _model_doc():
+    """A small valid model file document, with an extraction block."""
+    X = np.arange(18, dtype=float).reshape(6, 3) % 5
+    scaler = fit_scaler(X)
+    model = svdd_fit((X - scaler.mean) / scaler.stdev, 0.5, scaler=scaler)
+    doc = model_to_dict(model)
+    doc["extraction"] = spec_to_dict(FeatureSpec(IdVocabulary((0x100,), False)))
+    return doc
+
+
+MODEL_DOC = _model_doc()
+
+
+def _paths(value, path=()):
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def nested(depth: int, leaf: str = "1.0") -> str:
+    return "[" * depth + leaf + "]" * depth
+
+
+def with_value(key: str, text: str) -> str:
+    """The valid model file's text with ``key``'s value spelled ``text``."""
+    return json.dumps({**MODEL_DOC, key: "@@"}).replace('"@@"', text, 1)
+
+
+@st.composite
+def model_texts(draw):
+    """The valid model file's text with one value, at any depth, replaced by
+    any JSON value or by deeply nested lists, or dropped; or any text."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=40))
+    doc = json.loads(json.dumps(MODEL_DOC))
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    edit = draw(st.sampled_from(["replace", "nest", "drop"]))
+    if edit == "drop":
+        del parent[path[-1]]
+        return json.dumps(doc)
+    parent[path[-1]] = "@@"
+    text = (json.dumps(draw(JSON_VALUES)) if edit == "replace"
+            else nested(draw(st.integers(800, 1200))))
+    return json.dumps(doc).replace('"@@"', text, 1)
+
+
+@pytest.fixture(scope="module")
+def clean_log(tmp_path_factory):
+    log = tmp_path_factory.mktemp("log") / "log.csv"
+    assert main(["simulate", "--out", str(log), "--duration", "3"]) == 0
+    return str(log)
+
+
+@given(model_texts())
+@example(nested(100_000, ""))
+@example(with_value("r_squared", nested(990)))
+@example(with_value("alphas", nested(990)))
+@settings(max_examples=200, deadline=None)
+def test_any_model_file_loads_or_is_an_input_error(clean_log, text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.json")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        try:
+            load_model(path)
+            loaded = True
+        except ValueError:
+            loaded = False
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["detect", "--model", path, "--in", clean_log])
+    assert code in (0, 2, 4) if loaded else code == 2
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

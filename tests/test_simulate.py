@@ -1,12 +1,17 @@
+import contextlib
 import io
+import os
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from canoc import (AttackScenario, BusSpec, EcuSpec, LabeledLog,
                    build_vocabulary, extract_features, generate_normal,
                    inject, label_windows, read_labels, segment_windows, write_labels)
+from canoc.cli import main
 from canoc.simulate import default_bus
 
 
@@ -132,6 +137,15 @@ def test_scenario_validation():
         AttackScenario(kind="replay", window=(0, 1))
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("replay", dict(rate=10.0)), ("replay", dict(payload_length=3)),
+    ("zero_id", dict(replay_segment=(1.0, 2.0))), ("random_id", dict(repeat=4))])
+def test_scenario_rejects_a_field_its_kind_does_not_take(kind, extra):
+    takes = (dict(replay_segment=(1.0, 2.0)) if kind == "replay" else dict(rate=10.0))
+    with pytest.raises(ValueError, match=f"{kind} takes no"):
+        AttackScenario(kind=kind, window=(0, 1), **takes, **extra)
+
+
 # --- replay -------------------------------------------------------------------
 
 def test_replay_single_frame_three_copies():
@@ -207,6 +221,38 @@ def test_label_windows_majority_and_tie():
     assert label_windows(tie, windows) == ["replay"]  # earliest injected wins
 
 
+def reference_label_windows(labeled, windows):
+    """The bisect-over-injected-indices labelling that label_windows replaced."""
+    import bisect
+    log, labels = labeled.log, labeled.frame_labels
+    injected = [i for i, label in enumerate(labels) if label != "normal"]
+    starts = np.searchsorted(log.times, [w.start for w in windows], side="left")
+    out = []
+    for w, lo in zip(windows, starts.tolist()):
+        hi = lo + len(w.frames)
+        kinds = [labels[i] for i in
+                 injected[bisect.bisect_left(injected, lo):bisect.bisect_left(injected, hi)]]
+        out.append(max(kinds, key=Counter(kinds).__getitem__) if kinds else "normal")
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_label_windows_matches_the_reference_on_stacked_attacks(seed):
+    labeled = inject(base_log(duration=30.0, seed=seed),
+                     AttackScenario(kind="random_id", rate=300.0, window=(3.0, 9.0), seed=seed))
+    labeled = inject(labeled, AttackScenario(kind="zero_id", rate=400.0, window=(7.0, 14.0),
+                                             seed=seed))
+    for k in range(4):
+        labeled = inject(labeled, AttackScenario(
+            kind="replay", window=(5.0 + 6 * k, 6.5 + 6 * k),
+            replay_segment=(1.0 + k, 2.0 + k), repeat=2, seed=seed + k))
+    for length, stride in ((1.0, 1.0), (2.0, 0.5), (0.3, 0.3)):
+        windows = segment_windows(labeled.log, length, stride)
+        labels = label_windows(labeled, windows)
+        assert labels == reference_label_windows(labeled, windows)
+        assert len(set(labels)) == 4
+
+
 def test_label_windows_single_injected_frame_suffices():
     log = base_log(duration=4.0)
     scenario = AttackScenario(kind="random_id", rate=1.0, window=(1.2, 1.3), seed=9)
@@ -231,3 +277,34 @@ def test_label_sidecar_roundtrip():
     assert read_labels(io.StringIO(sink.getvalue())) == ["normal", "replay", "normal"]
     with pytest.raises(ValueError, match="header"):
         read_labels(io.StringIO("nope\n"))
+
+
+@pytest.fixture(scope="module")
+def short_log(tmp_path_factory):
+    from canoc.canlog import save_log
+    log = tmp_path_factory.mktemp("labels") / "log.csv"
+    save_log(base_log(duration=0.05), str(log))
+    return str(log)
+
+
+@given(st.binary(max_size=60) | st.text(max_size=60).map(lambda t: ("label\n" + t).encode()))
+@example(b"label\n" + b"[" * 100_000 + b"\n")
+@example(b"label\n" + b"normal\n" * 27)
+@settings(max_examples=200, deadline=None)
+def test_any_label_sidecar_parses_or_is_an_input_error(short_log, data):
+    try:
+        read_labels(io.StringIO(data.decode("utf-8")))
+        parsed = True
+    except ValueError:
+        parsed = False
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "labels.csv")
+        with open(path, "wb") as f:
+            f.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["extract", "--in", short_log, "--labels", path,
+                         "--out", os.path.join(d, "f.csv")])
+    assert code in (0, 2) if parsed else code == 2
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

@@ -65,6 +65,13 @@ def test_psi0_equals_psi1_when_beta_zero(rng):
     assert np.array_equal(score_samples(m0, T), score_samples(m1, T))
 
 
+def test_iterations_must_not_be_negative(rng):
+    X = rng.standard_normal((10, 3))
+    with pytest.raises(ValueError, match="iterations must be >= 0, got -3"):
+        ssvdd_fit(X, d=2, iterations=-3)
+    assert ssvdd_fit(X, d=2, iterations=0).params["iterations"] == 0
+
+
 def test_d_bounds_checked(rng):
     X = rng.standard_normal((10, 3))
     with pytest.raises(ValueError, match="d="):
