@@ -9,17 +9,21 @@ Two formats are supported: the candump text format
 ``timestamp,id,dlc,payload`` (payload as contiguous hex, dlc = payload byte
 count). Parsing is pure and never raises anything but :class:`LogParseError`
 on bad input; logs are immutable value objects safe to share across threads.
+A file is read as batches of lines (:func:`iter_log`), so that a consumer
+can act on its start before the rest is read; :func:`load_log` joins them.
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import itertools
 import math
 import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +40,9 @@ CSV_HEADER = ("timestamp", "id", "dlc", "payload")
 # about ten times that as Python objects, and larger batches parsed no faster
 CHUNK_LINES = 1 << 13
 
+# bytes read from a log file at a time; batches are cut from them at newlines
+READ_BYTES = 1 << 20
+
 
 class LogParseError(ValueError):
     """Malformed traffic input, with the offending data row attached when known."""
@@ -43,6 +50,16 @@ class LogParseError(ValueError):
     def __init__(self, message: str, *, row: int | None = None) -> None:
         super().__init__(message if row is None else f"{message} (row {row})")
         self.row = row
+
+
+class LateFrameError(LogParseError):
+    """A frame earlier than ``floor``, the end of a window already printed:
+    a log read in batches can no longer place it."""
+
+    def __init__(self, time: float, floor: float, *, row: int | None = None) -> None:
+        super().__init__(f"frame at {time:.6f} s is earlier than {floor:.6f} s, "
+                         "the end of a window already printed", row=row)
+        self.floor = floor
 
 
 def _check_frame(timestamp: float, can_id: int, payload_length: int,
@@ -184,41 +201,97 @@ def _columns(rows: list[tuple[float, int, bool, bytes]]) -> tuple[np.ndarray, ..
             dlc, _payload_matrix(dlc, b"".join(row[3] for row in rows)))
 
 
-def _assemble(parts: list[tuple[np.ndarray, ...]]) -> CanLog:
-    """One log from per-batch columns in file order (stable sort by timestamp)."""
-    columns = [np.concatenate(column) for column in zip(*(parts or [_columns([])]))]
+def _sorted(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """Columns in timestamp order; a stable sort, so ties keep their order."""
     times = columns[0]
     if (times[1:] < times[:-1]).any():
         order = np.argsort(times, kind="stable")
         columns = [column[order] for column in columns]
-    return CanLog(*columns)
+    return columns
+
+
+def _assemble(parts: list[tuple[np.ndarray, ...]]) -> CanLog:
+    """One log from per-batch columns in file order (stable sort by timestamp)."""
+    parts = parts or [_columns([])]
+    return CanLog(*_sorted([column[0] if len(parts) == 1 else np.concatenate(column)
+                            for column in zip(*parts)]))
+
+
+def join_logs(logs: Sequence[CanLog]) -> CanLog:
+    """One log of the frames of ``logs`` in their order, stably sorted by
+    timestamp: the frames of a log read in batches, or a log's last frames
+    and the batch that follows them. Nothing is checked again."""
+    if len(logs) == 1:
+        return logs[0]
+    if not logs:
+        return _assemble([])
+    joined = object.__new__(CanLog)
+    for name, column in zip(COLUMNS, _sorted([np.concatenate([getattr(log, name) for log in logs])
+                                              for name in COLUMNS])):
+        column.flags.writeable = False
+        object.__setattr__(joined, name, column)
+    return joined
 
 
 _LAST_CHAR = operator.itemgetter(slice(-1, None))  # "" for an empty string
 
 
-def _read(lines: Iterator[str], strict, slow) -> CanLog:
-    """One log from a stream of lines, parsed in batches of ``CHUNK_LINES``.
+def _text_lines(raw: bytes, first_row: int | None) -> list[str]:
+    """The lines of UTF-8 bytes, each with its newline; bytes that are not
+    UTF-8 raise :class:`LogParseError` naming their row, counted from
+    ``first_row`` (None for a header)."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise LogParseError(f"text is not UTF-8 ({err.reason})",
+                            row=first_row and first_row + raw.count(b"\n", 0, err.start)
+                            ) from None
+    return list(io.StringIO(text))
+
+
+def _read(stream: Iterable[str] | bytes, first_row: int, not_before: float,
+          strict, slow) -> CanLog:
+    """One log from a stream of lines, parsed in batches of ``CHUNK_LINES``,
+    or from the bytes of whole lines, parsed as one batch; rows count from
+    ``first_row``.
 
     A batch whose elements all end in a newline, but perhaps the last, goes
     to ``strict(text)`` joined, and the columns it returns, one row per line
     of the text, are kept when they hold one row per element: then each
-    element is one whole line. Otherwise ``slow(batch, first_row)`` parses
-    the batch and may take more of ``lines``. Either returns the batch's
-    columns.
+    element is one whole line. Bytes go to ``strict`` as they are. Otherwise
+    ``slow(lines, first_row, not_before)`` parses the batch and may take
+    more of ``lines``. Either returns the batch's columns, and either raises
+    :class:`LateFrameError` for a frame earlier than ``not_before``.
     """
-    parts = []
-    row = 1
+    if not isinstance(stream, bytes):
+        return _assemble(list(_batches(iter(stream), first_row, not_before, strict, slow)))
+    columns = strict(stream if stream.endswith(b"\n") else stream + b"\n") if stream else None
+    if columns is None:
+        return _assemble([slow(_text_lines(stream, first_row), first_row, not_before)])
+    return _assemble([_in_order(columns, first_row, not_before)])
+
+
+def _batches(lines: Iterator[str], row: int, not_before: float, strict, slow):
+    """The columns of each batch of ``CHUNK_LINES`` lines, as :func:`_read` reads them."""
     while batch := list(itertools.islice(lines, CHUNK_LINES)):
         text = "".join(batch)
         if not text.endswith("\n"):
             text += "\n"
         columns = strict(text) if set(map(_LAST_CHAR, batch[:-1])) <= {"\n"} else None
         if columns is None or len(columns[0]) != len(batch):
-            columns = slow(batch, row)
-        parts.append(columns)
+            yield slow(batch, row, not_before)
+        else:
+            yield _in_order(columns, row, not_before)
         row += len(batch)
-    return _assemble(parts)
+
+
+def _in_order(columns: tuple[np.ndarray, ...], row: int, not_before: float):
+    """The columns of a strict batch, one row per line from ``row``; a frame
+    earlier than ``not_before`` raises :class:`LateFrameError` naming its row."""
+    late = np.flatnonzero(columns[0] < not_before)
+    if late.size:
+        raise LateFrameError(float(columns[0][late[0]]), not_before, row=row + int(late[0]))
+    return columns
 
 
 # byte -> hex digit value, 255 for a byte that is not a hex digit
@@ -239,15 +312,17 @@ _FIRST = np.arange(_PAD) < np.arange(_PAD + 1)[:, None]
 _LAST = _FIRST[:, ::-1].copy()
 
 
-def _lines(text: str, sep: str, count: int):
+def _lines(text: str | bytes, sep: str, count: int):
     """(padded bytes, line starts, newline positions, [n, count] separator
     positions) of a batch text of printable ASCII lines, each ending in a
     newline and holding ``count`` ``sep`` bytes after its first byte; else
     None. Positions index the padded bytes."""
-    try:
-        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return None
+    if isinstance(text, str):
+        try:
+            text = text.encode("ascii")
+        except UnicodeEncodeError:
+            return None
+    raw = np.frombuffer(text, dtype=np.uint8)
     ends = np.flatnonzero(raw == 10)
     n = ends.shape[0]
     # newlines are the only bytes outside " " to "~" (uint8 arithmetic wraps)
@@ -398,7 +473,7 @@ def _parse_payload_hex(text: str, where: str = "", row: int | None = None) -> by
     return bytes.fromhex(text)
 
 
-def _candump_strict(text: str) -> tuple[np.ndarray, ...] | None:
+def _candump_strict(text: str | bytes) -> tuple[np.ndarray, ...] | None:
     """Columns of a batch text of candump lines in a strict form of the
     format, ``(<timestamp>) <interface> <id>#<data>`` with single spaces, a
     printable ASCII interface, a timestamp that ``_times`` reads, a 1-8 digit
@@ -417,7 +492,8 @@ def _candump_strict(text: str) -> tuple[np.ndarray, ...] | None:
                           hashes - tail > 4, _payload(raw, hashes + 1, ends))
 
 
-def _candump_lines(lines: list[str], first_row: int) -> tuple[np.ndarray, ...]:
+def _candump_lines(lines: list[str], first_row: int,
+                   not_before: float = -math.inf) -> tuple[np.ndarray, ...]:
     """Columns of candump lines parsed one by one; errors name the row."""
     rows = []
     for lineno, line in enumerate(lines, start=first_row):
@@ -427,17 +503,22 @@ def _candump_lines(lines: list[str], first_row: int) -> tuple[np.ndarray, ...]:
             rows.append(_candump_fields(line))
         except LogParseError as err:
             raise LogParseError(str(err), row=lineno) from err
+        if rows[-1][0] < not_before:
+            raise LateFrameError(rows[-1][0], not_before, row=lineno)
     return _columns(rows)
 
 
-def read_candump(stream: Iterable[str]) -> CanLog:
-    """Parse a whole candump text stream of lines; blank lines are skipped.
+def read_candump(stream: Iterable[str] | bytes, *, first_row: int = 1,
+                 not_before: float = -math.inf) -> CanLog:
+    """Parse candump text, a stream of lines or the bytes of whole lines as
+    :func:`iter_log` reads them; blank lines are skipped.
 
     Lines are parsed in batches of ``CHUNK_LINES``: a batch of strict lines
     fills the columns at once, any other batch goes line by line, so errors
-    carry the 1-based line number within the whole stream.
+    carry the 1-based line number, counted from ``first_row``. A frame
+    earlier than ``not_before`` is a :class:`LateFrameError`.
     """
-    return _read(iter(stream), _candump_strict, _candump_lines)
+    return _read(stream, first_row, not_before, _candump_strict, _candump_lines)
 
 
 def _csv_layout(header: list[str]) -> tuple[int, int, int, int | None, int]:
@@ -451,7 +532,7 @@ def _csv_layout(header: list[str]) -> tuple[int, int, int, int | None, int]:
             columns.get("dlc"), len(header))
 
 
-def _csv_strict(text: str) -> tuple[np.ndarray, ...] | None:
+def _csv_strict(text: str | bytes) -> tuple[np.ndarray, ...] | None:
     """Columns of a batch text of CSV lines under the written header in a
     strict form, ``<timestamp>,<id>,<dlc>,<payload>`` with a timestamp that
     ``_times`` reads, an id of ``0x`` and 1-8 hex digits in range, as
@@ -483,7 +564,7 @@ def _decimal(text: str, name: str, row: int) -> int:
 
 
 def _csv_rows(lines: Iterable[str], layout: tuple[int, int, int, int | None, int],
-              first_row: int) -> tuple[np.ndarray, ...]:
+              first_row: int, not_before: float = -math.inf) -> tuple[np.ndarray, ...]:
     """Columns of CSV records parsed one by one; errors, a ``csv.Error``
     included, name the data row, counted from ``first_row``."""
     import csv
@@ -529,17 +610,22 @@ def _csv_rows(lines: Iterable[str], layout: tuple[int, int, int, int | None, int
             _check_frame(timestamp, can_id, len(payload), extended)
         except ValueError as err:
             raise LogParseError(str(err), row=rownum) from err
+        if timestamp < not_before:
+            raise LateFrameError(timestamp, not_before, row=rownum)
         rows.append((timestamp, can_id, extended, payload))
     return _columns(rows)
 
 
-def parse_csv_log(stream: Iterable[str]) -> CanLog:
-    """Parse a CSV traffic log; output is sorted by timestamp, ties stable.
+def parse_csv_log(stream: Iterable[str] | bytes, *, first_row: int = 1,
+                  not_before: float = -math.inf) -> CanLog:
+    """Parse a CSV traffic log, a stream of lines or the bytes of whole lines
+    as :func:`iter_log` reads them; output is sorted by timestamp, ties stable.
 
     Columns are found by header name in any order and extra columns are
     ignored; ``dlc`` is optional and, when present, must match the payload
     length. The payload may carry a ``0x`` prefix. Errors carry the 1-based
-    data row number.
+    data row number, counted from ``first_row``. A frame earlier than
+    ``not_before`` is a :class:`LateFrameError`.
 
     Under the header that :func:`write_csv_log` writes, data lines are
     parsed in batches of ``CHUNK_LINES``, and batches of strict lines fill
@@ -549,6 +635,13 @@ def parse_csv_log(stream: Iterable[str]) -> CanLog:
     """
     import csv
 
+    data = None  # the bytes after the header line, when read as bytes
+    if isinstance(stream, bytes):
+        head, newline, data = stream.partition(b"\n")
+        stream = _text_lines(head + newline, None)
+        if b'"' in head or b'"' in data:  # a quoted field may span lines
+            stream += _text_lines(data, first_row)
+            data = None
     lines = iter(stream)
     try:
         header = next(csv.reader(lines))
@@ -558,8 +651,9 @@ def parse_csv_log(stream: Iterable[str]) -> CanLog:
         raise LogParseError(f"malformed header row: {err}") from None
     layout = _csv_layout(header)
     strict = _csv_strict if header == list(CSV_HEADER) else (lambda text: None)
-    return _read(lines, strict,
-                 lambda batch, row: _csv_rows(itertools.chain(batch, lines), layout, row))
+    return _read(lines if data is None else data, first_row, not_before, strict,
+                 lambda batch, row, floor: _csv_rows(itertools.chain(batch, lines), layout,
+                                                     row, floor))
 
 
 def write_csv_log(log: CanLog, sink: IO[str]) -> None:
@@ -577,12 +671,95 @@ def write_csv_log(log: CanLog, sink: IO[str]) -> None:
                                                      rows.dlc.tolist()))))
 
 
+def _file_batches(f: BinaryIO) -> Iterator[tuple[bytes, int]]:
+    """(bytes, first line number) of each run of ``CHUNK_LINES`` lines of a
+    binary file read up to ``READ_BYTES`` at a time, with ``\\r\\n`` and
+    ``\\r`` turned into ``\\n`` as a text-mode file reads them. The last run
+    may be shorter and lack its final newline. ``read1`` returns what a pipe
+    holds, so a batch is cut as soon as its lines have arrived."""
+    row, size = 1, 0
+    pieces, newlines = [], []  # the bytes since the last cut, and their newlines
+    while block := f.read1(READ_BYTES):
+        while block.endswith(b"\r") and (more := f.read(1)):  # keep a \r\n whole
+            block += more
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        newlines.append(size + np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10))
+        pieces.append(block)
+        size += len(block)
+        ends = np.concatenate(newlines)
+        newlines = [ends]
+        if ends.size < CHUNK_LINES:
+            continue
+        data = b"".join(pieces)
+        cuts = [0, *(ends[CHUNK_LINES - 1::CHUNK_LINES] + 1).tolist()]
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield data[lo:hi], row
+            row += CHUNK_LINES
+        pieces, size = [data[cuts[-1]:]], len(data) - cuts[-1]
+        newlines = [ends[(len(cuts) - 1) * CHUNK_LINES:] - cuts[-1]]
+    if size:
+        yield b"".join(pieces), row
+
+
+def _checked(parse) -> Iterator[CanLog]:
+    """Yield the batch ``parse()`` reads. A :class:`LateFrameError` thrown
+    back in is raised again by reading the batch once more with its floor,
+    which names the row of the first frame earlier than it."""
+    log = parse()
+    try:
+        yield log
+    except LateFrameError as late:
+        parse(not_before=late.floor)
+        raise
+
+
+def iter_log(path: str) -> Iterator[CanLog]:
+    """A traffic log file as consecutive batches of ``CHUNK_LINES`` lines in
+    file order, each sorted by timestamp with ties stable. The first
+    non-blank line tells the format: candump when it starts with ``(``,
+    else CSV. Each batch goes through :func:`read_candump` or
+    :func:`parse_csv_log`, rows count over the whole file, and every error
+    names the file.
+
+    A CSV batch that holds a quote character is read together with the rest
+    of the file, because a quoted field may span lines; in any other batch
+    each line is one record. A consumer that finds a frame earlier than the
+    end of a window it already printed throws :class:`LateFrameError` in
+    here, so that the error names the frame's row.
+    """
+    try:
+        with open(path, "rb") as f:
+            batches = _file_batches(f)
+            head, first = [], None  # batches read up to the first non-blank line
+            for raw, row in batches:
+                head.append((raw, row))
+                # bytes that are not UTF-8 are an error of the parse below
+                lines = io.StringIO(raw.decode("utf-8", "replace"))
+                first = next((line.lstrip() for line in lines if line.strip()), None)
+                if first is not None:
+                    break
+            # an empty file is one empty batch, which holds no CSV header
+            batches = itertools.chain(head or [(b"", 1)], batches)
+            if first is not None and first.startswith("("):
+                for raw, row in batches:
+                    yield from _checked(functools.partial(read_candump, raw, first_row=row))
+                return
+            header = head[0][0].partition(b"\n")[0] + b"\n" if head else b""
+            for raw, row in batches:
+                if b'"' in raw:
+                    raw += b"".join(more for more, _ in batches)
+                text = raw if row == 1 else header + raw
+                yield from _checked(functools.partial(parse_csv_log, text,
+                                                      first_row=max(row - 1, 1)))
+    except LogParseError as err:
+        err.args = (f"log file {path}: {err}",)
+        raise
+
+
 def load_log(path: str) -> CanLog:
-    """Read a traffic log file, sniffing candump vs CSV from the first line."""
-    with open(path, "r", encoding="utf-8") as f:
-        head = next((line.lstrip() for line in f if line.strip()), "")
-        f.seek(0)
-        return read_candump(f) if head.startswith("(") else parse_csv_log(f)
+    """Read a traffic log file: the batches of :func:`iter_log`, joined."""
+    return join_logs(list(iter_log(path)))
 
 
 def save_log(log: CanLog, path: str) -> None:

@@ -238,15 +238,19 @@ def cmd_detect(args: argparse.Namespace) -> int:
     model, spec = load_model(args.model)
     if spec is None:
         raise ValueError("model file carries no vocabulary; re-train with this toolkit")
-    log = canlog.load_log(args.input)
-    if not len(log):
+    # each batch of the log prints the verdicts of the windows it completed
+    printed = anomaly = False
+    for windows in features.iter_windows(canlog.iter_log(args.input), spec.window,
+                                         spec.stride):
+        X, _ = features.extract_matrix(windows, spec.vocab, spec.stdev_mode)
+        scores = score_samples(model, X)
+        print("\n".join(f"{w.start:.6f},{score:.9g},{'anomaly' if score > 0 else 'normal'}"
+                        for w, score in zip(windows, scores.tolist())), flush=True)
+        printed = True
+        anomaly = anomaly or bool((scores > 0).any())
+    if not printed:  # a log with a frame has a window
         raise ValueError(f"input log {args.input} is empty")
-    windows = features.segment_windows(log, spec.window, spec.stride)
-    X, _ = features.extract_matrix(windows, spec.vocab, spec.stdev_mode)
-    scores = score_samples(model, X)
-    for w, score in zip(windows, scores.tolist()):
-        print(f"{w.start:.6f},{score:.9g},{'anomaly' if score > 0 else 'normal'}")
-    return EXIT_ANOMALY if (scores > 0).any() else EXIT_OK
+    return EXIT_ANOMALY if anomaly else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

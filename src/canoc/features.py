@@ -30,11 +30,11 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .canlog import CAN_EFF_MAX, CanLog
+from .canlog import CAN_EFF_MAX, CanLog, LateFrameError, join_logs
 
 LABEL_NORMAL = "normal"
 LABEL_RANDOM_ID = "random_id"
@@ -165,6 +165,85 @@ class Window:
 MAX_WINDOWS = 1 << 20
 
 
+def _window_count(t_first: float, t_last: float, stride: float) -> int:
+    """How many grid points ``t_first + k * stride`` the span needs: one past
+    the last that is at most ``t_last``, or one more when the rounded-down
+    quotient missed a grid point. Raises past ``MAX_WINDOWS``."""
+    count = np.floor((t_last - t_first) / stride) + 1
+    if t_first + count * stride <= t_last:  # the quotient rounded down past a grid point
+        count += 1
+    if count > MAX_WINDOWS:
+        raise ValueError(f"a {t_last - t_first:g} s log at a {stride:g} s stride "
+                         f"needs {count:.0f} windows, more than {MAX_WINDOWS}")
+    return int(count)
+
+
+def _cut(log: CanLog, grid: np.ndarray, length: float, stride: float,
+         t_last: float) -> list[Window]:
+    """The windows that start at ``grid[:-1]``; ``grid[-1]`` is the next
+    grid point, where a tumbling window ends."""
+    starts = grid[:-1]
+    # for tumbling windows the ends are the next grid points, so consecutive
+    # windows meet at the exact same float and every frame lands in one
+    ends = grid[1:] if stride == length else starts + length
+    lo = np.searchsorted(log.times, starts, side="left").tolist()
+    hi = np.searchsorted(log.times, ends, side="left").tolist()
+    return [Window(start=start, length=length, frames=log[a:b],
+                   partial=start + length > t_last)
+            for start, a, b in zip(starts.tolist(), lo, hi)]
+
+
+def iter_windows(batches: Iterable[CanLog], length: float,
+                 stride: float | None = None) -> Iterator[list[Window]]:
+    """The windows of :func:`segment_windows` over a log read as
+    consecutive time-sorted batches in file order: after each batch, the
+    windows it completed, and after the last batch, the rest.
+
+    Window k starts at ``t_first + k * stride`` (``t_first`` the earliest
+    frame) and is complete once a frame at or past both the next grid point
+    and its own end has been read. The frames kept between batches are those
+    of the windows not yet complete. A frame earlier than the end of a
+    window already yielded raises :class:`LateFrameError`; it is thrown
+    into ``batches`` first when that is a generator, so that a reader can
+    name its row. Frames out of order before that are sorted as in a whole
+    log, so the windows equal those of the joined batches. The
+    ``MAX_WINDOWS`` check runs on the span read so far.
+    """
+    _check_span("window", length)
+    if stride is None:
+        stride = length
+    _check_span("stride", stride)
+    batches = iter(batches)
+    log = None  # the frames from the start of the next window on
+    k = 0  # the next window
+    floor = -math.inf  # the end of the last window yielded
+    for batch in batches:
+        if not len(batch):
+            continue
+        if batch.times[0] < floor:
+            late = LateFrameError(float(batch.times[0]), floor)
+            if hasattr(batches, "throw"):
+                batches.throw(late)
+            raise late
+        log = batch if log is None else join_logs([log, batch])
+        if k == 0:
+            t_first = float(log.times[0])
+        t_last = float(log.times[-1])
+        grid = t_first + np.arange(k, _window_count(t_first, t_last, stride) + 1) * stride
+        done = int(np.count_nonzero(np.maximum(grid[1:], grid[:-1] + length) <= t_last))
+        if done:
+            windows = _cut(log, grid[:done + 1], length, stride, t_last)
+            yield windows
+            k += done
+            floor = windows[-1].start + length if stride != length else float(grid[done])
+            log = log[int(np.searchsorted(log.times, grid[done], side="left")):]
+    if log is not None:
+        grid = t_first + np.arange(k, _window_count(t_first, t_last, stride) + 1) * stride
+        rest = int(np.count_nonzero(grid[:-1] <= t_last))
+        if rest:
+            yield _cut(log, grid[:rest + 1], length, stride, t_last)
+
+
 def segment_windows(log: CanLog, length: float, stride: float | None = None) -> list[Window]:
     """Tile the log's time span with fixed windows.
 
@@ -173,32 +252,7 @@ def segment_windows(log: CanLog, length: float, stride: float | None = None) -> 
     sliding windows. The trailing window is kept and flagged partial.
     Raises when the span needs more than ``MAX_WINDOWS`` windows.
     """
-    _check_span("window", length)
-    if stride is None:
-        stride = length
-    _check_span("stride", stride)
-    if not len(log):
-        return []
-
-    t_first, t_last = log.span
-    count = np.floor((t_last - t_first) / stride) + 1
-    if t_first + count * stride <= t_last:  # the quotient rounded down past a grid point
-        count += 1
-    if count > MAX_WINDOWS:
-        raise ValueError(f"a {t_last - t_first:g} s log at a {stride:g} s stride "
-                         f"needs {count:.0f} windows, more than {MAX_WINDOWS}")
-    count = int(count)
-    # per-window boundaries come from one shared grid so that, for tumbling
-    # windows, consecutive windows meet at the exact same float and every
-    # frame lands in exactly one of them
-    grid = t_first + np.arange(count + 1) * stride
-    starts = grid[:count][grid[:count] <= t_last]
-    ends = grid[1:starts.size + 1] if stride == length else starts + length
-    lo = np.searchsorted(log.times, starts, side="left").tolist()
-    hi = np.searchsorted(log.times, ends, side="left").tolist()
-    return [Window(start=start, length=length, frames=log[a:b],
-                   partial=start + length > t_last)
-            for start, a, b in zip(starts.tolist(), lo, hi)]
+    return [window for windows in iter_windows([log], length, stride) for window in windows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,13 +460,15 @@ def _is_number(value) -> bool:
 
 
 def read_json(path: str, where: str):
-    """Parse a JSON file. Nesting too deep for the parser is a
-    ``ValueError`` naming ``where``, like any other malformed document."""
+    """Parse a JSON file. Text that is not UTF-8 or not JSON, and nesting
+    too deep for the parser, is a ``ValueError`` naming ``where``."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
         except RecursionError:
             raise ValueError(f"{where} is nested too deeply") from None
+        except ValueError as err:  # json.JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{where}: {err}") from None
 
 
 SPEC_KEYS = ("ids", "include_other_bucket", "window", "stride", "stdev_mode")

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..features import LABEL_NORMAL, Scaler, apply_scaler
 from .detector import Detector
-from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix
+from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, products
 # fit_model finds each family's fitter among these names
 from .ocsvm import ocsvm_fit
 from .ssvdd import ssvdd_fit
@@ -38,8 +38,10 @@ def _self_kernel(X: np.ndarray, kernel: KernelSpec) -> np.ndarray:
 def score_samples(model: Detector, X) -> np.ndarray:
     """Anomaly scores, <= 0 normal and > 0 anomalous: the bundled scaler,
     then each transform, then the kernel expansion
-    ``u k(x,x) - v sum_i a_i k(x, x_i) + offset - r_squared``."""
-    X = _as_matrix(X, "X")
+    ``u k(x,x) - v sum_i a_i k(x, x_i) + offset - r_squared``. Every product
+    is computed row by row (:func:`~canoc.models.kernels.products`), so a
+    row's score depends only on that row."""
+    X = np.ascontiguousarray(_as_matrix(X, "X"))  # each stage keeps rows contiguous
     if model.scaler is not None:
         X = apply_scaler(model.scaler, X)
     for step in model.transforms:
@@ -47,8 +49,9 @@ def score_samples(model: Detector, X) -> np.ndarray:
     if X.shape[1] != model.support_samples.shape[1]:
         raise ValueError(f"expected {model.support_samples.shape[1]} features, "
                          f"got {X.shape[1]}")
-    Kx = gram_matrix(X, model.support_samples, model.kernel)
-    return (model.u * _self_kernel(X, model.kernel) - model.v * (Kx @ model.alphas)
+    Kx = gram_matrix(X, model.support_samples, model.kernel, rowwise=True)
+    return (model.u * _self_kernel(X, model.kernel)
+            - model.v * products(Kx, model.alphas[None, :], rowwise=True)[:, 0]
             + model.offset - model.r_squared)
 
 

@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..features import Scaler
-from .kernels import KernelSpec
+from .kernels import KernelSpec, products
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +33,7 @@ class Whiten:
         return self.matrix.shape
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.matrix
+        return products(X, self.matrix.T, rowwise=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +47,7 @@ class Projection:
         return self.q.shape[1], self.q.shape[0]
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.q.T
+        return products(X, self.q, rowwise=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..features import Scaler
 from .detector import Detector, Projection
-from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, resolve_kernel
+from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, products, resolve_kernel
 from .smo import solve_svdd_dual
 from .svdd import svdd_fit
 
@@ -112,10 +112,10 @@ class NptEmbedding:
 
     def transform(self, X) -> np.ndarray:
         X = _as_matrix(X, "X")
-        Kx = gram_matrix(X, self.train_samples, self.kernel)
+        Kx = gram_matrix(X, self.train_samples, self.kernel, rowwise=True)
         Kc = (Kx - Kx.mean(axis=1, keepdims=True)
               - self.row_means[None, :] + self.total_mean)
-        return (Kc @ self.eigvecs) / np.sqrt(self.eigvals)
+        return products(Kc, self.eigvecs.T, rowwise=True) / np.sqrt(self.eigvals)
 
 
 def orthonormalize_rows(Q: np.ndarray) -> np.ndarray:

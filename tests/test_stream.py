@@ -1,0 +1,484 @@
+"""Streaming ``detect``: the log read in batches, each batch printing the
+verdicts of the windows it completed, from scores that depend only on their
+own row."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import canoc
+from canoc import canlog
+from canoc.canlog import (COLUMNS, CSV_HEADER, CanLog, LateFrameError, LogParseError,
+                          iter_log, join_logs, load_log, parse_csv_log, read_candump)
+from canoc.cli import main
+from canoc.features import (FeatureSpec, IdVocabulary, apply_scaler, extract_matrix,
+                            fit_scaler, iter_windows, segment_windows)
+from canoc.models import KernelSpec, MODEL_FAMILIES, fit_model, save_model, score_samples
+from canoc.simulate import default_bus, generate_normal
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def log_text(frames, fmt, newline="\n"):
+    """The text of (t, id, payload) frames in file order: candump, the CSV
+    that write_csv_log writes, or a CSV under another header."""
+    if fmt == "candump":
+        lines = [f"({t:.6f}) can0 {i:03X}#{p.hex().upper()}" for t, i, p in frames]
+    elif fmt == "csv":
+        lines = [",".join(CSV_HEADER)] + [f"{t:.6f},0x{i:X},{len(p)},{p.hex().upper()}"
+                                          for t, i, p in frames]
+    else:
+        lines = ["id,timestamp,payload"] + [f"0x{i:X},{t:.6f},{p.hex()}" for t, i, p in frames]
+    return "".join(line + newline for line in lines)
+
+
+# --- the batch reader ---------------------------------------------------------
+
+FRAMES = st.lists(st.tuples(st.integers(0, 4 * 10 ** 6), st.integers(0, 0x7FF),
+                            st.binary(max_size=8)), max_size=24)
+# whole lines the readers take or reject, placed among the frames
+ODD_LINES = ("", "   ", "(1.0)  can0 100#00", "(1.0) can0 100#0", "x,0x100,0,",
+             "1.5,0x100,1,AB", '"1.5",0x100,1,AB', '2.5,0x100,1,"AB"', "2.5,0x100,1,\"A\nB\"")
+
+
+@given(FRAMES, st.sampled_from(("candump", "csv", "other")),
+       st.sampled_from(("\n", "\r\n", "\r")),
+       st.lists(st.tuples(st.integers(0, 30), st.sampled_from(ODD_LINES)), max_size=3),
+       st.sampled_from((1, 2, 3, 7)), st.sampled_from((1, 5, 64, canlog.READ_BYTES)),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_load_log_joins_the_batches_that_the_line_readers_would_read(
+        tmp_path_factory, frames, fmt, newline, odd, chunk, read_bytes, last_newline):
+    frames = [(t / 10 ** 6, i, p) for t, i, p in frames]
+    lines = log_text(frames, fmt).splitlines(keepends=True)
+    for at, line in odd:
+        lines.insert(min(at, len(lines)), line + "\n")
+    text = "".join(lines).replace("\n", newline)
+    if not last_newline:
+        text = text[:-len(newline)]
+    path = tmp_path_factory.mktemp("log") / "log"
+    path.write_bytes(text.encode())
+
+    def outcome(read):
+        try:
+            log = read()
+        except LogParseError as err:
+            return str(err).removeprefix(f"log file {path}: "), err.row
+        return [getattr(log, name).tolist() for name in COLUMNS]
+
+    with open(path, encoding="utf-8") as f:  # text mode: universal newlines
+        head = next((line.lstrip() for line in f if line.strip()), "")
+        f.seek(0)
+        expected = outcome(lambda: (read_candump if head.startswith("(") else parse_csv_log)(f))
+    with mock.patch.object(canlog, "CHUNK_LINES", chunk), \
+            mock.patch.object(canlog, "READ_BYTES", read_bytes):
+        assert outcome(lambda: load_log(str(path))) == expected
+        try:
+            batches = list(iter_log(str(path)))
+        except LogParseError:
+            return
+    assert all((b.times[1:] >= b.times[:-1]).all() for b in batches)
+    if fmt == "candump" or not any('"' in line for line in lines):
+        assert all(len(b) <= chunk for b in batches)
+
+
+@pytest.mark.parametrize("fmt", ["candump", "csv"])
+@pytest.mark.parametrize("bad_row", [5, 6, 7])
+def test_error_rows_count_over_the_whole_file_across_a_batch_edge(tmp_path, fmt, bad_row):
+    # CHUNK_LINES is 3: candump rows 5, 6 and 7 end the second batch and start the
+    # third; a CSV's header is line 1, so its data rows 5, 6 and 7 are lines 6-8
+    frames = [(k / 4, 0x100, b"\x01") for k in range(12)]
+    lines = log_text(frames, fmt).splitlines(keepends=True)
+    at = bad_row - 1 + (fmt != "candump")
+    lines[at] = lines[at].replace("#01", "#1").replace(",01", ",1")
+    path = tmp_path / "log"
+    path.write_text("".join(lines))
+    with mock.patch.object(canlog, "CHUNK_LINES", 3), pytest.raises(LogParseError) as err:
+        load_log(str(path))
+    assert err.value.row == bad_row
+    assert str(err.value).startswith(f"log file {path}: ")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_a_pipe_is_read_batch_by_batch_as_its_lines_arrive(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    first_read, waited_out = threading.Event(), []
+
+    def write():
+        with open(pipe, "w") as f:
+            f.write(log_text([(k / 10, 0x100, b"") for k in range(5)], "candump"))
+            f.flush()
+            waited_out.append(not first_read.wait(5))
+            f.write(log_text([(1.0, 0x100, b"")], "candump"))
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    with mock.patch.object(canlog, "CHUNK_LINES", 4):
+        batches = iter_log(str(pipe))
+        first = next(batches)  # while the writer holds the pipe open
+        first_read.set()
+        rest = list(batches)
+    writer.join()
+    assert waited_out == [False] and len(first) == 4 and [len(b) for b in rest] == [2]
+
+
+def test_join_logs_sorts_stably_and_checks_nothing_again():
+    a = CanLog.from_frames([canlog.CanFrame(1.0, 1), canlog.CanFrame(3.0, 2)])
+    b = CanLog.from_frames([canlog.CanFrame(1.0, 3), canlog.CanFrame(2.0, 4)])
+    joined = join_logs([a, b])
+    assert joined.ids.tolist() == [1, 3, 4, 2]
+    assert not joined.times.flags.writeable
+    assert join_logs([a]) is a and len(join_logs([])) == 0
+
+
+# --- the windower ---------------------------------------------------------------
+
+def window_key(windows):
+    return [(w.start, w.length, w.partial, w.frames.times.tolist(), w.frames.ids.tolist())
+            for w in windows]
+
+
+@given(st.lists(st.integers(0, 8000), min_size=1, max_size=60),
+       st.lists(st.integers(0, 60), max_size=6),
+       st.sampled_from(((1.0, None), (2.0, 0.5), (0.5, 1.5), (0.3, 0.3), (1.0, 0.7))))
+@settings(max_examples=300, deadline=None)
+def test_windows_of_sorted_batches_are_the_windows_of_the_joined_log(ticks, cuts, spec):
+    length, stride = spec
+    times = sorted(t / 1000 for t in ticks)
+    log = CanLog.from_frames(canlog.CanFrame(t, k % 5) for k, t in enumerate(times))
+    edges = [0, *sorted(c for c in cuts if c < len(log)), len(log)]
+    batches = [log[a:b] for a, b in zip(edges, edges[1:])]
+    streamed = [w for group in iter_windows(batches, length, stride) for w in group]
+    assert window_key(streamed) == window_key(segment_windows(log, length, stride))
+
+
+def _log(*times):
+    return CanLog.from_frames(canlog.CanFrame(t, 1) for t in times)
+
+
+def test_frames_out_of_order_inside_an_open_window_are_sorted():
+    batches = [_log(0.0, 0.5, 1.4), _log(1.2, 2.5)]
+    streamed = [w for group in iter_windows(batches, 1.0) for w in group]
+    assert window_key(streamed) == window_key(segment_windows(join_logs(batches), 1.0))
+
+
+def test_each_batch_yields_the_windows_it_completed():
+    groups = list(iter_windows([_log(0.0, 0.5), _log(1.0), _log(2.5), _log(2.6, 3.0)], 1.0))
+    assert [[w.start for w in group] for group in groups] == [[0.0], [1.0], [2.0], [3.0]]
+    assert [w.partial for group in groups for w in group] == [False, False, False, True]
+
+
+def test_frame_before_a_yielded_window_end_is_late():
+    windows = iter_windows([_log(0.0, 2.1), _log(1.5)], 1.0)
+    assert [w.start for w in next(windows)] == [0.0, 1.0]
+    with pytest.raises(LateFrameError, match="frame at 1.500000 s is earlier than 2.000000 s"):
+        next(windows)
+
+    def reader():  # a generator learns of the late frame before it is raised
+        yield _log(0.0, 2.1)
+        try:
+            yield _log(1.5)
+        except LateFrameError as err:
+            raise LogParseError("seen by the reader") from err
+
+    with pytest.raises(LogParseError, match="seen by the reader"):
+        list(iter_windows(reader(), 1.0))
+
+
+def test_too_many_windows_is_found_on_the_span_read_so_far():
+    windows = iter_windows([_log(0.0), _log(1e10), _log(2e10)], 1.0)
+    with pytest.raises(ValueError, match="1e\\+10 s log at a 1 s stride needs 10000000001"):
+        next(windows)
+
+
+# --- detect against the whole-log reference --------------------------------------
+
+VOCAB = IdVocabulary((0x100, 0x200, 0x300))
+
+
+def traffic():
+    """About 12 s of frames in file order: periodic ids, foreign ids, frames on
+    whole and half seconds (window edges), an empty stretch, and pairs of
+    frames written out of order inside one half-second cell."""
+    frames = [(k / 10, 0x100, b"\x01") for k in range(60)]
+    frames += [(k / 4, 0x200, b"") for k in range(24)]
+    frames += [(k / 2 + 0.01, 0x300, b"\xaa\xbb") for k in range(12)]
+    frames += [(1.37, 0x7AB, b""), (2.0, 0x7AB, b""), (4.5, 0x123, b"\x00")]
+    frames += [(9.5 + k / 10, 0x100, b"\x01") for k in range(25)]  # after 3.5 s of silence
+    frames.sort(key=lambda frame: frame[0])
+    for pair in ((3.21, 0x100), (3.33, 0x200)), ((10.61, 0x300), (10.72, 0x100)):
+        at = next(k for k, frame in enumerate(frames) if frame[0] > pair[0][0])
+        frames[at:at] = [(pair[1][0], pair[1][1], b""), (pair[0][0], pair[0][1], b"")]
+    return frames
+
+
+def reference(log_path, model, spec):
+    """detect's exit code and stdout, from the whole log at once."""
+    windows = segment_windows(load_log(str(log_path)), spec.window, spec.stride)
+    X, _ = extract_matrix(windows, spec.vocab, spec.stdev_mode)
+    scores = score_samples(model, X)
+    out = "".join(f"{w.start:.6f},{s:.9g},{'anomaly' if s > 0 else 'normal'}\n"
+                  for w, s in zip(windows, scores.tolist()))
+    return (4 if (scores > 0).any() else 0), out
+
+
+def model_file(path, log_path, family, spec):
+    windows = segment_windows(load_log(str(log_path)), spec.window, spec.stride)
+    X, _ = extract_matrix(windows, spec.vocab, spec.stdev_mode)
+    scaler = fit_scaler(X)
+    model = fit_model(family, apply_scaler(scaler, X), scaler=scaler)
+    save_model(model, str(path), spec)
+    return model
+
+
+@pytest.mark.parametrize("fmt, newline", [("candump", "\n"), ("csv", "\n"), ("other", "\n"),
+                                          ("candump", "\r\n"), ("csv", "\r\n")])
+@pytest.mark.parametrize("window, stride", [(1.0, None), (2.0, 0.5), (0.5, 1.5)])
+@pytest.mark.parametrize("family", ["svdd", "gesvdd"])
+def test_streamed_detect_prints_what_the_whole_log_gives(tmp_path, capsys, fmt, newline,
+                                                         window, stride, family):
+    log_path, model_path = tmp_path / "log", tmp_path / "model.json"
+    log_path.write_bytes(log_text(traffic(), fmt, newline).encode())
+    spec = FeatureSpec(VOCAB, window, stride)
+    expected = reference(log_path, model_file(model_path, log_path, family, spec), spec)
+    assert expected[1].count("\n") > 5
+    for chunk in (1, 2, 3, 7, canlog.CHUNK_LINES):
+        for read_bytes in (64, canlog.READ_BYTES):
+            with mock.patch.object(canlog, "CHUNK_LINES", chunk), \
+                    mock.patch.object(canlog, "READ_BYTES", read_bytes):
+                code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
+            assert (code, out, err) == (*expected, ""), (chunk, read_bytes)
+
+
+def bad_payload(line):
+    return line.replace("#01", "#1").replace(",01", ",1")
+
+
+@pytest.mark.parametrize("fmt", ["candump", "csv"])
+def test_malformed_line_after_the_first_batch_prints_the_earlier_verdicts_first(
+        tmp_path, capsys, fmt):
+    log_path, model_path = tmp_path / "log", tmp_path / "model.json"
+    frames = [(k / 10, 0x100, b"\x01") for k in range(100)]
+    log_path.write_text(log_text(frames, fmt))
+    spec = FeatureSpec(VOCAB)
+    _, expected = reference(log_path, model_file(model_path, log_path, "svdd", spec), spec)
+    lines = log_path.read_text().splitlines(keepends=True)
+    row = 61  # the frame at 6.0 s; CHUNK_LINES 7 puts it in the batch of lines 57-63
+    lines[row - (fmt == "candump")] = bad_payload(lines[row - (fmt == "candump")])
+    log_path.write_text("".join(lines))
+    with mock.patch.object(canlog, "CHUNK_LINES", 7):
+        code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
+    # the batches before it hold frames up to 5.5 s (candump) or 5.4 s (CSV,
+    # whose header takes a line): windows 0-4 are complete
+    assert code == 2 and out == "".join(expected.splitlines(keepends=True)[:5])
+    assert err.startswith(f"error: log file {log_path}: odd payload hex length")
+    assert err.endswith(f"(row {row})\n")
+
+
+@pytest.mark.parametrize("fmt", ["candump", "csv"])
+@pytest.mark.parametrize("strict", [True, False])
+def test_frame_before_a_printed_window_end_is_an_input_error_naming_its_row(
+        tmp_path, capsys, fmt, strict):
+    log_path, model_path = tmp_path / "log", tmp_path / "model.json"
+    frames = [(k / 10, 0x100, b"\x01") for k in range(50)]
+    frames[45:45] = [(4.52, 0x100, b"\x01"), (1.5, 0x200, b"")]
+    text = log_text(frames, fmt)
+    lines = text.splitlines(keepends=True)
+    head = fmt != "candump"
+    lines.insert(head + 20, "\n")  # a blank line: the late frame is row 48
+    if not strict:  # a line of the late frame's batch that only the line parser reads
+        lines[head + 45] = lines[head + 45].replace(") can0", ")  can0").replace(",0x100,", ",256,")
+    log_path.write_text("".join(lines))
+    spec = FeatureSpec(VOCAB)
+    model_file(model_path, log_path, "svdd", spec)
+    code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
+    assert code in (0, 4) and out.count("\n") == 5  # one batch: sorted as today
+    with mock.patch.object(canlog, "CHUNK_LINES", 7):
+        code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
+    # lines 43-49 hold the late frame, and the lines before them end at 4.0 s
+    # (candump) or 3.9 s (CSV, whose header takes a line): windows 0-3 or 0-2
+    # are printed, and the last of them ends at 4 s or 3 s
+    printed = 4 if fmt == "candump" else 3
+    assert code == 2 and out.count("\n") == printed
+    assert err == (f"error: log file {log_path}: frame at 1.500000 s is earlier than "
+                   f"{printed}.000000 s, the end of a window already printed (row 48)\n")
+
+
+def test_a_file_of_blank_lines_is_a_csv_without_a_header(tmp_path, capsys):
+    log_path, model_path = tmp_path / "log", tmp_path / "model.json"
+    log_path.write_text(log_text([(k / 10, 0x100, b"") for k in range(30)], "candump"))
+    model_file(model_path, log_path, "svdd", FeatureSpec(VOCAB))
+    log_path.write_text("\n \n\n")
+    with mock.patch.object(canlog, "CHUNK_LINES", 1):
+        code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
+    assert code == 2 and out == "" and "missing column 'timestamp'" in err
+
+
+# --- files named in decode and JSON errors -----------------------------------------
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pipeline")
+    log, feats, vocab, model = d / "log.csv", d / "f.csv", d / "vocab.json", d / "model.json"
+    assert main(["simulate", "--out", str(log), "--duration", "20"]) == 0
+    assert main(["extract", "--in", str(log), "--out", str(feats),
+                 "--save-vocab", str(vocab)]) == 0
+    assert main(["train", "--features", str(feats), "--out", str(model)]) == 0
+    return log, feats, vocab, model
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"format": "canoc-model",',
+     "Expecting property name enclosed in double quotes: line 1 column 26 (char 25)"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")])
+@pytest.mark.parametrize("command", ["detect", "eval", "extract", "train"])
+def test_json_that_does_not_decode_names_its_file(tmp_path, capsys, pipeline_files, command,
+                                                  content, message):
+    log, feats, _, _ = pipeline_files
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv, what = {
+        "detect": (["detect", "--model", bad, "--in", log], "model file"),
+        "eval": (["eval", "--model", bad, "--features", feats], "model file"),
+        "extract": (["extract", "--in", log, "--vocab", bad, "--out", tmp_path / "o"],
+                    "vocabulary file"),
+        "train": (["train", "--features", feats, "--extraction-config", bad,
+                   "--out", tmp_path / "o"], "vocabulary file"),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err == f"error: {what} {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["detect", "extract", "inject"])
+def test_log_that_is_not_utf8_names_its_file_and_row(tmp_path, capsys, pipeline_files,
+                                                     command):
+    log, _, _, model = pipeline_files
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[44] = lines[44][:5] + b"\xff" + lines[44][5:]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"".join(lines))
+    argv = {"detect": ["detect", "--model", model, "--in", bad],
+            "extract": ["extract", "--in", bad, "--out", tmp_path / "o"],
+            "inject": ["inject", "--in", bad, "--out", tmp_path / "o", "--kind", "zero_id",
+                       "--rate", 10]}[command]
+    with mock.patch.object(canlog, "CHUNK_LINES", 16):
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: log file {bad}: text is not UTF-8 (invalid start byte) (row 44)\n"
+
+
+# --- scores that depend only on their own row --------------------------------------
+
+@pytest.fixture(scope="module")
+def every_model():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((50, 5)) * [1.0, 2.0, 0.5, 3.0, 1.0] + 1.0
+    scaler = fit_scaler(X)
+    Xs = apply_scaler(scaler, X)
+    return {f"{family}-{kind}": fit_model(family, Xs, kernel=KernelSpec(kind), scaler=scaler,
+                                          **({"d": 3, "iterations": 3}
+                                             if family == "ssvdd" else {}))
+            for family in MODEL_FAMILIES for kind in ("linear", "rbf")}
+
+
+def laid_out(X, layout):
+    """X as a C copy, a Fortran copy, a view one float into a buffer, or a strided view."""
+    if layout == "fortran":
+        return np.asfortranarray(X)
+    if layout == "offset":
+        buf = np.empty(X.size + 1)
+        view = buf[1:].reshape(X.shape)
+        view[:] = X
+        return view
+    if layout == "strided":
+        buf = np.zeros((2 * X.shape[0], 3 * X.shape[1]))
+        buf[::2, 1::3] = X
+        return buf[::2, 1::3]
+    return X.copy()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.lists(st.integers(1, 39), max_size=5),
+       st.lists(st.sampled_from(("c", "fortran", "offset", "strided")), min_size=6, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_scores_of_any_split_of_the_rows_are_the_scores_of_all_rows(every_model, seed, n,
+                                                                    cuts, layouts):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 5)) * rng.choice([0.1, 1.0, 10.0], size=5) + 1.0
+    edges = [0, *sorted({c for c in cuts if c < n}), n]
+    for name, model in every_model.items():
+        whole = score_samples(model, X).tobytes()
+        parts = [score_samples(model, laid_out(X[a:b], layouts[k % len(layouts)]))
+                 for k, (a, b) in enumerate(zip(edges, edges[1:]))]
+        assert np.concatenate(parts).tobytes() == whole, name
+
+
+# --- flat memory, and bytes that no BLAS thread count moves ------------------------
+
+# a parent process that imports no numpy, so that the peak it passes on to the
+# child is small; it prints the child's exit code and peak RSS in KiB
+LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def child_env(**extra):
+    src = str(Path(canoc.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
+
+
+@pytest.fixture(scope="module")
+def long_logs(tmp_path_factory):
+    """Candump logs of 300 s and 1200 s of the default bus, and a model."""
+    d = tmp_path_factory.mktemp("long")
+    log = generate_normal(default_bus(1200.0, seed=1))
+    paths = {}
+    for seconds in (300, 1200):
+        part = log[:int(np.searchsorted(log.times, log.times[0] + seconds))]
+        paths[seconds] = d / f"{seconds}.log"
+        paths[seconds].write_text("".join(
+            f"({t:.6f}) can0 {i:03X}#\n" for t, i in zip(part.times.tolist(),
+                                                          part.ids.tolist())))
+    spec = FeatureSpec(IdVocabulary(tuple(np.unique(log.ids).tolist())))
+    model_file(d / "model.json", paths[300], "svdd", spec)
+    return paths, d / "model.json"
+
+
+def test_detect_memory_does_not_grow_with_the_log(long_logs):
+    paths, model = long_logs
+    peaks = {}
+    for seconds, path in paths.items():
+        done = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-m",
+                               "canoc.cli", "detect", "--model", str(model), "--in", str(path)],
+                              env=child_env(), capture_output=True, text=True, check=True)
+        code, peak = map(int, done.stdout.split())
+        assert code in (0, 4)
+        peaks[seconds] = peak
+    assert peaks[1200] <= 1.1 * peaks[300], peaks
+
+
+def test_detect_output_does_not_depend_on_the_blas_thread_count(long_logs):
+    paths, model = long_logs
+    outputs = {subprocess.run([sys.executable, "-m", "canoc.cli", "detect", "--model",
+                               str(model), "--in", str(paths[300])],
+                              env=child_env(OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True).stdout
+               for threads in ("1", "2")}
+    assert len(outputs) == 1 and outputs.pop().count(b"\n") == 300
