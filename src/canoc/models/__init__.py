@@ -10,8 +10,8 @@ from .kernels import (KernelSpec, LINEAR, gram_matrix, median_heuristic,
 from .ocsvm import ocsvm_fit
 from .persist import (config_digest, load_model, model_from_dict,
                       model_to_dict, model_tag, save_model)
-from .smo import (DualSolverError, center_distances_sq, solve_ocsvm_dual,
-                  solve_simplex_box_qp, solve_svdd_dual)
+from .smo import (DualSolverError, FactorGram, center_distances_sq,
+                  solve_ocsvm_dual, solve_simplex_box_qp, solve_svdd_dual)
 from .ssvdd import (NptEmbedding, PSI_VARIANTS, npt_embed,
                     orthonormalize_rows, ssvdd_fit, ssvdd_gradient,
                     ssvdd_objective)

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..features import LABEL_NORMAL, Scaler, apply_scaler
 from .detector import Detector
-from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, products
+from .kernels import KernelSpec, LINEAR, _as_matrix
 # fit_model finds each family's fitter among these names
 from .ocsvm import ocsvm_fit
 from .ssvdd import ssvdd_fit
@@ -29,12 +29,6 @@ FAMILY_PARAMS = {
 MODEL_FAMILIES = tuple(FAMILY_PARAMS)
 
 
-def _self_kernel(X: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    if kernel.kind == "linear":
-        return np.einsum("ij,ij->i", X, X)
-    return np.ones(X.shape[0])
-
-
 def score_samples(model: Detector, X) -> np.ndarray:
     """Anomaly scores, <= 0 normal and > 0 anomalous: the bundled scaler,
     then each transform, then the kernel expansion
@@ -49,10 +43,7 @@ def score_samples(model: Detector, X) -> np.ndarray:
     if X.shape[1] != model.support_samples.shape[1]:
         raise ValueError(f"expected {model.support_samples.shape[1]} features, "
                          f"got {X.shape[1]}")
-    Kx = gram_matrix(X, model.support_samples, model.kernel, rowwise=True)
-    return (model.u * _self_kernel(X, model.kernel)
-            - model.v * products(Kx, model.alphas[None, :], rowwise=True)[:, 0]
-            + model.offset - model.r_squared)
+    return model.expansion(X)
 
 
 def predict(model: Detector, X) -> np.ndarray:

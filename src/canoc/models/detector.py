@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..features import Scaler
-from .kernels import KernelSpec, products
+from .kernels import KernelSpec, gram_matrix, products
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,3 +85,13 @@ class Detector:
             raise ValueError(f"support_samples have {cols} columns, not {dim}")
         if self.alphas.shape != (rows,):
             raise ValueError(f"alphas must hold one value per support sample ({rows})")
+
+    def expansion(self, X: np.ndarray) -> np.ndarray:
+        """The kernel expansion ``s(x)`` of rows that have been through the
+        scaler and the transforms; each row's value depends only on that row."""
+        Kx = gram_matrix(X, self.support_samples, self.kernel, rowwise=True)
+        self_kernel = (np.einsum("ij,ij->i", X, X) if self.kernel.kind == "linear"
+                       else np.ones(X.shape[0]))
+        return (self.u * self_kernel
+                - self.v * products(Kx, self.alphas[None, :], rowwise=True)[:, 0]
+                + self.offset - self.r_squared)

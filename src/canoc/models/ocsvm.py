@@ -11,7 +11,7 @@ from dataclasses import asdict
 from ..features import Scaler
 from .detector import Detector
 from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, resolve_kernel
-from .smo import solve_ocsvm_dual
+from .smo import FactorGram, solve_ocsvm_dual
 from .svdd import SUPPORT_KEEP_EPS, boundary_support
 
 
@@ -23,7 +23,7 @@ def ocsvm_fit(X, nu: float = 0.1, kernel: KernelSpec = LINEAR, *,
     if X.shape[0] < 1:
         raise ValueError("ocsvm_fit needs at least 1 training row")
     kernel = resolve_kernel(kernel, X)
-    K = gram_matrix(X, X, kernel)
+    K = FactorGram(X) if kernel.kind == "linear" else gram_matrix(X, X, kernel)
     alphas = solve_ocsvm_dual(K, nu)
     Ka = K @ alphas
     rho = float(Ka[boundary_support(alphas, 1.0 / (nu * X.shape[0]))].mean())

@@ -4,7 +4,8 @@ a data description in the projected space.
 Training alternates (1) project y_i = Q x_i, (2) solve the SVDD dual on the
 projections, warm-started from the previous iteration's alphas (Q moves only
 a little per step, so they are close to the new optimum and always feasible:
-n and C do not change), (3) a gradient step on Q from the joint Lagrangian
+n and C do not change) and reading only the rows of Y Y' it needs from the
+projections, (3) a gradient step on Q from the joint Lagrangian
 
     grad = 2 Q X' (diag(a) - a a' + beta * lam lam') X
 
@@ -37,7 +38,7 @@ import numpy as np
 from ..features import Scaler
 from .detector import Detector, Projection
 from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, products, resolve_kernel
-from .smo import solve_svdd_dual
+from .smo import FactorGram, solve_svdd_dual
 from .svdd import svdd_fit
 
 PSI_VARIANTS = ("psi0", "psi1", "psi2", "psi3")
@@ -155,9 +156,13 @@ def ssvdd_objective(X: np.ndarray, Q: np.ndarray, alphas: np.ndarray,
 
 def ssvdd_gradient(X: np.ndarray, Q: np.ndarray, alphas: np.ndarray,
                    beta: float, psi: str) -> np.ndarray:
-    """Analytic d/dQ of :func:`ssvdd_objective`."""
-    Xa = X.T @ alphas
-    M = X.T @ (alphas[:, None] * X) - np.outer(Xa, Xa)
+    """Analytic d/dQ of :func:`ssvdd_objective`. A row whose alpha is 0 adds
+    nothing to ``X'diag(a)X`` or ``X'a``, so those sums run over the support
+    rows only."""
+    support = alphas != 0
+    Xs, a_s = X[support], alphas[support]
+    Xa = Xs.T @ a_s
+    M = Xs.T @ (a_s[:, None] * Xs) - np.outer(Xa, Xa)
     lam = psi_selector(psi, alphas)
     if lam is not None and beta != 0.0:
         v = X.T @ lam
@@ -211,8 +216,7 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
     lr = eta
     alphas = None
     for it in range(iterations):
-        Y = Z @ Q.T
-        alphas = solve_svdd_dual(Y @ Y.T, C, a0=alphas)
+        alphas = solve_svdd_dual(FactorGram(Z @ Q.T), C, a0=alphas)
         grad = ssvdd_gradient(Z, Q, alphas, beta, psi)
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite Q gradient at iteration {it}")

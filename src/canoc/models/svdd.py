@@ -3,14 +3,14 @@ target class. Positive scores are anomalous; boundary points score 0."""
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from ..features import Scaler
 from .detector import Detector
 from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, resolve_kernel
-from .smo import center_distances_sq, solve_svdd_dual
+from .smo import FactorGram, solve_svdd_dual
 
 # support rows kept for scoring; small enough that sum(alpha) stays ~1
 SUPPORT_KEEP_EPS = 1e-12
@@ -31,20 +31,21 @@ def svdd_fit(X, C: float = 1.0, kernel: KernelSpec = LINEAR, *,
     """Fit the description on (already standardized) target-class rows.
 
     R^2 is the largest boundary distance to the center: those distances
-    agree within the solver tolerance, and taking their max keeps every
-    boundary sample at score <= 0, so a no-slack fit classifies its whole
-    training set as target."""
+    agree within the solver tolerance. They are computed by the fitted
+    expansion itself, so every boundary sample scores <= 0 exactly and a
+    no-slack fit classifies its whole training set as target. A linear
+    kernel hands the solver ``X`` itself, whose gram rows are computed as
+    the solver reads them."""
     X = _as_matrix(X, "X")
     if X.shape[0] < 2:
         raise ValueError("svdd_fit needs at least 2 training rows")
     kernel = resolve_kernel(kernel, X)
-    K = gram_matrix(X, X, kernel)
+    K = FactorGram(X) if kernel.kind == "linear" else gram_matrix(X, X, kernel)
     alphas = solve_svdd_dual(K, C)
-    d2 = center_distances_sq(K, alphas)
-    r_squared = max(float(d2[boundary_support(alphas, float(C))].max()), 0.0)
-    Ka = K @ alphas
     keep = alphas > SUPPORT_KEEP_EPS
-    return Detector(family="svdd", params={"C": float(C), "kernel": asdict(kernel)},
+    ball = Detector(family="svdd", params={"C": float(C), "kernel": asdict(kernel)},
                     scaler=scaler, transforms=(), kernel=kernel,
                     alphas=alphas[keep], support_samples=X[keep].copy(),
-                    u=1.0, v=2.0, offset=float(alphas @ Ka), r_squared=r_squared)
+                    u=1.0, v=2.0, offset=float(alphas @ (K @ alphas)), r_squared=0.0)
+    d2 = ball.expansion(X[boundary_support(alphas, float(C))])
+    return replace(ball, r_squared=max(float(d2.max()), 0.0))

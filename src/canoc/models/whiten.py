@@ -60,9 +60,14 @@ def graph_laplacian(X, k: int) -> np.ndarray:
         raise ValueError(f"k={k} must satisfy 1 <= k < n={n}")
     d2 = squared_distances(X, X)
     np.fill_diagonal(d2, np.inf)
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    A = np.zeros((n, n))
-    A[np.repeat(np.arange(n), k), neighbors.ravel()] = 1.0
+    # the k nearest of each row, ties broken towards the lower index (a
+    # stable sort's first k): every entry below the k-th distance, then the
+    # first ties at it until there are k
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    below = d2 < kth
+    ties = d2 == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    A = (below | (ties & (np.cumsum(ties, axis=1) <= room))).astype(float)
     A = np.maximum(A, A.T)
     return np.diag(A.sum(axis=1)) - A
 

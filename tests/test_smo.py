@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canoc.models import (DualSolverError, KernelSpec, center_distances_sq, fit_model,
+from canoc.models import (DualSolverError, FactorGram, KernelSpec, center_distances_sq, fit_model,
                           gram_matrix, solve_ocsvm_dual, solve_simplex_box_qp,
                           solve_svdd_dual)
 from canoc.models import smo
@@ -301,3 +301,93 @@ def test_every_family_passes_the_solver_an_exactly_symmetric_q(monkeypatch, rng,
     assert seen
     for Q in seen:
         assert np.array_equal(Q, Q.T)
+
+
+# --- the dual's quadratic term read a row at a time ------------------------------
+
+@given(qp_instances(), st.sampled_from([1, 2, 3, 7, 100_000]))
+@settings(max_examples=200, deadline=None)
+def test_svdd_dual_reads_2k_as_k_at_scale_two_with_the_same_bytes(instance, max_iter):
+    # every instance's Q is a symmetric gram: take it as the K of an SVDD dual
+    K, _, C, a0 = instance
+    expected = _outcome(solve_simplex_box_qp, 2.0 * K, -np.diag(K).copy(), C,
+                        max_iter=max_iter, a0=a0)
+    assert _outcome(solve_svdd_dual, K, C, max_iter=max_iter, a0=a0) == expected
+
+
+@st.composite
+def factors(draw, exponents=(0, 0, 2, 4, 8)):
+    """A data factor Y: n <= 60 rows of 1-10 columns, with duplicate rows and
+    tiny (strongly whitened) scales 10^-exponent."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = rng.standard_normal((n, draw(st.integers(1, 10))))
+    for _ in range(draw(st.integers(0, n // 2))):
+        Y[rng.integers(n)] = Y[rng.integers(n)]
+    return Y * 10.0 ** -draw(st.sampled_from(exponents))
+
+
+@given(factors())
+@settings(max_examples=200, deadline=None)
+def test_factor_rows_are_exactly_symmetric_and_match_the_gram(Y):
+    F = FactorGram(Y)
+    rows = np.array([F[i] for i in range(Y.shape[0])])
+    assert np.array_equal(rows, rows.T)
+    assert np.array_equal(np.diagonal(rows), F.diagonal())
+    assert np.array_equal(np.array(F), rows)
+    K = Y @ Y.T
+    assert np.abs(rows - K).max() <= 1e-12 * max(np.abs(K).max(), np.finfo(float).tiny)
+    a = np.random.default_rng(0).dirichlet(np.ones(Y.shape[0]))
+    assert np.abs(F @ a - K @ a).max() <= 1e-12 * max(np.abs(K).max(), np.finfo(float).tiny)
+
+
+def svdd_objective(K, alphas):
+    return float(alphas @ np.diag(K) - alphas @ K @ alphas)
+
+
+def distance_kkt(K, alphas, box, tol=1e-5):
+    """Criterion 2's distance-form KKT on every row. When every support
+    vector is bounded, R^2 may be any value from the interior rows' largest
+    distance to the bounded rows' smallest."""
+    assert abs(alphas.sum() - 1.0) <= 1e-6
+    assert alphas.min() >= 0.0 and alphas.max() <= box + 1e-12
+    d2 = center_distances_sq(K, alphas)
+    unbounded = (alphas > 1e-8 * box) & (alphas < box * (1 - 1e-8))
+    inside = d2[alphas <= 1e-8 * box].max(initial=-np.inf)
+    outside = d2[alphas >= box * (1 - 1e-8)].min(initial=np.inf)
+    if unbounded.any():
+        r2 = d2[unbounded].mean()
+        assert np.abs(d2[unbounded] - r2).max() <= tol
+        assert inside <= r2 + tol and outside >= r2 - tol
+    else:
+        assert inside <= outside + tol
+
+
+# the solver's tolerance stops shrinking with grams below 1e-12, so the
+# scales stop at qp_instances' 1e-4
+@given(factors(exponents=(0, 0, 2, 4)), st.sampled_from([1.5, 3.0, 10.0, None]))
+@settings(max_examples=200, deadline=None)
+def test_solves_on_the_factor_and_on_the_gram_meet_the_same_kkt(Y, box_times_n):
+    n = Y.shape[0]
+    C = 1.0 if box_times_n is None else min(box_times_n / n, 1.0)
+    K = Y @ Y.T
+    on_factor = solve_svdd_dual(FactorGram(Y), C)
+    on_gram = solve_svdd_dual(K, C)
+    # criterion 2's distance-form KKT on distances from the gram, relative to
+    # its scale where the solver's tolerance is (below 1)
+    scale = max(float(np.diag(K).max()), 1e-300)
+    distance_kkt(K / min(1.0, scale), on_factor, C)
+    distance_kkt(K / min(1.0, scale), on_gram, C)
+    # each is within the stopping threshold of the optimum: the Frank-Wolfe
+    # gap is at most the worst pair violation
+    tol = smo.KKT_TOL * min(1.0, 2.0 * scale)
+    gap = abs(svdd_objective(K, on_factor) - svdd_objective(K, on_gram))
+    assert gap <= tol + 1e-9 * scale
+
+
+def test_a_factor_with_a_non_finite_entry_raises():
+    Y = np.ones((4, 2))
+    Y[2, 1] = np.inf
+    with pytest.raises(ValueError, match="Q and p must be finite"):
+        solve_svdd_dual(FactorGram(Y), 1.0)
+

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from canoc import (KernelSpec, npt_embed, predict, score_samples, ssvdd_fit,
                    svdd_fit)
-from canoc.models import (NptEmbedding, PSI_VARIANTS, orthonormalize_rows,
+from canoc.models import (FactorGram, NptEmbedding, PSI_VARIANTS, orthonormalize_rows,
                           solve_svdd_dual, ssvdd_gradient, ssvdd_objective)
+from canoc.models.ssvdd import psi_selector
 from canoc.models import ssvdd as ssvdd_module
 
 
@@ -175,3 +178,52 @@ def test_nonlinear_ssvdd_far_points_saturate(rng):
     s1 = score_samples(model, np.full((1, 3), 50.0))[0]
     s2 = score_samples(model, np.full((1, 3), -80.0))[0]
     assert s1 == pytest.approx(s2, abs=1e-9)
+
+
+# --- outer iterations that never form the n x n gram -------------------------------
+
+def test_warm_solves_read_few_gram_rows_and_form_no_n_by_n_product(monkeypatch):
+    n = 400
+    X = np.random.default_rng(8).standard_normal((n, 12))
+    rows_read, growth = [], []
+    start = [0]
+
+    def spy(K, C, **kwargs):
+        assert isinstance(K, FactorGram)
+        alphas = solve_svdd_dual(K, C, **kwargs)
+        rows_read.append(len(K.rows))
+        return alphas
+
+    def watch(it, Q, alphas):  # memory taken during each outer iteration after the first
+        current, peak = tracemalloc.get_traced_memory()
+        if it > 0:
+            growth.append(peak - start[0])
+        tracemalloc.reset_peak()
+        start[0] = current
+
+    monkeypatch.setattr(ssvdd_module, "solve_svdd_dual", spy)
+    tracemalloc.start()
+    try:
+        ssvdd_fit(X, d=3, C=0.05, iterations=10, iteration_callback=watch)
+    finally:
+        tracemalloc.stop()
+    assert len(rows_read) == 10 and sum(rows_read[1:]) < n * 9
+    assert len(growth) == 9 and max(growth) < n * n * 8 / 4
+
+
+def test_support_row_gradient_equals_the_all_rows_formula(rng):
+    X = rng.standard_normal((60, 7))
+    Q = orthonormalize_rows(rng.standard_normal((3, 7)))
+    Y = X @ Q.T
+    alphas = solve_svdd_dual(Y @ Y.T, 0.1)
+    assert 0 < (alphas == 0).sum() < 60
+    for psi in PSI_VARIANTS:
+        Xa = X.T @ alphas
+        M = X.T @ (alphas[:, None] * X) - np.outer(Xa, Xa)
+        lam = psi_selector(psi, alphas)
+        if lam is not None:
+            v = X.T @ lam
+            M = M + 0.05 * np.outer(v, v)
+        expected = 2.0 * Q @ M
+        got = ssvdd_gradient(X, Q, alphas, 0.05, psi)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -71,6 +71,15 @@ def test_training_set_predicted_normal_at_c1(rng):
     assert (predict(model, X) == "normal").all()
 
 
+@pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf")], ids=["linear", "rbf"])
+@pytest.mark.parametrize("seed", range(10))
+def test_no_training_row_of_a_no_slack_fit_scores_above_zero(seed, kernel):
+    # R^2 comes from the scorer's own arithmetic, so not even by rounding
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((int(rng.integers(20, 200)), int(rng.integers(2, 12))))
+    assert score_samples(svdd_fit(X, 1.0, kernel), X).max() <= 0.0
+
+
 def test_far_outlier_flagged_by_every_family(rng):
     # bounded-decision variants: balls (plain/whitened/subspace) in linear
     # form, halfspace models via rbf where the decision region is bounded.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canoc import esvdd_fit, geocsvm_fit, gesvdd_fit, graph_laplacian, svdd_fit
 from canoc.models import score_samples
@@ -118,3 +119,31 @@ def test_geocsvm_trains_and_unpacks(rng):
     (whiten,) = model.transforms
     assert whiten.matrix.shape == (3, 3) and model.params["k_neighbors"] == 5
     assert model.family == "geocsvm" and np.isfinite(model.offset)
+
+
+def stable_argsort_laplacian(X, k):
+    """The kNN rule as first written: a stable sort of each distance row keeps
+    its first k, so ties go to the lower index."""
+    from canoc.models.kernels import squared_distances
+    n = X.shape[0]
+    d2 = squared_distances(X, X)
+    np.fill_diagonal(d2, np.inf)
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    A = np.zeros((n, n))
+    A[np.repeat(np.arange(n), k), neighbors.ravel()] = 1.0
+    A = np.maximum(A, A.T)
+    return np.diag(A.sum(axis=1)) - A
+
+
+@given(st.integers(2, 40), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_laplacian_keeps_the_neighbours_of_a_stable_sort(n, dim, seed, integer_rows):
+    rng = np.random.default_rng(seed)
+    if integer_rows:  # small integers: many exactly tied distances
+        X = rng.integers(-1, 2, size=(n, dim)).astype(float)
+    else:
+        X = rng.standard_normal((n, dim))
+        for _ in range(n // 3):  # duplicate rows tie at distance 0
+            X[rng.integers(n)] = X[rng.integers(n)]
+    k = int(rng.integers(1, n))
+    assert np.array_equal(graph_laplacian(X, k), stable_argsort_laplacian(X, k))
