@@ -656,19 +656,81 @@ def parse_csv_log(stream: Iterable[str] | bytes, *, first_row: int = 1,
                                                      row, floor))
 
 
+# Below this, floor(t) is an int64 of at most 10 digits. Python formats the
+# timestamps at or above it, and -0.0, whose text keeps its sign.
+_DIGIT_TIMES_BELOW = 1e10
+_SUBUNITS = 10 ** TIMESTAMP_DECIMALS
+# t - floor(t) is exact and its product with 1e6 is within 1.2e-10 of the
+# exact product, so rint rounds it as .6f rounds t unless the exact product
+# lies near a half: 3.5e-06 is a double below 3.5 us whose product rounds
+# onto 3.5. Python formats those rows, and exact ties such as 0.0078125.
+_HALF_MARGIN = 1e-6
+
+
+def _padded(texts: list[str]) -> np.ndarray:
+    """[n, w] ASCII bytes of ``texts``, each padded to the longest with byte
+    0, which never occurs in the text."""
+    cells = np.array([text.encode("ascii") for text in texts], dtype=bytes)
+    return cells.view(np.uint8).reshape(len(texts), cells.itemsize)
+
+
+_BYTE_TEXT = _padded([f"{byte:02X}" for byte in range(256)])
+_THREE_DIGITS = _padded([f"{k:03d}" for k in range(1000)])
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """[n, width] ASCII decimal digits of nonnegative int64 ``values``, right-aligned."""
+    groups = -(-width // 3)
+    triples = values[:, None] // 1000 ** np.arange(groups - 1, -1, -1) % 1000
+    digits = _THREE_DIGITS.take(triples, axis=0).reshape(len(values), 3 * groups)
+    return digits[:, 3 * groups - width:]
+
+
+def _time_cells(times: np.ndarray) -> np.ndarray:
+    """[n, w] bytes of each ``f"{t:.6f}"``, padded with byte 0: digits of
+    ``floor(t)`` and ``rint(frac * 1e6)`` where they are exact, Python's
+    text for the rest."""
+    whole = np.floor(times)
+    scaled = (times - whole) * _SUBUNITS
+    python = (np.signbit(times) | (times >= _DIGIT_TIMES_BELOW)
+              | (np.abs(scaled - (np.floor(scaled) + 0.5)) < _HALF_MARGIN))
+    whole = np.where(python, 0.0, whole).astype(np.int64)
+    sub = np.where(python, 0.0, np.rint(scaled)).astype(np.int64)
+    carry = sub == _SUBUNITS
+    whole += carry
+    sub[carry] = 0
+    width = len(str(int(whole.max(initial=0))))
+    leading_zeros = np.maximum(whole, 1)[:, None] < 10 ** np.arange(width - 1, -1, -1)
+    cells = np.concatenate((_digits(whole, width) * ~leading_zeros,
+                            np.full((len(times), 1), ord("."), dtype=np.uint8),
+                            _digits(sub, TIMESTAMP_DECIMALS)), axis=1)
+    if python.any():
+        texts = _padded([f"{t:.{TIMESTAMP_DECIMALS}f}" for t in times[python].tolist()])
+        cells = np.pad(cells, ((0, 0), (0, max(texts.shape[1] - cells.shape[1], 0))))
+        cells[python] = 0
+        cells[python, :texts.shape[1]] = texts
+    return cells
+
+
 def write_csv_log(log: CanLog, sink: IO[str]) -> None:
-    """Serialize a log to CSV: 6-decimal timestamps, 0x-hex ids, hex payload."""
+    """Serialize a log to CSV: 6-decimal timestamps, 0x-hex ids, hex payload.
+
+    The lines of each ``CHUNK_LINES`` rows are built as one byte matrix,
+    each field padded with byte 0, and written at once without the padding.
+    """
     sink.write(",".join(CSV_HEADER) + "\n")
-    id_texts = {can_id: f"0x{can_id:X}" for can_id in np.unique(log.ids).tolist()}
-    width = 2 * MAX_PAYLOAD_BYTES
+    id_values = np.unique(log.ids)
+    id_cells = _padded([f"0x{can_id:X}" for can_id in id_values.tolist()])
     for lo in range(0, len(log), CHUNK_LINES):
         rows = log[lo:lo + CHUNK_LINES]
-        hexes = rows.payload.tobytes().hex().upper()
-        sink.write("".join(
-            f"{t:.{TIMESTAMP_DECIMALS}f},{id_texts[can_id]},{dlc},"
-            f"{hexes[k * width:k * width + 2 * dlc]}\n"
-            for k, (t, can_id, dlc) in enumerate(zip(rows.times.tolist(), rows.ids.tolist(),
-                                                     rows.dlc.tolist()))))
+        hexes = _BYTE_TEXT.take(rows.payload, axis=0).reshape(len(rows), 2 * MAX_PAYLOAD_BYTES)
+        hexes *= np.arange(2 * MAX_PAYLOAD_BYTES) < 2 * rows.dlc[:, None]
+        comma = np.full((len(rows), 1), ord(","), dtype=np.uint8)
+        cells = np.concatenate((_time_cells(rows.times), comma,
+                                id_cells[np.searchsorted(id_values, rows.ids)], comma,
+                                (rows.dlc + ord("0"))[:, None], comma, hexes,
+                                np.full((len(rows), 1), ord("\n"), dtype=np.uint8)), axis=1)
+        sink.write(cells[cells != 0].tobytes().decode("ascii"))
 
 
 def _file_batches(f: BinaryIO) -> Iterator[tuple[bytes, int]]:

@@ -20,11 +20,10 @@ from .ocsvm import ocsvm_fit
 from .svdd import svdd_fit
 
 
-def _whitened(family: str, inner: Detector, W: np.ndarray, epsilon: float,
+def _whitened(family: str, inner: Detector, step: Whiten, epsilon: float,
               k: int | None, scaler: Scaler | None) -> Detector:
     params = {**inner.params, "epsilon": float(epsilon), "k_neighbors": k}
-    return replace(inner, family=family, params=params, scaler=scaler,
-                   transforms=(Whiten(W),))
+    return replace(inner, family=family, params=params, scaler=scaler, transforms=(step,))
 
 
 def inv_sqrt_psd(S: np.ndarray) -> np.ndarray:
@@ -46,9 +45,9 @@ def esvdd_fit(X, C: float = 1.0, epsilon: float = 1e-3, kernel: KernelSpec = LIN
     cov = np.atleast_2d(np.cov(X, rowvar=False))
     if not np.all(np.isfinite(cov)):
         raise ValueError("training covariance is not finite")
-    W = inv_sqrt_psd(cov + epsilon * np.eye(X.shape[1]))
-    inner = svdd_fit(X @ W, C, kernel)
-    return _whitened("esvdd", inner, W, epsilon, None, scaler)
+    step = Whiten(inv_sqrt_psd(cov + epsilon * np.eye(X.shape[1])))
+    inner = svdd_fit(step.transform(X), C, kernel)
+    return _whitened("esvdd", inner, step, epsilon, None, scaler)
 
 
 def graph_laplacian(X, k: int) -> np.ndarray:
@@ -83,15 +82,15 @@ def gesvdd_fit(X, C: float = 1.0, k: int = 5, epsilon: float = 1e-3,
                kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None) -> Detector:
     """Graph-embedded SVDD: whiten by (X'LX + eps I)^(-1/2), then SVDD."""
     X = _as_matrix(X, "X")
-    W = _laplacian_whitener(X, k, epsilon)
-    inner = svdd_fit(X @ W, C, kernel)
-    return _whitened("gesvdd", inner, W, epsilon, int(k), scaler)
+    step = Whiten(_laplacian_whitener(X, k, epsilon))
+    inner = svdd_fit(step.transform(X), C, kernel)
+    return _whitened("gesvdd", inner, step, epsilon, int(k), scaler)
 
 
 def geocsvm_fit(X, nu: float = 0.1, k: int = 5, epsilon: float = 1e-3,
                 kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None) -> Detector:
     """Graph-embedded one-class SVM (same whitening, OC-SVM inner)."""
     X = _as_matrix(X, "X")
-    W = _laplacian_whitener(X, k, epsilon)
-    inner = ocsvm_fit(X @ W, nu, kernel)
-    return _whitened("geocsvm", inner, W, epsilon, int(k), scaler)
+    step = Whiten(_laplacian_whitener(X, k, epsilon))
+    inner = ocsvm_fit(step.transform(X), nu, kernel)
+    return _whitened("geocsvm", inner, step, epsilon, int(k), scaler)

@@ -9,6 +9,7 @@ format-pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -17,7 +18,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .canlog import (CAN_SFF_MAX, COLUMNS, MAX_PAYLOAD_BYTES, CanLog, _assemble,
+from .canlog import (CAN_SFF_MAX, CHUNK_LINES, COLUMNS, MAX_PAYLOAD_BYTES, CanLog, _assemble,
                      _payload_matrix, load_log, save_log)
 from .features import (LABEL_NORMAL, LABEL_RANDOM_ID, LABEL_REPLAY,
                        LABEL_ZERO_ID, Window)
@@ -256,10 +257,12 @@ _BAD_LABEL_CHAR_RE = re.compile(r'[,"\x00-\x1f\x7f-\x9f]')
 
 
 def write_labels(labels: Iterable[str], sink: IO[str]) -> None:
-    """Sidecar label column: header + one label per frame, log order."""
+    """Sidecar label column: header + one label per frame, log order,
+    written ``CHUNK_LINES`` labels at a time."""
     sink.write("label\n")
-    for label in labels:
-        sink.write(label + "\n")
+    labels = iter(labels)
+    while chunk := list(itertools.islice(labels, CHUNK_LINES)):
+        sink.write("\n".join(chunk) + "\n")
 
 
 def read_labels(stream: Iterable[str]) -> list[str]:

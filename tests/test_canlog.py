@@ -230,6 +230,84 @@ def test_roundtrip_large_synthetic_log_is_stable():
                (b.timestamp, b.can_id, b.payload)
 
 
+# --- the CSV writer against a line-by-line reference ------------------------
+
+def reference_csv(log):
+    """The CSV text of ``log``, one f-string per frame."""
+    width = 2 * canlog.MAX_PAYLOAD_BYTES
+    hexes = log.payload.tobytes().hex().upper()
+    return ",".join(CSV_HEADER) + "\n" + "".join(
+        f"{t:.6f},0x{can_id:X},{dlc},{hexes[k * width:k * width + 2 * dlc]}\n"
+        for k, (t, can_id, dlc) in enumerate(zip(log.times.tolist(), log.ids.tolist(),
+                                                 log.dlc.tolist())))
+
+
+def written_csv(log):
+    sink = io.StringIO()
+    write_csv_log(log, sink)
+    return sink.getvalue()
+
+
+def _neighbours(times):
+    """Each of ``times`` or one of the doubles next to it."""
+    return st.tuples(times, st.sampled_from([-np.inf, None, np.inf])).map(
+        lambda pair: pair[0] if pair[1] is None else float(np.nextafter(pair[0], pair[1])))
+
+
+_BOUND = canlog._DIGIT_TIMES_BELOW
+WRITTEN_TIMES = st.one_of(
+    st.floats(min_value=0, max_value=2e10),
+    st.floats(min_value=0, allow_infinity=False),
+    # odd multiples of 2**-7 are exact ties (odd multiples of 7812.5 us), and
+    # those of 2**-8 lie on a quarter microsecond
+    _neighbours(st.tuples(st.integers(0, 10 ** 9), st.sampled_from([2.0 ** -7, 2.0 ** -8]))
+                .map(lambda pair: (2 * pair[0] + 1) * pair[1])),
+    # the doubles nearest a decimal half microsecond, which may lie on either
+    # side of it; below 1 s, the product with 1e6 often rounds onto the half
+    _neighbours(st.tuples(st.integers(0, 1000), st.integers(0, 10 ** 6 - 1))
+                .map(lambda pair: pair[0] + (pair[1] + 0.5) * 1e-6)),
+    st.integers(0, 10 ** 6 - 1).map(lambda n: (n + 0.5) * 1e-6),
+    # just below a whole second: the microseconds round up into the integer part
+    _neighbours(st.tuples(st.integers(1, 10 ** 9), st.floats(0, 1e-6))
+                .map(lambda pair: pair[0] - pair[1])),
+    _neighbours(st.sampled_from([_BOUND, _BOUND - 5e-7, _BOUND - 1.0, 1e17, 1e300])),
+    st.sampled_from([-0.0, 0.0]),
+)
+
+
+@given(st.lists(st.tuples(WRITTEN_TIMES,
+                          st.integers(0, 0x7FF) | st.integers(0, 0x1FFFFFFF),
+                          st.binary(max_size=8)), max_size=24),
+       st.sampled_from([1, 2, 7, canlog.CHUNK_LINES]))
+@settings(max_examples=400, deadline=None)
+def test_writer_matches_the_line_by_line_reference(entries, chunk):
+    log = CanLog.from_frames(CanFrame(t, cid, payload, extended=cid > 0x7FF)
+                             for t, cid, payload in entries)
+    with mock.patch.object(canlog, "CHUNK_LINES", chunk):
+        assert written_csv(log) == reference_csv(log)
+
+
+@pytest.mark.parametrize("t, text", [(-0.0, "-0.000000"), (0.0078125, "0.007812"),
+                                     (0.0234375, "0.023438"), (3.5e-06, "0.000003"),
+                                     (0.9999995, "1.000000"), (0.9999996, "1.000000"),
+                                     (1e17, "100000000000000000.000000")])
+def test_writer_formats_signs_ties_and_carries_as_python_does(t, text):
+    log = CanLog.from_frames([CanFrame(0.0, 0x1), CanFrame(t, 0x1FFFFFFF, b"\x0a", True),
+                              CanFrame(2e17, 0x7FF, b"\x00" * 8)])
+    assert written_csv(log) == reference_csv(log)
+    assert written_csv(log).splitlines()[2] == f"{text},0x1FFFFFFF,1,0A"
+
+
+def test_save_log_writes_through_the_module_writer(tmp_path):
+    # the benchmark's tracer times the writer as this module attribute
+    log = generate_normal(default_bus(2.0, seed=3))
+    path = tmp_path / "log.csv"
+    with mock.patch.object(canlog, "write_csv_log", wraps=canlog.write_csv_log) as writer:
+        save_log(log, str(path))
+    assert writer.call_count == 1
+    assert path.read_bytes() == reference_csv(log).encode("ascii")
+
+
 # --- the frames view ----------------------------------------------------------
 
 def test_frames_view_indexes_slices_and_compares():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from canoc import (AttackScenario, BusSpec, EcuSpec, LabeledLog,
                    build_vocabulary, extract_features, generate_normal,
                    inject, label_windows, read_labels, segment_windows, write_labels)
+from canoc.canlog import CHUNK_LINES
 from canoc.cli import main
 from canoc.simulate import default_bus
 
@@ -277,6 +278,14 @@ def test_label_sidecar_roundtrip():
     assert read_labels(io.StringIO(sink.getvalue())) == ["normal", "replay", "normal"]
     with pytest.raises(ValueError, match="header"):
         read_labels(io.StringIO("nope\n"))
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK_LINES, 2 * CHUNK_LINES + 1])
+def test_label_writer_writes_one_line_per_label_across_chunks(count):
+    labels = [("normal", "replay", "zero_id")[k % 3] for k in range(count)]
+    sink = io.StringIO()
+    write_labels(iter(labels), sink)
+    assert sink.getvalue() == "label\n" + "".join(label + "\n" for label in labels)
 
 
 @pytest.fixture(scope="module")

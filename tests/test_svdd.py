@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from canoc import KernelSpec, predict, score_samples, svdd_fit
+from canoc import KernelSpec, esvdd_fit, gesvdd_fit, predict, score_samples, svdd_fit
 from canoc.models import median_heuristic, resolve_kernel
 
 
@@ -73,11 +73,13 @@ def test_training_set_predicted_normal_at_c1(rng):
 
 @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf")], ids=["linear", "rbf"])
 @pytest.mark.parametrize("seed", range(10))
-def test_no_training_row_of_a_no_slack_fit_scores_above_zero(seed, kernel):
-    # R^2 comes from the scorer's own arithmetic, so not even by rounding
+@pytest.mark.parametrize("fit", [svdd_fit, esvdd_fit, gesvdd_fit], ids=["svdd", "esvdd", "gesvdd"])
+def test_no_training_row_of_a_no_slack_fit_scores_above_zero(fit, seed, kernel):
+    # R^2 comes from the scorer's own arithmetic, and a whitened fit sees the
+    # rows its scorer transforms, so not even by rounding
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((int(rng.integers(20, 200)), int(rng.integers(2, 12))))
-    assert score_samples(svdd_fit(X, 1.0, kernel), X).max() <= 0.0
+    assert score_samples(fit(X, 1.0, kernel=kernel), X).max() <= 0.0
 
 
 def test_far_outlier_flagged_by_every_family(rng):
