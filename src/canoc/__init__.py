@@ -5,8 +5,8 @@ over fixed windows, train SVDD-family one-class models on attack-free
 traffic only, and flag anomalous windows caused by injection attacks.
 """
 
-from .canlog import (CanFrame, CanLog, LogParseError, parse_candump_line,
-                     parse_csv_log, write_csv_log)
+from .canlog import (CanFrame, CanLog, LogParseError, parse_csv_log, read_candump,
+                     write_csv_log)
 from .evaluate import SplitSpec, evaluate, gmean, split, write_report_table
 from .features import (IdVocabulary, Window, apply_scaler, build_vocabulary,
                        extract_features, extract_matrix, fit_scaler,

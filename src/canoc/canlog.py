@@ -4,23 +4,22 @@ A :class:`CanLog` stores its frames as five arrays and is a read-only
 sequence of them: a :class:`CanFrame` is built only when a caller indexes
 or iterates the log.
 
-Two formats are supported: the candump text format
-``(<sec.usec>) <iface> <ID>#<DATA>`` and a CSV format with header
-``timestamp,id,dlc,payload`` (payload as contiguous hex, dlc = payload byte
-count). Parsing is pure and never raises anything but :class:`LogParseError`
-on bad input; logs are immutable value objects safe to share across threads.
-A file is read as batches of lines (:func:`iter_log`), so that a consumer
-can act on its start before the rest is read; :func:`load_log` joins them.
+Two formats are supported, each with one grammar and one parser: the
+candump text format ``(<sec.usec>) <iface> <ID>#<DATA>`` and a CSV format
+with header ``timestamp,id,dlc,payload`` (payload as contiguous hex, dlc =
+payload byte count), as :func:`write_csv_log` writes it. Each parser reads
+the bytes of a batch of lines in one numpy pass per check and raises
+:class:`LogParseError` naming the first bad line's row; logs are immutable
+value objects safe to share across threads. A file is read as batches of
+lines (:func:`iter_log`), so that a consumer can act on its start before
+the rest is read; :func:`load_log` joins them.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import math
-import operator
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, BinaryIO, Iterable, Iterator
@@ -35,9 +34,10 @@ MAX_PAYLOAD_BYTES = 8
 TIMESTAMP_DECIMALS = 6
 
 CSV_HEADER = ("timestamp", "id", "dlc", "payload")
+_CSV_HEADER_LINE = ",".join(CSV_HEADER).encode("ascii")
 
-# lines parsed per batch, about 400 kB of candump text: a batch's strings take
-# about ten times that as Python objects, and larger batches parsed no faster
+# lines parsed per batch, about 400 kB of candump text; larger batches
+# parsed no faster
 CHUNK_LINES = 1 << 13
 
 # bytes read from a log file at a time; batches are cut from them at newlines
@@ -233,60 +233,8 @@ def join_logs(logs: Sequence[CanLog]) -> CanLog:
     return joined
 
 
-_LAST_CHAR = operator.itemgetter(slice(-1, None))  # "" for an empty string
-
-
-def _text_lines(raw: bytes, first_row: int | None) -> list[str]:
-    """The lines of UTF-8 bytes, each with its newline; bytes that are not
-    UTF-8 raise :class:`LogParseError` naming their row, counted from
-    ``first_row`` (None for a header)."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise LogParseError(f"text is not UTF-8 ({err.reason})",
-                            row=first_row and first_row + raw.count(b"\n", 0, err.start)
-                            ) from None
-    return list(io.StringIO(text))
-
-
-def _read(stream: Iterable[str] | bytes, first_row: int, not_before: float,
-          strict, slow) -> CanLog:
-    """One log from a stream of lines, parsed in batches of ``CHUNK_LINES``,
-    or from the bytes of whole lines, parsed as one batch; rows count from
-    ``first_row``.
-
-    A batch whose elements all end in a newline, but perhaps the last, goes
-    to ``strict(text)`` joined, and the columns it returns, one row per line
-    of the text, are kept when they hold one row per element: then each
-    element is one whole line. Bytes go to ``strict`` as they are. Otherwise
-    ``slow(lines, first_row, not_before)`` parses the batch and may take
-    more of ``lines``. Either returns the batch's columns, and either raises
-    :class:`LateFrameError` for a frame earlier than ``not_before``.
-    """
-    if not isinstance(stream, bytes):
-        return _assemble(list(_batches(iter(stream), first_row, not_before, strict, slow)))
-    columns = strict(stream if stream.endswith(b"\n") else stream + b"\n") if stream else None
-    if columns is None:
-        return _assemble([slow(_text_lines(stream, first_row), first_row, not_before)])
-    return _assemble([_in_order(columns, first_row, not_before)])
-
-
-def _batches(lines: Iterator[str], row: int, not_before: float, strict, slow):
-    """The columns of each batch of ``CHUNK_LINES`` lines, as :func:`_read` reads them."""
-    while batch := list(itertools.islice(lines, CHUNK_LINES)):
-        text = "".join(batch)
-        if not text.endswith("\n"):
-            text += "\n"
-        columns = strict(text) if set(map(_LAST_CHAR, batch[:-1])) <= {"\n"} else None
-        if columns is None or len(columns[0]) != len(batch):
-            yield slow(batch, row, not_before)
-        else:
-            yield _in_order(columns, row, not_before)
-        row += len(batch)
-
-
 def _in_order(columns: tuple[np.ndarray, ...], row: int, not_before: float):
-    """The columns of a strict batch, one row per line from ``row``; a frame
+    """The columns of a batch, one row per line from ``row``; a frame
     earlier than ``not_before`` raises :class:`LateFrameError` naming its row."""
     late = np.flatnonzero(columns[0] < not_before)
     if late.size:
@@ -312,32 +260,60 @@ _FIRST = np.arange(_PAD) < np.arange(_PAD + 1)[:, None]
 _LAST = _FIRST[:, ::-1].copy()
 
 
-def _lines(text: str | bytes, sep: str, count: int):
-    """(padded bytes, line starts, newline positions, [n, count] separator
-    positions) of a batch text of printable ASCII lines, each ending in a
-    newline and holding ``count`` ``sep`` bytes after its first byte; else
-    None. Positions index the padded bytes."""
-    if isinstance(text, str):
-        try:
-            text = text.encode("ascii")
-        except UnicodeEncodeError:
-            return None
-    raw = np.frombuffer(text, dtype=np.uint8)
-    ends = np.flatnonzero(raw == 10)
-    n = ends.shape[0]
-    # newlines are the only bytes outside " " to "~" (uint8 arithmetic wraps)
-    if not n or raw[-1] != 10 or np.count_nonzero(raw - 32 > 94) != n:
-        return None
-    seps = np.flatnonzero(raw == ord(sep))
-    if seps.shape[0] != count * n:
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    seps = seps.reshape(n, count)
-    # sorted positions: each line's first and last separator bound the others
-    if (seps[:, 0] <= starts).any() or (seps[:, -1] > ends).any():
-        return None
-    pad = np.zeros(_PAD, dtype=np.uint8)
-    return np.concatenate((pad, raw, pad)), starts + _PAD, ends + _PAD, seps + _PAD
+class _Lines:
+    """The lines of a batch's bytes, each checked by one numpy pass per check.
+
+    The error of a batch is that of its first line that any check fails on,
+    with the message of the first check that fails there. ``raw`` holds the
+    bytes between zero padding, and positions index it.
+    """
+
+    def __init__(self, data: bytes, first_row: int, sep: str, count: int, message: str) -> None:
+        """The lines of ``data`` before the first that holds a byte outside
+        printable ASCII, or not ``count`` ``sep`` bytes (``message``), and
+        their ``[n, count]`` separator positions ``seps``."""
+        text = np.frombuffer(data, dtype=np.uint8)
+        if text[-1] != 10:
+            text = np.append(text, np.uint8(10))
+        ends = np.flatnonzero(text == 10)
+        # the first line a check failed on, or the line count while none has
+        self.first_row, self.bad_line, self.count = first_row, len(ends), len(ends)
+        self.message = ""
+        # newlines are the only bytes outside " " to "~" (uint8 arithmetic wraps)
+        odd = text - 32 > 94
+        if np.count_nonzero(odd) != len(ends):
+            bad = np.zeros(len(ends), dtype=bool)
+            bad[np.searchsorted(ends, np.flatnonzero(odd & (text != 10)))] = True
+            self.reject(bad, "byte outside printable ASCII")
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        seps = np.flatnonzero(text == ord(sep))
+        # sorted positions: when each line's share of them starts and ends
+        # inside it, every line holds count
+        if (len(seps) != count * len(ends) or (seps[::count] < starts).any()
+                or (seps[count - 1::count] > ends).any()):
+            self.reject(np.bincount(np.searchsorted(ends, seps), minlength=len(ends)) != count,
+                        message)
+        n = self.bad_line
+        if not n:
+            self.check()
+        pad = np.zeros(_PAD, dtype=np.uint8)
+        self.raw = np.concatenate((pad, text, pad))
+        self.starts, self.ends = starts[:n] + _PAD, ends[:n] + _PAD
+        self.seps = seps[:count * n].reshape(n, count) + _PAD
+
+    def reject(self, bad: np.ndarray, message: str, detail: np.ndarray | None = None) -> None:
+        """Make ``message`` the error when ``bad`` marks a line before the
+        first one that a check failed on; ``detail`` at that line fills the
+        message's ``{}``."""
+        bad = bad[:self.bad_line]
+        if bad.any():
+            self.bad_line = int(bad.argmax())
+            self.message = message if detail is None else message.format(detail[self.bad_line])
+
+    def check(self) -> None:
+        """Raise :class:`LogParseError` for the first line a check failed on."""
+        if self.bad_line < self.count:
+            raise LogParseError(self.message, row=self.first_row + self.bad_line)
 
 
 def _windows(raw: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
@@ -352,308 +328,153 @@ def _first(raw: np.ndarray, byte: str, lo: np.ndarray, hi: np.ndarray, span: int
     return np.where((raw[at] == ord(byte)) & (at < hi), at, hi)
 
 
+def _rows_above(cells: np.ndarray, limit: int) -> np.ndarray:
+    """Per row of ``cells``, whether one of them is above ``limit``; the
+    rows are reduced one by one only when the whole matrix has such a cell."""
+    if cells.max(initial=0) <= limit:
+        return np.zeros(len(cells), dtype=bool)
+    return cells.max(axis=1) > limit
+
+
 def _number(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int, most: int):
-    """Per line, the value of the digit field ``raw[lo:hi]`` in ``base``; None
-    when a field is longer than ``most`` or holds a byte that is not a digit
-    of its base."""
-    width = hi - lo
+    """Per line, the value in ``base`` of the last ``most`` bytes of the
+    field ``raw[lo:hi]``, and whether one of them is not a digit of ``base``."""
+    width = np.minimum(hi - lo, most)  # negative only on lines that a check rejects
     w = int(width.max(initial=0))
-    if w > most:
-        return None
     # right-aligned, so that each column has one weight; cells before a
     # field's first byte are padding
     cells = _HEX.take(_windows(raw, hi - w, w))
     cells *= _LAST.take(width, axis=0)[:, _PAD - w:]
-    if cells.max(initial=0) >= base:
-        return None
-    return cells @ float(base) ** np.arange(w - 1, -1, -1)
+    return cells @ float(base) ** np.arange(w - 1, -1, -1), _rows_above(cells, base - 1)
 
 
-def _times(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """Per line, the timestamp ``raw[lo:hi]``: digits with at most one ``.``,
-    read exactly when they make an integer below 2**53; else None."""
+def _times(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per line, the timestamp ``raw[lo:hi]``, digits with at most one ``.``,
+    and whether it is malformed or not finite. Up to 18 digits on each side
+    of the ``.`` that make an integer below 2**53 are read here, exactly;
+    float() reads the text of the rest."""
     dot = _first(raw, ".", lo, hi, _PAD - 1)
     frac_lo = np.minimum(dot + 1, hi)
     decimals = hi - frac_lo
-    if (dot - lo + decimals < 1).any():  # no digit
-        return None
-    whole, frac = _number(raw, lo, dot, 10, 18), _number(raw, frac_lo, hi, 10, 18)
-    if whole is None or frac is None:
-        return None
-    scale = _POW10[decimals]
+    whole, bad_whole = _number(raw, lo, dot, 10, 18)
+    frac, bad_frac = _number(raw, frac_lo, hi, 10, 18)
+    scale = _POW10[np.minimum(decimals, 18)]
     scaled = whole * scale + frac
-    if (scaled >= _EXACT).any():
-        return None
-    return scaled / scale
+    slow = (dot - lo > 18) | (decimals > 18) | (scaled >= _EXACT)
+    times = scaled / scale
+    bad = ~slow & (bad_whole | bad_frac | (dot - lo + decimals < 1))
+    for k in np.flatnonzero(slow).tolist():
+        text = raw[lo[k]:hi[k]].tobytes()
+        times[k] = float(text) if text.replace(b".", b"", 1).isdigit() else math.inf
+        bad[k] = not math.isfinite(times[k])
+    return times, bad
 
 
-def _payload(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(dlc, [n, 8] payload) of the hex fields ``raw[lo:hi]``, whole bytes
-    and at most 8; else None."""
+def _payload(lines: _Lines, lo: np.ndarray, hi: np.ndarray):
+    """(dlc, [n, 8] payload) of the fields ``raw[lo:hi]``, which must hold
+    whole bytes, at most 8, as bare hex."""
     width = hi - lo
-    if (width % 2).any() or (width > 2 * MAX_PAYLOAD_BYTES).any():
-        return None
-    cells = _HEX.take(_windows(raw, lo, 2 * MAX_PAYLOAD_BYTES))
-    cells *= _FIRST.take(width, axis=0)[:, :2 * MAX_PAYLOAD_BYTES]
-    if cells.max(initial=0) > 15:
-        return None
+    lines.reject(width > 2 * MAX_PAYLOAD_BYTES, "payload longer than 8 bytes")
+    cells = _HEX.take(_windows(lines.raw, lo, 2 * MAX_PAYLOAD_BYTES))
+    cells *= _FIRST.take(np.clip(width, 0, 2 * MAX_PAYLOAD_BYTES),
+                         axis=0)[:, :2 * MAX_PAYLOAD_BYTES]
+    lines.reject(_rows_above(cells, 15), "invalid payload hex")
+    lines.reject(width % 2 == 1, "odd payload hex length")
     pairs = cells.view("<u2")  # a byte's high nibble, then its low one
     return (width // 2).astype(np.uint8), (pairs << 4 | pairs >> 8).astype(np.uint8)
 
 
-def _batch_columns(times, ids, extended, payload) -> tuple[np.ndarray, ...] | None:
-    """Log columns of converted fields, or None when a conversion failed or
-    an id is out of range for its addressing."""
-    if (times is None or ids is None or payload is None
-            or (ids > np.where(extended, CAN_EFF_MAX, CAN_SFF_MAX)).any()):
-        return None
-    return (times, ids.astype(np.int64), extended, *payload)
+def _candump_columns(data: bytes, first_row: int) -> tuple[np.ndarray, ...]:
+    """Columns of candump lines ``(<timestamp>) <interface> <id>#<data>``."""
+    lines = _Lines(data, first_row, " ", 2, "line does not match candump format")
+    raw, starts, ends = lines.raw, lines.starts, lines.ends
+    iface, tail = lines.seps.T  # the spaces before the interface and before the id
+    # the first "#" after the id's space, else the line's end
+    hashes = np.append(np.flatnonzero(raw == ord("#")), len(raw))
+    hashes = np.minimum(hashes[np.searchsorted(hashes, tail)], ends)
+    lines.reject((raw[starts] != ord("(")) | (raw[iface - 1] != ord(")")) | (tail - iface < 2)
+                 | (hashes == ends), "line does not match candump format")
+    times, bad = _times(raw, starts + 1, iface - 1)
+    lines.reject(bad, "malformed timestamp")
+    digits = hashes - tail - 1
+    ids, bad = _number(raw, tail + 1, hashes, 16, 8)
+    lines.reject((digits < 1) | bad, "invalid hex id")
+    extended = digits > 3
+    lines.reject((digits > 8) | (ids > np.where(extended, CAN_EFF_MAX, CAN_SFF_MAX)),
+                 "id out of range")
+    dlc, payload = _payload(lines, hashes + 1, ends)
+    lines.check()
+    return times, ids.astype(np.int64), extended, dlc, payload
 
 
-_CANDUMP_RE = re.compile(
-    r"^\s*\((?P<ts>[^)]*)\)\s+(?P<chan>\S+)\s+(?P<id>[^#\s]*)#(?P<data>\S*)\s*$"
-)
-# field grammars, ASCII only: float() and int() alone would also take "1_0"
-# and non-ASCII digits
-_TIMESTAMP_RE = re.compile(r"\s*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\s*",
-                           re.ASCII)
-_HEX_RE = re.compile(r"[0-9A-Fa-f]*")
-# CSV ids: 0x-prefixed hex, else decimal
-_CSV_ID_RE = re.compile(r"\s*(?:0[xX](?P<hex>[0-9A-Fa-f]+)|(?P<dec>[0-9]+))\s*", re.ASCII)
-_DLC_RE = re.compile(r"\s*[0-9]+\s*", re.ASCII)
+def _csv_columns(data: bytes, first_row: int) -> tuple[np.ndarray, ...]:
+    """Columns of CSV rows ``<timestamp>,0x<id>,<dlc>,<payload>``."""
+    lines = _Lines(data, first_row, ",", 3, "row arity mismatch")
+    raw, starts, ends = lines.raw, lines.starts, lines.ends
+    id_sep, dlc_sep, payload_sep = lines.seps.T  # the commas before each field
+    times, bad = _times(raw, starts, id_sep)
+    lines.reject(bad, "malformed timestamp")
+    digits = dlc_sep - id_sep - 3
+    ids, bad = _number(raw, id_sep + 3, dlc_sep, 16, 8)
+    lines.reject((raw[id_sep + 1] != ord("0")) | ((raw[id_sep + 2] | 0x20) != ord("x"))
+                 | (digits < 1) | bad, "invalid id")
+    lines.reject((digits > 8) | (ids > CAN_EFF_MAX), "id out of range")
+    dlc = raw[dlc_sep + 1] - ord("0")
+    lines.reject((payload_sep - dlc_sep != 2) | (dlc > 9), "invalid dlc")
+    lengths, payload = _payload(lines, payload_sep + 1, ends)
+    lines.reject(dlc != lengths, "dlc {} does not match payload length", dlc)
+    lines.check()
+    return times, ids.astype(np.int64), ids > CAN_SFF_MAX, lengths, payload
 
 
-def _candump_id(text: str) -> tuple[int, bool]:
-    """A candump hex id and whether it is extended: more than 3 digits."""
-    return int(text, 16), len(text) > 3
+def _read(data: bytes, first_row: int, not_before: float, columns,
+          header: bytes | None = None) -> CanLog:
+    """One log from ``data``, the bytes of whole lines, the last perhaps
+    without its newline, after ``header``'s line when one is given. The
+    lines are read at once by ``columns``; rows count from ``first_row``."""
+    if not isinstance(data, bytes):
+        raise TypeError(f"a log is read from bytes, not {type(data).__name__}")
+    if header is not None:
+        line, _, data = data.partition(b"\n")
+        if line != header:
+            raise LogParseError(f"first line is not the header {header.decode()}")
+    if not data:
+        return _assemble([])
+    return _assemble([_in_order(columns(data, first_row), first_row, not_before)])
 
 
-def _candump_fields(line: str) -> tuple[float, int, bool, bytes]:
-    m = _CANDUMP_RE.match(line)
-    if m is None:
-        raise LogParseError("line does not match candump format (offset 0)")
-
-    ts_text = m.group("ts")
-    timestamp = float(ts_text) if _TIMESTAMP_RE.fullmatch(ts_text) else math.nan
-    if not math.isfinite(timestamp) or timestamp < 0:
-        raise LogParseError(f"malformed timestamp (offset {m.start('ts')})")
-
-    id_text = m.group("id")
-    if not id_text or not _HEX_RE.fullmatch(id_text):
-        raise LogParseError(f"invalid hex id (offset {m.start('id')})")
-    if len(id_text) > 8:
-        raise LogParseError(f"id out of range (offset {m.start('id')})")
-    can_id, extended = _candump_id(id_text)
-    if can_id > (CAN_EFF_MAX if extended else CAN_SFF_MAX):
-        raise LogParseError(f"id out of range (offset {m.start('id')})")
-
-    payload = _parse_payload_hex(m.group("data"), f" (offset {m.start('data')})")
-    return timestamp, can_id, extended, payload
-
-
-def parse_candump_line(line: str) -> CanFrame:
-    """Parse one candump log line, e.g. ``(1679000000.123456) can0 1F4#DEADBEEF``.
-
-    The id is hexadecimal; 1-3 digits are taken as a standard (11-bit)
-    frame, more as extended. Raises :class:`LogParseError` with the byte
-    offset of the offending field on malformed input.
-    """
-    timestamp, can_id, extended, payload = _candump_fields(line)
-    return CanFrame(timestamp, can_id, payload, extended)
-
-
-def _parse_payload_hex(text: str, where: str = "", row: int | None = None) -> bytes:
-    """Payload bytes of a hex field; ``where`` ends each error message."""
-    if not _HEX_RE.fullmatch(text):
-        raise LogParseError("invalid payload hex" + where, row=row)
-    if len(text) % 2:
-        raise LogParseError("odd payload hex length" + where, row=row)
-    if len(text) > 2 * MAX_PAYLOAD_BYTES:
-        raise LogParseError("payload longer than 8 bytes" + where, row=row)
-    return bytes.fromhex(text)
-
-
-def _candump_strict(text: str | bytes) -> tuple[np.ndarray, ...] | None:
-    """Columns of a batch text of candump lines in a strict form of the
-    format, ``(<timestamp>) <interface> <id>#<data>`` with single spaces, a
-    printable ASCII interface, a timestamp that ``_times`` reads, a 1-8 digit
-    hex id in range and whole payload bytes; else None."""
-    lines = _lines(text, " ", 2)
-    if lines is None:
-        return None
-    raw, starts, ends, seps = lines
-    iface, tail = seps.T  # the spaces before the interface and before the id
-    hashes = _first(raw, "#", tail + 2, ends, 8)  # after a 1-8 digit id
-    if ((raw[starts] != ord("(")) | (raw[iface - 1] != ord(")")) | (tail - iface < 2)
-            | (hashes == ends)).any():
-        return None
-    # more than 3 id digits is extended, as in _candump_id
-    return _batch_columns(_times(raw, starts + 1, iface - 1), _number(raw, tail + 1, hashes, 16, 8),
-                          hashes - tail > 4, _payload(raw, hashes + 1, ends))
-
-
-def _candump_lines(lines: list[str], first_row: int,
-                   not_before: float = -math.inf) -> tuple[np.ndarray, ...]:
-    """Columns of candump lines parsed one by one; errors name the row."""
-    rows = []
-    for lineno, line in enumerate(lines, start=first_row):
-        if not line.strip():
-            continue
-        try:
-            rows.append(_candump_fields(line))
-        except LogParseError as err:
-            raise LogParseError(str(err), row=lineno) from err
-        if rows[-1][0] < not_before:
-            raise LateFrameError(rows[-1][0], not_before, row=lineno)
-    return _columns(rows)
-
-
-def read_candump(stream: Iterable[str] | bytes, *, first_row: int = 1,
+def read_candump(data: bytes, *, first_row: int = 1,
                  not_before: float = -math.inf) -> CanLog:
-    """Parse candump text, a stream of lines or the bytes of whole lines as
-    :func:`iter_log` reads them; blank lines are skipped.
+    """Parse candump text, the bytes of lines such as
+    ``(1679000000.123456) can0 1F4#DEADBEEF``; output is sorted by
+    timestamp, ties stable.
 
-    Lines are parsed in batches of ``CHUNK_LINES``: a batch of strict lines
-    fills the columns at once, any other batch goes line by line, so errors
-    carry the 1-based line number, counted from ``first_row``. A frame
-    earlier than ``not_before`` is a :class:`LateFrameError`.
+    Each line is ``(<timestamp>) <interface> <id>#<data>`` with single
+    spaces, a printable ASCII interface without spaces, a 1-8 digit hex id
+    in range, extended when it has more than 3 digits, and 0-8 whole
+    payload bytes as bare hex. All lines are read at once; the error of the
+    first bad line carries its 1-based row, counted from ``first_row``. A
+    frame earlier than ``not_before`` is a :class:`LateFrameError`.
     """
-    return _read(stream, first_row, not_before, _candump_strict, _candump_lines)
+    return _read(data, first_row, not_before, _candump_columns)
 
 
-def _csv_layout(header: list[str]) -> tuple[int, int, int, int | None, int]:
-    """(timestamp, id, payload, dlc or None) column indices and the width."""
-    header = [h.strip() for h in header]
-    columns = {name: i for i, name in enumerate(header)}
-    for name in ("timestamp", "id", "payload"):
-        if name not in columns:
-            raise LogParseError(f"missing column '{name}'")
-    return (columns["timestamp"], columns["id"], columns["payload"],
-            columns.get("dlc"), len(header))
-
-
-def _csv_strict(text: str | bytes) -> tuple[np.ndarray, ...] | None:
-    """Columns of a batch text of CSV lines under the written header in a
-    strict form, ``<timestamp>,<id>,<dlc>,<payload>`` with a timestamp that
-    ``_times`` reads, an id of ``0x`` and 1-8 hex digits in range, as
-    :func:`write_csv_log` writes it, a one-digit dlc equal to the payload
-    length and whole payload bytes without a prefix; else None."""
-    lines = _lines(text, ",", 3)
-    if lines is None:
-        return None
-    raw, starts, ends, seps = lines
-    id_sep, dlc_sep, payload_sep = seps.T  # the commas before each field
-    if ((raw[id_sep + 1] != ord("0")) | ((raw[id_sep + 2] | 0x20) != ord("x"))).any():
-        return None
-    ids = _number(raw, id_sep + 3, dlc_sep, 16, 8)
-    payload = _payload(raw, payload_sep + 1, ends)
-    if (ids is None or payload is None
-            or ((dlc_sep - id_sep < 4) | (payload_sep - dlc_sep != 2)
-                | (raw[dlc_sep + 1] - ord("0") != payload[0])).any()):
-        return None
-    return _batch_columns(_times(raw, starts, id_sep), ids, ids > CAN_SFF_MAX, payload)
-
-
-def _decimal(text: str, name: str, row: int) -> int:
-    """The value of a decimal field; one with more significant digits than
-    int() converts is far beyond any CAN id or dlc."""
-    try:
-        return int(text.strip().lstrip("0") or "0")
-    except ValueError:
-        raise LogParseError(f"{name} out of range", row=row) from None
-
-
-def _csv_rows(lines: Iterable[str], layout: tuple[int, int, int, int | None, int],
-              first_row: int, not_before: float = -math.inf) -> tuple[np.ndarray, ...]:
-    """Columns of CSV records parsed one by one; errors, a ``csv.Error``
-    included, name the data row, counted from ``first_row``."""
-    import csv
-
-    ts_idx, id_idx, payload_idx, dlc_idx, width = layout
-    reader = csv.reader(lines)
-    rows = []
-    for rownum in itertools.count(first_row):
-        try:
-            fields = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as err:
-            raise LogParseError(f"malformed CSV record: {err}", row=rownum) from None
-        if not fields:
-            continue
-        if len(fields) != width:
-            raise LogParseError("row arity mismatch", row=rownum)
-        if not _TIMESTAMP_RE.fullmatch(fields[ts_idx]):
-            raise LogParseError("unsortable timestamp", row=rownum)
-        timestamp = float(fields[ts_idx])
-        m = _CSV_ID_RE.fullmatch(fields[id_idx])
-        if m is None:
-            raise LogParseError("invalid id", row=rownum)
-        can_id = int(m["hex"], 16) if m["hex"] else _decimal(m["dec"], "id", rownum)
-        if can_id > CAN_EFF_MAX:
-            raise LogParseError("id out of range", row=rownum)
-        payload_text = fields[payload_idx].strip()
-        if payload_text[:2] in ("0x", "0X"):
-            payload_text = payload_text[2:]
-        payload = _parse_payload_hex(payload_text, row=rownum)
-        if dlc_idx is not None:
-            if not _DLC_RE.fullmatch(fields[dlc_idx]):
-                raise LogParseError("invalid dlc", row=rownum)
-            dlc = _decimal(fields[dlc_idx], "dlc", rownum)
-            if dlc > MAX_PAYLOAD_BYTES:
-                raise LogParseError("dlc out of range", row=rownum)
-            if dlc != len(payload):
-                raise LogParseError(
-                    f"dlc {dlc} does not match payload length {len(payload)}", row=rownum)
-        extended = can_id > CAN_SFF_MAX
-        try:
-            _check_frame(timestamp, can_id, len(payload), extended)
-        except ValueError as err:
-            raise LogParseError(str(err), row=rownum) from err
-        if timestamp < not_before:
-            raise LateFrameError(timestamp, not_before, row=rownum)
-        rows.append((timestamp, can_id, extended, payload))
-    return _columns(rows)
-
-
-def parse_csv_log(stream: Iterable[str] | bytes, *, first_row: int = 1,
+def parse_csv_log(data: bytes, *, first_row: int = 1,
                   not_before: float = -math.inf) -> CanLog:
-    """Parse a CSV traffic log, a stream of lines or the bytes of whole lines
-    as :func:`iter_log` reads them; output is sorted by timestamp, ties stable.
+    """Parse a CSV traffic log, the bytes of the header line
+    ``timestamp,id,dlc,payload`` and the data lines after it, as
+    :func:`write_csv_log` writes them; output is sorted by timestamp, ties
+    stable.
 
-    Columns are found by header name in any order and extra columns are
-    ignored; ``dlc`` is optional and, when present, must match the payload
-    length. The payload may carry a ``0x`` prefix. Errors carry the 1-based
-    data row number, counted from ``first_row``. A frame earlier than
-    ``not_before`` is a :class:`LateFrameError`.
-
-    Under the header that :func:`write_csv_log` writes, data lines are
-    parsed in batches of ``CHUNK_LINES``, and batches of strict lines fill
-    the columns at once. From the first batch that is not, and under any
-    other header from the start, the rest of the stream goes through the CSV
-    reader record by record, because a quoted field may span lines.
+    Each data line is ``<timestamp>,0x<id>,<dlc>,<payload>``: 1-8 hex id
+    digits after ``0x`` or ``0X``, a one-digit dlc equal to the payload's
+    byte count and the payload bytes as bare hex. All lines are read at
+    once; the error of the first bad line carries its 1-based data row,
+    counted from ``first_row``. A frame earlier than ``not_before`` is a
+    :class:`LateFrameError`.
     """
-    import csv
+    return _read(data, first_row, not_before, _csv_columns, _CSV_HEADER_LINE)
 
-    data = None  # the bytes after the header line, when read as bytes
-    if isinstance(stream, bytes):
-        head, newline, data = stream.partition(b"\n")
-        stream = _text_lines(head + newline, None)
-        if b'"' in head or b'"' in data:  # a quoted field may span lines
-            stream += _text_lines(data, first_row)
-            data = None
-    lines = iter(stream)
-    try:
-        header = next(csv.reader(lines))
-    except StopIteration:
-        raise LogParseError("missing header row") from None
-    except csv.Error as err:
-        raise LogParseError(f"malformed header row: {err}") from None
-    layout = _csv_layout(header)
-    strict = _csv_strict if header == list(CSV_HEADER) else (lambda text: None)
-    return _read(lines if data is None else data, first_row, not_before, strict,
-                 lambda batch, row, floor: _csv_rows(itertools.chain(batch, lines), layout,
-                                                     row, floor))
 
 
 # Below this, floor(t) is an int64 of at most 10 digits. Python formats the
@@ -734,14 +555,16 @@ def write_csv_log(log: CanLog, sink: IO[str]) -> None:
 
 
 def _file_batches(f: BinaryIO) -> Iterator[tuple[bytes, int]]:
-    """(bytes, first line number) of each run of ``CHUNK_LINES`` lines of a
-    binary file read up to ``READ_BYTES`` at a time, with ``\\r\\n`` and
-    ``\\r`` turned into ``\\n`` as a text-mode file reads them. The last run
-    may be shorter and lack its final newline. ``read1`` returns what a pipe
-    holds, so a batch is cut as soon as its lines have arrived."""
+    """(bytes, first line number) of each batch of lines of a binary file
+    read up to ``READ_BYTES`` at a time, with ``\\r\\n`` and ``\\r`` turned
+    into ``\\n`` as a text-mode file reads them. A batch ends after
+    ``CHUNK_LINES`` lines, or at the last newline of a read shorter than
+    ``READ_BYTES``: ``read1`` returns what a pipe holds, so lines are read
+    as soon as they arrive. The last batch may lack its final newline."""
     row, size = 1, 0
     pieces, newlines = [], []  # the bytes since the last cut, and their newlines
     while block := f.read1(READ_BYTES):
+        drained = len(block) < READ_BYTES
         while block.endswith(b"\r") and (more := f.read(1)):  # keep a \r\n whole
             block += more
         if b"\r" in block:
@@ -751,15 +574,18 @@ def _file_batches(f: BinaryIO) -> Iterator[tuple[bytes, int]]:
         size += len(block)
         ends = np.concatenate(newlines)
         newlines = [ends]
-        if ends.size < CHUNK_LINES:
+        marks = list(range(CHUNK_LINES, ends.size + 1, CHUNK_LINES))  # lines before each cut
+        if drained and ends.size > (marks[-1] if marks else 0):
+            marks.append(ends.size)
+        if not marks:
             continue
-        data = b"".join(pieces)
-        cuts = [0, *(ends[CHUNK_LINES - 1::CHUNK_LINES] + 1).tolist()]
-        for lo, hi in zip(cuts, cuts[1:]):
+        data, lo = b"".join(pieces), 0
+        for done, mark in zip([0, *marks], marks):
+            hi = int(ends[mark - 1]) + 1
             yield data[lo:hi], row
-            row += CHUNK_LINES
-        pieces, size = [data[cuts[-1]:]], len(data) - cuts[-1]
-        newlines = [ends[(len(cuts) - 1) * CHUNK_LINES:] - cuts[-1]]
+            row, lo = row + mark - done, hi
+        pieces, size = [data[lo:]], len(data) - lo
+        newlines = [ends[marks[-1]:] - lo]
     if size:
         yield b"".join(pieces), row
 
@@ -777,43 +603,29 @@ def _checked(parse) -> Iterator[CanLog]:
 
 
 def iter_log(path: str) -> Iterator[CanLog]:
-    """A traffic log file as consecutive batches of ``CHUNK_LINES`` lines in
-    file order, each sorted by timestamp with ties stable. The first
-    non-blank line tells the format: candump when it starts with ``(``,
+    """A traffic log file as consecutive batches of lines in file order
+    (see :func:`_file_batches`), each sorted by timestamp with ties stable.
+    The first line tells the format: candump when it starts with ``(``,
     else CSV. Each batch goes through :func:`read_candump` or
     :func:`parse_csv_log`, rows count over the whole file, and every error
     names the file.
 
-    A CSV batch that holds a quote character is read together with the rest
-    of the file, because a quoted field may span lines; in any other batch
-    each line is one record. A consumer that finds a frame earlier than the
-    end of a window it already printed throws :class:`LateFrameError` in
-    here, so that the error names the frame's row.
+    A consumer that finds a frame earlier than the end of a window it
+    already printed throws :class:`LateFrameError` in here, so that the
+    error names the frame's row.
     """
     try:
         with open(path, "rb") as f:
             batches = _file_batches(f)
-            head, first = [], None  # batches read up to the first non-blank line
-            for raw, row in batches:
-                head.append((raw, row))
-                # bytes that are not UTF-8 are an error of the parse below
-                lines = io.StringIO(raw.decode("utf-8", "replace"))
-                first = next((line.lstrip() for line in lines if line.strip()), None)
-                if first is not None:
-                    break
-            # an empty file is one empty batch, which holds no CSV header
-            batches = itertools.chain(head or [(b"", 1)], batches)
-            if first is not None and first.startswith("("):
-                for raw, row in batches:
-                    yield from _checked(functools.partial(read_candump, raw, first_row=row))
-                return
-            header = head[0][0].partition(b"\n")[0] + b"\n" if head else b""
-            for raw, row in batches:
-                if b'"' in raw:
-                    raw += b"".join(more for more, _ in batches)
-                text = raw if row == 1 else header + raw
-                yield from _checked(functools.partial(parse_csv_log, text,
-                                                      first_row=max(row - 1, 1)))
+            first = next(batches, (b"", 1))  # an empty file is a CSV without its header
+            header = first[0].partition(b"\n")[0] + b"\n"
+            for raw, row in itertools.chain([first], batches):
+                if header.startswith(b"("):
+                    parse = functools.partial(read_candump, raw, first_row=row)
+                else:  # each CSV batch after the first lacks the header line
+                    parse = functools.partial(parse_csv_log, raw if row == 1 else header + raw,
+                                              first_row=max(row - 1, 1))
+                yield from _checked(parse)
     except LogParseError as err:
         err.args = (f"log file {path}: {err}",)
         raise

@@ -36,15 +36,14 @@ class ContractViolation(Exception):
 def load_config(path: str) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {lineno} is not 'key = value': {raw.rstrip()}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, raw in enumerate(features.read_text(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno} is not 'key = value': {raw.rstrip()}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -74,7 +73,7 @@ def _config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict:
             try:
                 value = action.type(text)
             except ValueError:
-                raise ValueError(f"config key '{key}' in {path}: {text!r} is not a valid "
+                raise ValueError(f"config key '{key}': {text!r} is not a valid "
                                  f"{action.type.__name__}") from None
         else:
             value = text
@@ -179,9 +178,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_features(path: str):
+    with features.naming(f"feature file {path}"):
+        return features.read_feature_csv(features.read_text(path))
+
+
 def cmd_train(args: argparse.Namespace) -> int:
-    with open(args.features, "r", encoding="utf-8") as f:
-        X, labels, vocab = features.read_feature_csv(f)
+    X, labels, vocab = _read_features(args.features)
     if args.extraction_config:
         spec = _load_spec(args.extraction_config)
         if spec.vocab != vocab:
@@ -215,8 +218,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model, spec = load_model(args.model)
-    with open(args.features, "r", encoding="utf-8") as f:
-        X, labels, vocab = features.read_feature_csv(f)
+    X, labels, vocab = _read_features(args.features)
     if spec is not None and spec.vocab != vocab:
         raise ValueError(f"the columns of {args.features} do not match the "
                          f"vocabulary of model {args.model}")
@@ -353,8 +355,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # config supplies defaults; a second parse lets explicit flags win
-            args._subparser.set_defaults(**_config_defaults(args._subparser,
-                                                            args.config))
+            with features.naming(f"config file {args.config}"):
+                args._subparser.set_defaults(**_config_defaults(args._subparser,
+                                                                args.config))
             args = parser.parse_args(argv)
         return args.func(args)
     except ContractViolation as err:

@@ -25,6 +25,8 @@ each value is bit-identical to the numpy expressions above.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -423,9 +425,9 @@ def read_feature_csv(stream: Iterable[str]) -> tuple[np.ndarray, list[str], IdVo
     try:
         header = next(lines).rstrip("\n").split(",")
     except StopIteration:
-        raise ValueError("empty feature file") from None
+        raise ValueError("no header line") from None
     if not header or header[0] != "label":
-        raise ValueError("feature file must start with a 'label' column")
+        raise ValueError("first column is not 'label'")
     vocab = vocabulary_from_feature_names(header[1:])
     rows, labels = [], []
     for lineno, line in enumerate(lines, start=2):
@@ -443,7 +445,7 @@ def read_feature_csv(stream: Iterable[str]) -> tuple[np.ndarray, list[str], IdVo
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise ValueError(f"feature file line {lineno}, column '{name}': "
+                raise ValueError(f"line {lineno}, column '{name}': "
                                  f"{cell!r} is not a finite number")
             row.append(value)
         rows.append(row)
@@ -457,6 +459,28 @@ def _is_number(value) -> bool:
     the infinities."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+@contextlib.contextmanager
+def naming(where: str):
+    """Prefix ``where``, the input being read, to a ``ValueError`` raised inside."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+
+
+def read_text(path: str) -> io.StringIO:
+    """The lines of the UTF-8 text file at ``path``, with ``\\r\\n`` and
+    ``\\r`` read as ``\\n`` as in text mode; a byte that is not UTF-8 is a
+    ``ValueError`` naming its line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"line {line} is not UTF-8 ({err.reason})") from None
 
 
 def read_json(path: str, where: str):

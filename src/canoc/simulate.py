@@ -21,7 +21,7 @@ import numpy as np
 from .canlog import (CAN_SFF_MAX, CHUNK_LINES, COLUMNS, MAX_PAYLOAD_BYTES, CanLog, _assemble,
                      _payload_matrix, load_log, save_log)
 from .features import (LABEL_NORMAL, LABEL_RANDOM_ID, LABEL_REPLAY,
-                       LABEL_ZERO_ID, Window)
+                       LABEL_ZERO_ID, Window, naming, read_text)
 
 ATTACK_KINDS = (LABEL_RANDOM_ID, LABEL_ZERO_ID, LABEL_REPLAY)
 _FLOOD_KINDS = (LABEL_RANDOM_ID, LABEL_ZERO_ID)
@@ -270,11 +270,11 @@ def read_labels(stream: Iterable[str]) -> list[str]:
     feature-CSV cell, so ``,``, ``"`` and control characters are rejected."""
     lines = [line.rstrip("\n") for line in stream]
     if not lines or lines[0] != "label":
-        raise ValueError("label file must start with a 'label' header")
+        raise ValueError("first line is not the header 'label'")
     body = lines[1:]
     for label in dict.fromkeys(body):  # distinct labels, first seen first
         if _BAD_LABEL_CHAR_RE.search(label):
-            raise ValueError(f"label file line {body.index(label) + 2}: label {label!r} "
+            raise ValueError(f"line {body.index(label) + 2}: label {label!r} "
                              f"contains ',', '\"' or a control character")
     return [line for line in body if line]
 
@@ -287,5 +287,5 @@ def save_labeled(labeled: LabeledLog, log_path: str, labels_path: str) -> None:
 
 def load_labeled(log_path: str, labels_path: str) -> LabeledLog:
     log = load_log(log_path)
-    with open(labels_path, "r", encoding="utf-8") as f:
-        return LabeledLog(log, tuple(read_labels(f)))
+    with naming(f"label file {labels_path}"):
+        return LabeledLog(log, tuple(read_labels(read_text(labels_path))))

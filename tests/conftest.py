@@ -1,7 +1,11 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from canoc import CanFrame, CanLog
+from canoc.canlog import LogParseError
 
 
 def make_log(entries):
@@ -18,3 +22,49 @@ def make_log(entries):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# --- the log grammar read line by line: the reference for canlog's readers --
+
+TIMESTAMP = rb"(?P<ts>[0-9]*\.?[0-9]*)"
+PAYLOAD = rb"(?P<data>(?:[0-9A-Fa-f]{2}){0,8})"
+CANDUMP_LINE = re.compile(rb"\(" + TIMESTAMP + rb"\) [!-~]+ (?P<id>[0-9A-Fa-f]{1,8})#" + PAYLOAD)
+CSV_LINE = re.compile(TIMESTAMP + rb",0[xX](?P<id>[0-9A-Fa-f]{1,8}),(?P<dlc>[0-9]),"
+                      + PAYLOAD)
+
+
+def reference_read(data, fmt):
+    """What the strict grammar makes of ``data``, one line at a time: the
+    frames as (time, id, extended, payload) sorted stably by time, or
+    ("error", row) for the first line outside it, row None for a CSV header."""
+    if fmt == "csv":
+        header, _, data = data.partition(b"\n")
+        if header != b"timestamp,id,dlc,payload":
+            return "error", None
+    lines = data.split(b"\n")
+    if data.endswith(b"\n") or not data:
+        lines.pop()
+    frames = []
+    for row, line in enumerate(lines, start=1):
+        m = (CANDUMP_LINE if fmt == "candump" else CSV_LINE).fullmatch(line)
+        if m is None or m["ts"] in (b"", b"."):
+            return "error", row
+        t, can_id = float(m["ts"]), int(m["id"], 16)
+        extended = len(m["id"]) > 3 if fmt == "candump" else can_id > 0x7FF
+        if (not math.isfinite(t) or can_id > (0x1FFFFFFF if extended else 0x7FF)
+                or fmt == "csv" and int(m["dlc"]) != len(m["data"]) // 2):
+            return "error", row
+        frames.append((t, can_id, extended, bytes.fromhex(m["data"].decode())))
+    return sorted(frames, key=lambda frame: frame[0])
+
+
+def read_frames(read, data):
+    """``read(data)`` in the form of ``reference_read``: the log's frames,
+    or ("error", row) for a LogParseError."""
+    try:
+        log = read(data)
+    except LogParseError as err:
+        return "error", err.row
+    return [(t, can_id, extended, bytes(payload[:dlc])) for t, can_id, extended, dlc, payload
+            in zip(log.times.tolist(), log.ids.tolist(), log.extended.tolist(),
+                   log.dlc.tolist(), log.payload.tolist())]

@@ -1,17 +1,17 @@
-import csv
 import io
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import read_frames, reference_read
 from hypothesis import given, settings, strategies as st
 
 from canoc import (AttackScenario, CanFrame, CanLog, LogParseError, apply_scaler,
                    build_vocabulary, extract_matrix, fit_model, fit_scaler, inject,
-                   label_windows, parse_candump_line, parse_csv_log, score_samples,
+                   label_windows, parse_csv_log, read_candump, score_samples,
                    segment_windows, write_csv_log)
 from canoc import canlog
-from canoc.canlog import COLUMNS, CSV_HEADER, load_log, read_candump, save_log
+from canoc.canlog import COLUMNS, CSV_HEADER, load_log, save_log
 from canoc.simulate import default_bus, generate_normal
 
 
@@ -49,8 +49,15 @@ def test_log_ties_keep_input_order():
 
 # --- candump parsing ------------------------------------------------------
 
+def one_frame(line):
+    """The frame of one candump line."""
+    log = read_candump(line.encode() + b"\n")
+    assert len(log) == 1
+    return log[0]
+
+
 def test_parse_candump_basic():
-    frame = parse_candump_line("(1679000000.123456) can0 1F4#DEADBEEF")
+    frame = one_frame("(1679000000.123456) can0 1F4#DEADBEEF")
     assert frame.timestamp == 1679000000.123456
     assert frame.can_id == 0x1F4
     assert frame.payload == bytes([0xDE, 0xAD, 0xBE, 0xEF])
@@ -58,7 +65,7 @@ def test_parse_candump_basic():
 
 
 def test_parse_candump_empty_payload():
-    frame = parse_candump_line("(0.000000) can0 000#")
+    frame = one_frame("(0.000000) can0 000#")
     assert frame.timestamp == 0.0
     assert frame.can_id == 0
     assert frame.payload == b""
@@ -66,62 +73,47 @@ def test_parse_candump_empty_payload():
 
 def test_parse_candump_invalid_hex_id():
     with pytest.raises(LogParseError, match="invalid hex id"):
-        parse_candump_line("(1.0) can0 GG#00")
+        one_frame("(1.0) can0 GG#00")
 
 
 def test_parse_candump_extended_id():
-    frame = parse_candump_line("(1.0) can0 1FFFFFFF#00")
+    frame = one_frame("(1.0) can0 1FFFFFFF#00")
     assert frame.extended and frame.can_id == 0x1FFFFFFF
 
 
-def test_parse_candump_errors():
-    with pytest.raises(LogParseError, match="malformed timestamp"):
-        parse_candump_line("(abc) can0 100#00")
-    with pytest.raises(LogParseError, match="odd payload hex length"):
-        parse_candump_line("(1.0) can0 100#012")
-    with pytest.raises(LogParseError, match="id out of range"):
-        parse_candump_line("(1.0) can0 FFF#00")  # 3 digits parse as standard
-    with pytest.raises(LogParseError, match="does not match"):
-        parse_candump_line("not a candump line")
-    for line, message in (("(1_0.5) can0 100#00", "malformed timestamp"),
-                          ("(\u0661.5) can0 100#00", "malformed timestamp"),
-                          ("(1.0) can0 1_0#00", "invalid hex id"),
-                          ("(1.0) can0 \u0663#00", "invalid hex id"),
-                          ("(1.0) can0 100#0xAB", "invalid payload hex")):
-        with pytest.raises(LogParseError, match=message):
-            parse_candump_line(line)
-        with pytest.raises(LogParseError, match=message) as err:
-            read_candump(["(0.5) can0 100#00\n", line + "\n"])
-        assert err.value.row == 2
-
-
-@given(st.text(max_size=60))
-@settings(max_examples=300, deadline=None)
-def test_parse_candump_never_panics(line):
-    try:
-        frame = parse_candump_line(line)
-    except LogParseError:
-        return
-    assert isinstance(frame, CanFrame)
+@pytest.mark.parametrize("line, message", [
+    ("(abc) can0 100#00", "malformed timestamp"),
+    ("(1.0) can0 100#012", "odd payload hex length"),
+    ("(1.0) can0 FFF#00", "id out of range"),  # 3 digits parse as standard
+    ("(1.0) can0 123456789#00", "id out of range"),
+    ("(1.0) can0 100#" + "00" * 9, "payload longer than 8 bytes"),
+    ("not a candump line", "line does not match candump format"),
+    ("(1.0) can0 100", "line does not match candump format"),
+    ("(1.0) can0 #00", "invalid hex id"),
+    ("(1_0.5) can0 100#00", "malformed timestamp"),
+    ("(\u0661.5) can0 100#00", "byte outside printable ASCII"),
+    ("(1.0) can0 1_0#00", "invalid hex id"),
+    ("(1.0) can0 \u0663#00", "byte outside printable ASCII"),
+    ("(1.0) can0 100#0xAB", "invalid payload hex")])
+def test_parse_candump_errors(line, message):
+    with pytest.raises(LogParseError) as err:
+        read_candump(f"(0.5) can0 100#00\n{line}\n".encode())
+    assert str(err.value) == f"{message} (row 2)" and err.value.row == 2
 
 
 # --- CSV parsing and round trips ------------------------------------------
 
 def _csv(text):
-    return io.StringIO(text)
+    return text.encode()
 
 
 def test_parse_csv_basic():
     log = parse_csv_log(_csv("timestamp,id,dlc,payload\n"
                              "0.0,0x100,2,0102\n"
-                             "0.01,0x200,0,\n"))
+                             "0.01,0X200,0,\n"))
     assert [f.can_id for f in log.frames] == [0x100, 0x200]
     assert log.frames[0].payload == bytes([1, 2])
     assert log.frames[1].payload == b""
-    # columns by name in any order, extra columns ignored, dlc optional
-    log = parse_csv_log(_csv("payload,note,id,timestamp\n0xAABB,x,0x1F4,2.5\n"))
-    assert (log.frames[0].timestamp, log.frames[0].can_id,
-            log.frames[0].payload) == (2.5, 0x1F4, b"\xaa\xbb")
 
 
 def test_parse_csv_resorts_rows():
@@ -130,9 +122,10 @@ def test_parse_csv_resorts_rows():
     assert [f.timestamp for f in log.frames] == [0.1, 0.5]
 
 
-def test_parse_csv_accepts_decimal_ids():
-    log = parse_csv_log(_csv("timestamp,id,dlc,payload\n1.0,256,0,\n"))
-    assert log.frames[0].can_id == 0x100
+def test_parse_csv_rejects_decimal_ids():
+    with pytest.raises(LogParseError) as err:
+        parse_csv_log(_csv("timestamp,id,dlc,payload\n1.0,256,0,\n"))
+    assert str(err.value) == "invalid id (row 1)"
 
 
 def test_parse_csv_odd_payload_error_carries_row():
@@ -141,37 +134,63 @@ def test_parse_csv_odd_payload_error_carries_row():
     assert err.value.row == 1
 
 
-def test_parse_csv_structural_errors():
-    with pytest.raises(LogParseError, match="missing column 'payload'"):
-        parse_csv_log(_csv("timestamp,id,dlc\n"))
-    with pytest.raises(LogParseError, match="unsortable timestamp"):
-        parse_csv_log(_csv("timestamp,id,dlc,payload\nxx,0x1,0,\n"))
-    with pytest.raises(LogParseError, match="row arity mismatch"):
-        parse_csv_log(_csv("timestamp,id,dlc,payload\n0.0,0x1,0\n"))
-    with pytest.raises(LogParseError, match="dlc 3 does not match"):
-        parse_csv_log(_csv("timestamp,id,dlc,payload\n0.0,0x1,3,0102\n"))
-    # ids and timestamps are ASCII digits (ids also 0x-hex), without "_"
-    for ts, cid, message in (("0.0", "1_0", "invalid id"),
-                             ("0.0", "0x1_00", "invalid id"),
-                             ("0.0", "\u0663", "invalid id"),
-                             ("0.0", "0x", "invalid id"),
-                             ("1_0.5", "0x1", "unsortable timestamp"),
-                             ("\u0661.5", "0x1", "unsortable timestamp")):
-        with pytest.raises(LogParseError, match=message) as err:
-            parse_csv_log(_csv(f"timestamp,id,dlc,payload\n0.0,0x1,0,\n{ts},{cid},0,\n"))
-        assert err.value.row == 2
-    # so is the dlc: decimal ASCII digits, without "_"
-    for dlc in ("\u0663", "1_0", "0_3"):
-        with pytest.raises(LogParseError, match="invalid dlc") as err:
-            parse_csv_log(_csv(f"timestamp,id,dlc,payload\n0.0,0x1,0,\n0.0,0x100,{dlc},AABBCC\n"))
-        assert err.value.row == 2
+@pytest.mark.parametrize("row, message", [
+    ("xx,0x1,0,", "malformed timestamp"),
+    ("0.0,0x1,0", "row arity mismatch"),
+    ("0.0,0x1,0,,", "row arity mismatch"),
+    ("0.0,0x1,3,0102", "dlc 3 does not match payload length"),
+    ("0.0,0x1,0,0x", "invalid payload hex"),
+    # ids are 0x-hex and timestamps decimal, ASCII digits without "_"
+    ("0.0,1_0,0,", "invalid id"), ("0.0,0x1_00,0,", "invalid id"),
+    ("0.0,\u0663,0,", "byte outside printable ASCII"), ("0.0,0x,0,", "invalid id"),
+    ("1_0.5,0x1,0,", "malformed timestamp"), ("\u0661.5,0x1,0,", "byte outside printable ASCII"),
+    ("+1.5,0x1,0,", "malformed timestamp"), ("1e3,0x1,0,", "malformed timestamp"),
+    ("1.5.0,0x1,0,", "malformed timestamp"), (".,0x1,0,", "malformed timestamp"),
+    # so is the dlc: one decimal ASCII digit
+    ("0.0,0x100,\u0663,AABBCC", "byte outside printable ASCII"),
+    ("0.0,0x100,1_0,AABBCC", "invalid dlc"), ("0.0,0x100,0_3,AABBCC", "invalid dlc"),
+    ("0.0,0x100,x,AABBCC", "invalid dlc"), ("0.0,0x100,,", "invalid dlc")])
+def test_parse_csv_structural_errors(row, message):
+    with pytest.raises(LogParseError) as err:
+        parse_csv_log(_csv(f"timestamp,id,dlc,payload\n0.0,0x1,0,\n{row}\n"))
+    assert str(err.value) == f"{message} (row 2)" and err.value.row == 2
 
 
-@pytest.mark.parametrize("dlc", ["9", "12", "9" * 4000], ids=["9", "12", "4000-digit"])
-def test_parse_csv_dlc_above_eight_is_out_of_range_in_a_short_message(dlc):
-    with pytest.raises(LogParseError, match="dlc out of range") as err:
+@pytest.mark.parametrize("dlc, message", [("9", "dlc 9 does not match payload length"),
+                                          ("12", "invalid dlc"), ("9" * 4000, "invalid dlc")],
+                         ids=["9", "12", "4000-digit"])
+def test_parse_csv_dlc_above_eight_is_a_short_row_error(dlc, message):
+    with pytest.raises(LogParseError) as err:
         parse_csv_log(_csv(f"timestamp,id,dlc,payload\n0.0,0x1,0,\n0.0,0x100,{dlc},AABB\n"))
-    assert err.value.row == 2 and len(str(err.value)) < 40
+    assert err.value.row == 2 and str(err.value) == f"{message} (row 2)"
+
+
+@pytest.mark.parametrize("header", ["id,timestamp,dlc,payload", "timestamp,id,dlc,payload,note",
+                                    "timestamp,id,payload", '"timestamp","id","dlc","payload"',
+                                    "timestamp, id,dlc,payload", "",
+                                    "\ufefftimestamp,id,dlc,payload"])
+def test_csv_reader_takes_only_the_written_header(header):
+    with pytest.raises(LogParseError) as err:
+        parse_csv_log(f"{header}\n1.0,0x100,1,AB\n".encode())
+    assert str(err.value) == "first line is not the header timestamp,id,dlc,payload"
+    assert err.value.row is None
+
+
+@pytest.mark.parametrize("read", [read_candump, parse_csv_log])
+@pytest.mark.parametrize("data", ["(1.0) can0 100#00\n", ["(1.0) can0 100#00\n"],
+                                  io.BytesIO(b"(1.0) can0 100#00\n"), bytearray(b"")],
+                         ids=["str", "list", "stream", "bytearray"])
+def test_readers_take_only_bytes(read, data):
+    with pytest.raises(TypeError, match="a log is read from bytes"):
+        read(data)
+
+
+def test_empty_data_is_an_empty_log():
+    for read, data in ((read_candump, b""), (parse_csv_log, b"timestamp,id,dlc,payload"),
+                       (parse_csv_log, b"timestamp,id,dlc,payload\n")):
+        assert len(read(data)) == 0
+    with pytest.raises(LogParseError, match="first line is not the header"):  # a CSV has one
+        parse_csv_log(b"")
 
 
 def test_write_empty_log_header_only():
@@ -183,7 +202,7 @@ def test_write_empty_log_header_only():
 def _roundtrip(log):
     sink = io.StringIO()
     write_csv_log(log, sink)
-    return parse_csv_log(io.StringIO(sink.getvalue()))
+    return parse_csv_log(sink.getvalue().encode())
 
 
 def test_roundtrip_single_frame():
@@ -221,7 +240,7 @@ def test_roundtrip_large_synthetic_log_is_stable():
     assert len(log.frames) > 10_000
     first = io.StringIO()
     write_csv_log(log, first)
-    back = parse_csv_log(io.StringIO(first.getvalue()))
+    back = parse_csv_log(first.getvalue().encode())
     second = io.StringIO()
     write_csv_log(back, second)
     assert first.getvalue() == second.getvalue()
@@ -381,26 +400,23 @@ def test_hot_paths_build_no_frames(tmp_path, monkeypatch):
     assert normal.frames[3] == built[0]  # indexing does build one
 
 
-# --- chunked readers against the line-by-line readers ----------------------
+# --- the byte pass against the line-by-line grammar reference ------------------
 
-def read_outcome(reader, text, line_by_line):
-    """A reader's result on ``text``: the log's columns, or the error raised.
-    ``line_by_line`` turns the strict batch path off."""
-    strict = "_candump_strict" if reader is read_candump else "_csv_strict"
-    batch_path = (lambda *args: None) if line_by_line else getattr(canlog, strict)
-    with mock.patch.object(canlog, "CHUNK_LINES", 3), \
-            mock.patch.object(canlog, strict, batch_path):
-        try:
-            log = reader(io.StringIO(text))
-        except LogParseError as err:
-            return "LogParseError", str(err), err.row
-        except csv.Error as err:
-            return "csv.Error", str(err), None
-    return [getattr(log, name).tolist() for name in COLUMNS]
+def assert_matches_reference(read, text):
+    """``read`` gives the reference's frames for ``text``, or raises where
+    the reference fails, naming the same row."""
+    data = text.encode()
+    assert read_frames(read, data) == reference_read(
+        data, "candump" if read is read_candump else "csv")
 
 
-def assert_readers_agree(reader, text):
-    assert read_outcome(reader, text, False) == read_outcome(reader, text, True)
+def candump_line(t, can_id, payload):
+    return f"({t // 10 ** 6}.{t % 10 ** 6:06d}) can0 {can_id:03X}#{payload.hex().upper()}\n"
+
+
+def csv_line(t, can_id, payload):
+    return (f"{t // 10 ** 6}.{t % 10 ** 6:06d},0x{can_id:X},{len(payload)},"
+            f"{payload.hex().upper()}\n")
 
 
 FRAME_FIELDS = st.tuples(st.integers(0, 10 ** 12), st.integers(0, 0x7FF),
@@ -424,15 +440,14 @@ CANDUMP_MUTANTS = (
        st.lists(st.tuples(st.integers(0, 16), st.sampled_from(CANDUMP_MUTANTS)), max_size=4),
        st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_chunked_candump_reader_matches_line_reader(frames, mutants, last_newline):
-    lines = [f"({t // 10 ** 6}.{t % 10 ** 6:06d}) can0 {i:03X}#{p.hex().upper()}\n"
-             for t, i, p in frames]
+def test_candump_byte_pass_matches_the_line_reference(frames, mutants, last_newline):
+    lines = [candump_line(*frame) for frame in frames]
     for pos, mutant in mutants:
         lines.insert(min(pos, len(lines)), mutant)
     text = "".join(lines)
     if not last_newline:
         text = text[:-1]
-    assert_readers_agree(read_candump, text)
+    assert_matches_reference(read_candump, text)
 
 
 CSV_MUTANTS = (
@@ -453,8 +468,8 @@ CSV_MUTANTS = (
        st.lists(FRAME_FIELDS, max_size=16),
        st.lists(st.tuples(st.integers(0, 16), st.sampled_from(CSV_MUTANTS)), max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_chunked_csv_reader_matches_line_reader(order, dropped, written, frames, mutants):
-    # half the examples take the written header, the only one with a batch path
+def test_csv_byte_pass_matches_the_line_reference(order, dropped, written, frames, mutants):
+    # half the examples take the written header, the only one read
     header = list(CSV_HEADER) if written else [name for name in order if name not in dropped]
     rows = [{"timestamp": f"{t // 10 ** 6}.{t % 10 ** 6:06d}", "id": f"0x{i:X}",
              "dlc": str(len(p)), "payload": p.hex().upper(), "note": "n"}
@@ -466,7 +481,7 @@ def test_chunked_csv_reader_matches_line_reader(order, dropped, written, frames,
         elif pos < len(rows) and name in header:
             rows[pos][name] = value
             lines[pos] = ",".join(rows[pos][n] for n in header) + "\n"
-    assert_readers_agree(parse_csv_log, ",".join(header) + "\n" + "".join(lines))
+    assert_matches_reference(parse_csv_log, ",".join(header) + "\n" + "".join(lines))
 
 
 # the CSV mutants as whole lines under the written header, and a payload of 9
@@ -487,36 +502,48 @@ CSV_MUTANT_LINES = (
       for k, line in enumerate(CSV_MUTANT_LINES)]])
 @given(st.lists(FRAME_FIELDS, min_size=3, max_size=8), st.integers(0, 8))
 @settings(max_examples=20, deadline=None)
-def test_one_mutant_line_among_strict_lines_reads_as_line_by_line(reader, mutant, frames, at):
-    # CHUNK_LINES is 3, so the mutant's batch holds strict lines besides it
+def test_one_mutant_line_among_strict_lines_reads_as_the_line_reference(reader, mutant,
+                                                                        frames, at):
     if reader is read_candump:
-        header = ""
-        lines = [f"({t // 10 ** 6}.{t % 10 ** 6:06d}) can0 {i:03X}#{p.hex().upper()}\n"
-                 for t, i, p in frames]
+        header, lines = "", [candump_line(*frame) for frame in frames]
     else:
-        header = ",".join(CSV_HEADER) + "\n"
-        lines = [f"{t // 10 ** 6}.{t % 10 ** 6:06d},0x{i:X},{len(p)},{p.hex().upper()}\n"
-                 for t, i, p in frames]
+        header, lines = ",".join(CSV_HEADER) + "\n", [csv_line(*frame) for frame in frames]
     lines.insert(min(at, len(lines)), mutant)
-    assert_readers_agree(reader, header + "".join(lines))
+    assert_matches_reference(reader, header + "".join(lines))
 
 
-def test_csv_batch_path_runs_only_under_the_written_header():
-    expected = CanLog.from_frames([CanFrame(1.0, 0x100, b"\xab")])
-    for text, calls in (("timestamp,id,dlc,payload\n1.0,0x100,1,AB\n", 1),
-                        ("id,timestamp,dlc,payload\n0x100,1.0,1,AB\n", 0),
-                        ("timestamp,id,dlc,payload,note\n1.0,0x100,1,AB,n\n", 0),
-                        ("timestamp,id,payload\n1.0,0x100,AB\n", 0)):
-        with mock.patch.object(canlog, "_csv_strict", wraps=canlog._csv_strict) as strict:
-            assert parse_csv_log(io.StringIO(text)) == expected
-        assert strict.call_count == calls, text
+@st.composite
+def mutated_logs(draw, fmt):
+    """Strict lines of ``fmt`` with one byte replaced, inserted or deleted."""
+    frames = draw(st.lists(FRAME_FIELDS, min_size=1, max_size=6))
+    line = candump_line if fmt == "candump" else csv_line
+    text = bytearray("".join(line(*frame) for frame in frames).encode())
+    at = draw(st.integers(0, len(text) - 1))
+    byte = draw(st.integers(0, 255) | st.sampled_from(b" ,#().0xX\n9Ff"))
+    edit = draw(st.sampled_from(("replace", "insert", "delete")))
+    if edit == "replace":
+        text[at] = byte
+    elif edit == "insert":
+        text.insert(at, byte)
+    else:
+        del text[at]
+    header = b"" if fmt == "candump" else ",".join(CSV_HEADER).encode() + b"\n"
+    return header + bytes(text)
 
 
-def test_readers_take_each_stream_element_as_one_line():
-    # joined, these elements would be two valid lines
-    with pytest.raises(LogParseError, match="does not match candump") as err:
-        read_candump(["(1.0) can0 100#\n(2.0) can0 1", "00#\n"])
-    assert err.value.row == 1
+@pytest.mark.parametrize("read, fmt", [(read_candump, "candump"), (parse_csv_log, "csv")])
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_readers_parse_or_raise_a_short_row_error_on_any_bytes(read, fmt, data):
+    header = b"" if fmt == "candump" else ",".join(CSV_HEADER).encode() + b"\n"
+    text = data.draw(st.binary(max_size=60) | st.binary(max_size=60).map(header.__add__)
+                     | mutated_logs(fmt))
+    try:
+        assert isinstance(read(text), CanLog)
+    except LogParseError as err:
+        assert len(str(err)) < 100
+    # a data line's error names its row, and only a bad header names none
+    assert read_frames(read, text) == reference_read(text, fmt)
 
 
 @pytest.mark.parametrize("reader, good, bad, header", [
@@ -527,11 +554,9 @@ def test_bad_line_deep_in_the_stream_reports_its_row(reader, good, bad, header):
     row = 2 * canlog.CHUNK_LINES + 7
     text = header + good * (row - 1) + bad + good * 5
     with pytest.raises(LogParseError, match="odd payload hex length") as err:
-        reader(io.StringIO(text))
+        reader(text.encode())
     assert err.value.row == row
 
-
-# --- the batch pass against the line path at its edges ------------------------
 
 def _candump(*lines):
     return "".join(f"{line}\n" for line in lines)
@@ -541,12 +566,14 @@ def _csv_log(*lines):
     return _candump(",".join(CSV_HEADER), *lines)
 
 
-# around 2**53 = 9007199254740992 in 16 and 17 digits, and 0 and 22 decimals
+# around 2**53 = 9007199254740992 in 16 and 17 digits, 0 and 22 decimals, and
+# past 18 digits on either side of the "."
 TIMESTAMPS = ("9007199254740991", "9007199254740992", "9007199254740993",
               "900719925474099.1", "900719925474099.3", "90071992547409.95",
               "0.9007199254740991", "0.9007199254740993", "09007199254740991",
               "12345678901234567", "1234567890123456.7", "7", "7.", ".5",
-              "0.0000000000000000000001", "1.0000000000000000000001")
+              "0.0000000000000000000001", "1.0000000000000000000001",
+              "1" * 19, "1" * 25 + ".5", "0." + "5" * 19, "9" * 400, "1" * 20 + "x", "1.2.3", ".")
 
 
 @pytest.mark.parametrize("reader, text", [
@@ -556,11 +583,11 @@ TIMESTAMPS = ("9007199254740991", "9007199254740992", "9007199254740993",
       for cid in ("7FF", "800", "FFF", "0800", "1FFFFFFF", "20000000", "01FFFFFFF")],
     *[(parse_csv_log, _csv_log(f"1.0,{cid},1,00")) for cid in
       ("2047", "2048", "536870911", "536870912", "0x7FF", "0x800", "0x1FFFFFFF", "0x20000000",
-       "0x01FFFFFFF", "0x0000000100", "00000000256")],
+       "0x01FFFFFFF", "0x0000000100", "00000000256", "0X0001FFFF")],
     # a field missing or empty, or a wrong bracket
     *[(read_candump, _candump(line)) for line in
       ("(1.0)  100#00", "1.0) can0 100#00", "(1.0] can0 100#00", "() can0 100#00",
-       "(.) can0 100#00", "(1.0) can0 #00")],
+       "(.) can0 100#00", "(1.0) can0 #00", "( can0 100#00", " (1.0) can0 100#00")],
     *[(parse_csv_log, _csv_log(line)) for line in
       (",0x100,1,00", ".,0x100,1,00", "1.0,,0,", "1.0,12A,1,00", "1.0,7ff,1,00")],
     (read_candump, _candump("(1.0) can0 100#", "(2.0) can0 100#0011223344556677")),
@@ -570,67 +597,58 @@ TIMESTAMPS = ("9007199254740991", "9007199254740992", "9007199254740993",
     (parse_csv_log, _csv_log("1.0,0x100,01,")),
     *[(read_candump, _candump(f"(1.5) {iface} 100#00", f"(2.5) {iface} 1FFFFFFF#AB"))
       for iface in ("can#0", "can(0", "can)0", "can.0", "#", "(", ")", ".")],
-    # CHUNK_LINES is 3: the last batch is one line without its final newline
+    # the last line without its final newline, and no line at all
     (read_candump, _candump(*[f"({k}.0) can0 100#00" for k in range(4)])[:-1]),
     (read_candump, "(1.0) can0 100#00"),
+    (read_candump, ""),
     (parse_csv_log, _csv_log(*[f"{k}.0,0x100,1,00" for k in range(4)])[:-1]),
     (parse_csv_log, _csv_log("1.0,0x100,1,00")[:-1]),
+    (parse_csv_log, _csv_log()), (parse_csv_log, _csv_log()[:-1]), (parse_csv_log, ""),
 ])
-def test_batch_pass_matches_line_path_at_its_edges(reader, text):
-    assert_readers_agree(reader, text)
+def test_byte_pass_matches_the_line_reference_at_its_edges(reader, text):
+    assert_matches_reference(reader, text)
 
 
-def test_batch_pass_covers_mixed_traffic_and_written_logs():
+def test_byte_pass_reads_mixed_traffic_and_written_logs():
     # real traffic mixes payload lengths by id, id widths and interfaces
     frames = [CanFrame(k / 8, can_id, bytes(range(k % 9)), extended)
               for k, (can_id, extended) in enumerate(((0x1F4, False), (0x18FEF100, True)) * 18)]
     lines = [f"({f.timestamp:.6f}) {'vcan1' if k % 3 else 'can0'} "
              f"{f.can_id:0{8 if f.extended else 3}X}#{f.payload.hex()}\n"
              for k, f in enumerate(frames)]
-    with mock.patch.object(canlog, "_candump_lines", wraps=canlog._candump_lines) as slow:
-        assert read_candump(lines) == CanLog.from_frames(frames)
-    assert slow.call_count == 0
+    assert read_candump("".join(lines).encode()) == CanLog.from_frames(frames)
     log = CanLog.from_frames(frames + list(generate_normal(default_bus(5.0, seed=3))))
     sink = io.StringIO()
     write_csv_log(log, sink)
-    with mock.patch.object(canlog, "_csv_rows", wraps=canlog._csv_rows) as slow:
-        assert len(parse_csv_log(io.StringIO(sink.getvalue()))) == len(log)
-        # a whole-second timestamp followed by one with decimals
-        assert len(parse_csv_log(_csv(_csv_log("7,0x100,1,AB", "7.5,0x100,1,AB")))) == 2
-    assert slow.call_count == 0
+    assert len(parse_csv_log(sink.getvalue().encode())) == len(log)
+    # a whole-second timestamp followed by one with decimals
+    assert len(parse_csv_log(_csv_log("7,0x100,1,AB", "7.5,0x100,1,AB").encode())) == 2
 
 
-@pytest.mark.parametrize("field", ["id", "dlc"])
-def test_csv_decimal_beyond_int_digit_limit_is_a_row_error(field):
-    row = {"id": "0x100", "dlc": "1"}
-    row[field] = "9" * 5000
-    with pytest.raises(LogParseError, match=f"{field} out of range") as err:
-        parse_csv_log(_csv(_csv_log("0.0,0x1,0,", f"1.0,{row['id']},{row['dlc']},AB")))
-    assert err.value.row == 2
-    # leading zeros do not count: the value decides
-    row[field] = "0" * 5000 + "1"
-    log = parse_csv_log(_csv(_csv_log(f"1.0,{row['id']},{row['dlc']},AB")))
-    assert (log.ids[0], log.dlc[0]) == ((1 if field == "id" else 0x100), 1)
-
-
-@pytest.mark.parametrize("cid", ["0x20000000", "536870912", "0x123456789", "0x" + "F" * 5000,
-                                 "9" * 4000], ids=lambda cid: f"{len(cid)} characters")
-def test_csv_id_past_29_bits_is_a_short_row_error(cid):
+@pytest.mark.parametrize("cid, dlc, message", [
+    ("9" * 5000, "1", "invalid id"), ("256", "1", "invalid id"),
+    ("0" * 5000 + "1", "1", "invalid id"), ("0x100", "9" * 5000, "invalid dlc"),
+    ("0x100", "01", "invalid dlc"), ("0x100", "0" * 5000 + "1", "invalid dlc")],
+    ids=["5000-digit id", "decimal id", "zero-padded id", "5000-digit dlc", "two-digit dlc",
+         "zero-padded dlc"])
+def test_csv_decimal_id_or_multi_digit_dlc_is_a_short_row_error(cid, dlc, message):
     with pytest.raises(LogParseError) as err:
-        parse_csv_log(_csv(_csv_log("0.0,0x1,0,", f"1.0,{cid},1,AB")))
+        parse_csv_log(_csv_log("0.0,0x1,0,", f"1.0,{cid},{dlc},AB").encode())
+    assert str(err.value) == f"{message} (row 2)" and err.value.row == 2
+
+
+@pytest.mark.parametrize("cid", ["0x20000000", "0x123456789", "0x" + "F" * 5000,
+                                 "0x000000100"], ids=lambda cid: f"{len(cid)} characters")
+def test_csv_id_past_29_bits_or_8_digits_is_a_short_row_error(cid):
+    with pytest.raises(LogParseError) as err:
+        parse_csv_log(_csv_log("0.0,0x1,0,", f"1.0,{cid},1,AB").encode())
     assert str(err.value) == "id out of range (row 2)" and err.value.row == 2
 
 
-def test_csv_batch_pass_takes_only_the_written_id_form():
-    # decimal ids and 9-digit 0x ids, which write_csv_log never writes, go to
-    # the record parser with the same values
-    ids = {"256": 0x100, "2047": 0x7FF, "2048": 0x800, "536870911": 0x1FFFFFFF,
-           "0x000000100": 0x100, "0x01FFFFFFF": 0x1FFFFFFF, "00000000256": 0x100}
-    for text, can_id in ids.items():
-        assert canlog._csv_strict(f"1.0,{text},1,AB\n") is None, text
+def test_csv_ids_are_0x_and_1_to_8_hex_digits():
+    ids = {"0x100": 0x100, "0X7ff": 0x7FF, "0x800": 0x800, "0x1FFFFFFF": 0x1FFFFFFF,
+           "0x00000100": 0x100, "0x01FFFFFF": 0x1FFFFFF, "0x0": 0}
     lines = [f"{k}.0,{text},1,AB" for k, text in enumerate(ids)]
-    with mock.patch.object(canlog, "_csv_rows", wraps=canlog._csv_rows) as slow:
-        log = parse_csv_log(_csv(_csv_log(*lines)))
-    assert slow.call_count == 1
+    log = parse_csv_log(_csv_log(*lines).encode())
     assert log == CanLog.from_frames(CanFrame(float(k), can_id, b"\xab", can_id > 0x7FF)
                                      for k, can_id in enumerate(ids.values()))

@@ -125,19 +125,24 @@ def test_extract_rejects_bad_window_flag(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("log_row, label, expected", [
-    ("0.0,0x100,\u0663,AABBCC", "normal", "invalid dlc"),
-    ("0.0,0x100,0_3,AABBCC", "normal", "invalid dlc"),
-    ("0.0,0x100,3,AABBCC", "zero_id,x", "line 2"),
-], ids=["dlc non-ASCII digit", "dlc underscore", "label with comma"])
+    ("0.0,0x100,\u0663,AABBCC", "normal", "log file {log}: byte outside printable ASCII (row 1)"),
+    ("0.0,0x100,0_3,AABBCC", "normal", "log file {log}: invalid dlc (row 1)"),
+    ("0.0,0x100,3,AABBCC", "zero_id,x", "label file {labels}: line 2: label 'zero_id,x'"),
+    ("0.0,0x100,3,AABBCC", "\xff",
+     "label file {labels}: line 2 is not UTF-8 (invalid start byte)"),
+    ("0.0,0x100,3,AABBCC", "normal\nnormal",
+     "label file {labels}: one label per frame required"),
+], ids=["dlc non-ASCII digit", "dlc underscore", "label with comma", "label not UTF-8",
+        "one label too many"])
 def test_extract_rejects_malformed_log_or_labels(tmp_path, capsys, log_row, label,
                                                   expected):
     log, labels = tmp_path / "log.csv", tmp_path / "log.labels.csv"
     log.write_text(f"timestamp,id,dlc,payload\n{log_row}\n", encoding="utf-8")
-    labels.write_text(f"label\n{label}\n", encoding="utf-8")
+    labels.write_bytes(f"label\n{label}\n".encode("latin-1"))  # "\xff" is that byte
     feats = tmp_path / "f.csv"
     code, _, err = run(capsys, "extract", "--in", log, "--labels", labels, "--out", feats)
-    assert code == 2 and err.startswith("error:") and expected in err, err
-    assert not feats.exists()
+    assert code == 2 and err.startswith("error: " + expected.format(log=log, labels=labels)), err
+    assert err.count("\n") == 1 and not feats.exists()
 
 
 def trained_model(tmp_path, capsys, family="svdd", duration=40.0, **extra):
@@ -161,19 +166,28 @@ def test_train_happy_path(tmp_path, capsys):
     assert len(doc["extraction"]["ids"]) == 10
 
 
-def test_train_rejects_non_finite_feature_cell(tmp_path, capsys):
+@pytest.mark.parametrize("cell, expected", [
+    ("nan", "line 4, column '{column}': 'nan' is not a finite number"),
+    ("1\xff", "line 4 is not UTF-8 (invalid start byte)"),
+    ("1,2", "row arity mismatch at line 4")], ids=["nan", "not UTF-8", "extra cell"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_feature_file_is_an_input_error_naming_file_and_line(tmp_path, capsys, command,
+                                                                 cell, expected):
     log, _ = simulate(tmp_path, capsys, duration=10.0)
-    feats = tmp_path / "features.csv"
+    feats, model = tmp_path / "features.csv", tmp_path / "m.json"
     run(capsys, "extract", "--in", log, "--out", feats)
+    assert run(capsys, "train", "--features", feats, "--out", model)[0] == 0
     lines = feats.read_text().splitlines()
     cells = lines[3].split(",")
-    cells[2] = "nan"
+    cells[2] = cell
     lines[3] = ",".join(cells)
-    feats.write_text("\n".join(lines) + "\n")
+    feats.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))  # "\xff" is that byte
     header = lines[0].split(",")
-    code, _, err = run(capsys, "train", "--features", feats, "--out", tmp_path / "m.json")
-    assert code == 2
-    assert err.startswith("error:") and f"line 4, column '{header[2]}'" in err
+    argv = {"train": ["train", "--features", feats, "--out", tmp_path / "m2.json"],
+            "eval": ["eval", "--model", model, "--features", feats]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: feature file {feats}: {expected.format(column=header[2])}\n"
 
 
 def test_train_rejects_attack_rows_without_flag(tmp_path, capsys):
@@ -332,21 +346,24 @@ def test_config_boolean_takes_each_spelling_in_any_case_and_nothing_else(
                             "--save-vocab", vocab)
     if bucket is None:
         assert code == 2 and stdout == "" and not out.exists()
-        assert err.startswith("error: config key 'no-other-bucket'") and repr(text) in err, err
+        assert err.startswith(f"error: config file {cfg}: config key 'no-other-bucket'"), err
+        assert repr(text) in err
     else:
         assert code == 0 and json.loads(vocab.read_text())["include_other_bucket"] is bucket
 
 
 @pytest.mark.parametrize("line, message", [
-    ("duration = abc", "config key 'duration' in {cfg}: 'abc' is not a valid float"),
-    ("seed = 1.5", "config key 'seed' in {cfg}: '1.5' is not a valid int")])
-def test_config_value_of_the_wrong_type_names_key_file_and_text(tmp_path, capsys, line,
-                                                                message):
+    ("duration = abc", "config key 'duration': 'abc' is not a valid float"),
+    ("seed = 1.5", "config key 'seed': '1.5' is not a valid int"),
+    ("duration = \xff", "line 1 is not UTF-8 (invalid start byte)"),
+    ("duration 5", "line 1 is not 'key = value': duration 5"),
+    ("bogus = 1", "unknown config key 'bogus'")])
+def test_config_error_names_the_file(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
+    cfg.write_bytes(line.encode("latin-1") + b"\n")  # "\xff" is that byte
     code, out, err = run(capsys, "simulate", "--config", cfg, "--out", tmp_path / "x.csv")
     assert code == 2 and out == "" and not (tmp_path / "x.csv").exists()
-    assert err == f"error: {message.format(cfg=cfg)}\n"
+    assert err == f"error: config file {cfg}: {message}\n"
 
 
 def test_config_supplies_no_required_flag(tmp_path, capsys):
@@ -454,8 +471,9 @@ def test_detect_rejects_overflowing_number(tmp_path, capsys, detect_inputs, text
 LONG_FIELD = "x" * 200_000  # past the csv module's 131,072-character field limit
 
 
-@pytest.mark.parametrize("where, expected", [("header", "malformed header row"),
-                                             ("data", "row 2")])
+@pytest.mark.parametrize("where, expected", [
+    ("header", "first line is not the header timestamp,id,dlc,payload\n"),
+    ("data", "payload longer than 8 bytes (row 2)\n")])
 @pytest.mark.parametrize("command", ["extract", "inject", "detect"])
 def test_oversized_csv_field_is_an_input_error(tmp_path, capsys, detect_inputs, command,
                                                where, expected):
@@ -472,9 +490,62 @@ def test_oversized_csv_field_is_an_input_error(tmp_path, capsys, detect_inputs, 
                        "--rate", 10, "--start", 0, "--end", 1],
             "detect": ["detect", "--model", model, "--in", log]}[command]
     code, stdout, err = run(capsys, *argv)
-    assert code == 2 and stdout == "" and err.startswith("error:") and expected in err, err
-    assert "Traceback" not in err
+    assert code == 2 and stdout == "" and err == f"error: log file {log}: {expected}"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "model.json"]
+
+
+# each form of input that the log grammar does not take, at the row it breaks:
+# the format, the line (data row 2, or the header), and the form
+BREAKING = [
+    ("candump", "", "blank line"), ("csv", "", "blank line"),
+    ("candump", "   ", "whitespace-only line"), ("csv", " \t ", "whitespace-only line"),
+    ("candump", "(0.6)  can0 100#00", "double space"),
+    ("candump", " (0.6) can0 100#00", "leading space"),
+    ("candump", "(0.6) can0 100#00 ", "trailing space"),
+    ("csv", "0.6, 0x100,1,00", "space after a comma"),
+    ("candump", "(0.6)\u00a0can0 100#00", "no-break space"),
+    ("csv", "0.6,0x100,1,00\u3000", "ideographic space"),
+    ("candump", "(+0.6) can0 100#00", "signed timestamp"),
+    ("csv", "-0.6,0x100,1,00", "signed timestamp"),
+    ("candump", "(6e-1) can0 100#00", "exponent timestamp"),
+    ("csv", "6E-1,0x100,1,00", "exponent timestamp"),
+    ("header", "id,timestamp,dlc,payload", "reordered header"),
+    ("header", "timestamp,id,dlc,payload,note", "extra column"),
+    ("header", "timestamp,id,payload", "missing column"),
+    ("header", '"timestamp","id","dlc","payload"', "quoted header"),
+    ("csv", "0.6,256,1,00", "decimal id"),
+    ("csv", "0.6,0x000000100,1,00", "9-digit 0x id"),
+    ("csv", "0.6,0x100,01,00", "multi-digit dlc"),
+    ("csv", "0.6,0x100,1,0x00", "0x payload"),
+    ("csv", '0.6,0x100,1,"00"', "quoted field"),
+    ("csv", '"0.6",0x100,1,00', "quoted timestamp"),
+    ("candump", "(0.6) c\u00e4n0 100#00", "non-ASCII byte"),
+    ("csv", "0.6,0x100,1,00\u00e9", "non-ASCII byte"),
+]
+
+
+@pytest.mark.parametrize("fmt, line, form", BREAKING,
+                         ids=[f"{fmt}-{form}" for fmt, _, form in BREAKING])
+@pytest.mark.parametrize("command", ["extract", "detect"])
+def test_input_outside_the_log_grammar_exits_2_naming_file_and_row(
+        tmp_path, capsys, detect_inputs, command, fmt, line, form):
+    _, doc = detect_inputs
+    log, model = tmp_path / "log", tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    good = {"candump": "({}) can0 100#00", "csv": "{},0x100,1,00"}
+    if fmt == "header":
+        text = f"{line}\n0.5,0x100,1,00\n"
+    else:
+        text = ("timestamp,id,dlc,payload\n" if fmt == "csv" else "") + "".join(
+            f"{row}\n" for row in (good[fmt].format(0.5), line, good[fmt].format(0.7)))
+    log.write_bytes(text.encode())
+    argv = {"extract": ["extract", "--in", log, "--out", tmp_path / "out.csv"],
+            "detect": ["detect", "--model", model, "--in", log]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: log file {log}: ")
+    assert ("first line is not the header" if fmt == "header" else "(row 2)") in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log", "model.json"]
 
 
 @pytest.mark.parametrize("command", ["extract", "detect"])

@@ -2,22 +2,26 @@
 verdicts of the windows it completed, from scores that depend only on their
 own row."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import read_frames, reference_read
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canoc
 from canoc import canlog
-from canoc.canlog import (COLUMNS, CSV_HEADER, CanLog, LateFrameError, LogParseError,
-                          iter_log, join_logs, load_log, parse_csv_log, read_candump)
+from canoc.canlog import (CSV_HEADER, CanLog, LateFrameError, LogParseError, iter_log,
+                          join_logs, load_log)
 from canoc.cli import main
 from canoc.features import (FeatureSpec, IdVocabulary, apply_scaler, extract_matrix,
                             fit_scaler, iter_windows, segment_windows)
@@ -33,7 +37,8 @@ def run(capsys, *argv):
 
 def log_text(frames, fmt, newline="\n"):
     """The text of (t, id, payload) frames in file order: candump, the CSV
-    that write_csv_log writes, or a CSV under another header."""
+    that write_csv_log writes, or a CSV under another header, which the
+    readers reject."""
     if fmt == "candump":
         lines = [f"({t:.6f}) can0 {i:03X}#{p.hex().upper()}" for t, i, p in frames]
     elif fmt == "csv":
@@ -48,7 +53,7 @@ def log_text(frames, fmt, newline="\n"):
 
 FRAMES = st.lists(st.tuples(st.integers(0, 4 * 10 ** 6), st.integers(0, 0x7FF),
                             st.binary(max_size=8)), max_size=24)
-# whole lines the readers take or reject, placed among the frames
+# whole lines placed among the frames, which the readers take or reject
 ODD_LINES = ("", "   ", "(1.0)  can0 100#00", "(1.0) can0 100#0", "x,0x100,0,",
              "1.5,0x100,1,AB", '"1.5",0x100,1,AB', '2.5,0x100,1,"AB"', "2.5,0x100,1,\"A\nB\"")
 
@@ -59,7 +64,7 @@ ODD_LINES = ("", "   ", "(1.0)  can0 100#00", "(1.0) can0 100#0", "x,0x100,0,",
        st.sampled_from((1, 2, 3, 7)), st.sampled_from((1, 5, 64, canlog.READ_BYTES)),
        st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_load_log_joins_the_batches_that_the_line_readers_would_read(
+def test_load_log_joins_batches_that_read_as_the_line_reference(
         tmp_path_factory, frames, fmt, newline, odd, chunk, read_bytes, last_newline):
     frames = [(t / 10 ** 6, i, p) for t, i, p in frames]
     lines = log_text(frames, fmt).splitlines(keepends=True)
@@ -71,27 +76,19 @@ def test_load_log_joins_the_batches_that_the_line_readers_would_read(
     path = tmp_path_factory.mktemp("log") / "log"
     path.write_bytes(text.encode())
 
-    def outcome(read):
-        try:
-            log = read()
-        except LogParseError as err:
-            return str(err).removeprefix(f"log file {path}: "), err.row
-        return [getattr(log, name).tolist() for name in COLUMNS]
-
-    with open(path, encoding="utf-8") as f:  # text mode: universal newlines
-        head = next((line.lstrip() for line in f if line.strip()), "")
-        f.seek(0)
-        expected = outcome(lambda: (read_candump if head.startswith("(") else parse_csv_log)(f))
+    # the reference reads the text as a text-mode file gives it
+    data = text.encode().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    expected = reference_read(data, "candump" if data.startswith(b"(") else "csv")
     with mock.patch.object(canlog, "CHUNK_LINES", chunk), \
             mock.patch.object(canlog, "READ_BYTES", read_bytes):
-        assert outcome(lambda: load_log(str(path))) == expected
+        assert read_frames(lambda _: load_log(str(path)), None) == expected
         try:
             batches = list(iter_log(str(path)))
-        except LogParseError:
+        except LogParseError as err:
+            assert str(err).startswith(f"log file {path}: ")
             return
     assert all((b.times[1:] >= b.times[:-1]).all() for b in batches)
-    if fmt == "candump" or not any('"' in line for line in lines):
-        assert all(len(b) <= chunk for b in batches)
+    assert all(len(b) <= chunk for b in batches)
 
 
 @pytest.mark.parametrize("fmt", ["candump", "csv"])
@@ -131,8 +128,44 @@ def test_a_pipe_is_read_batch_by_batch_as_its_lines_arrive(tmp_path):
         first = next(batches)  # while the writer holds the pipe open
         first_read.set()
         rest = list(batches)
-    writer.join()
-    assert waited_out == [False] and len(first) == 4 and [len(b) for b in rest] == [2]
+    writer.join(10)
+    assert not writer.is_alive()
+    # the 5th line arrived with the first 4, and is read before the pause
+    assert waited_out == [False] and len(first) == 4 and [len(b) for b in rest] == [1, 1]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_detect_on_a_pipe_prints_a_verdict_as_soon_as_its_lines_arrive(tmp_path):
+    # 5,000 lines, fewer than a batch, and then a pause of up to 4 s: the
+    # verdicts of the windows they complete come before the pause ends
+    log_path, model_path, pipe = tmp_path / "log", tmp_path / "model.json", tmp_path / "pipe"
+    log_path.write_text(log_text([(k / 1000, 0x100, b"\x01") for k in range(5000)], "candump"))
+    model_file(model_path, log_path, "svdd", FeatureSpec(VOCAB))
+    os.mkfifo(pipe)
+    written, printed = [], threading.Event()
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            if not printed.is_set():
+                self.at = time.monotonic()
+                printed.set()
+            return super().write(text)
+
+    def write():
+        with open(pipe, "w") as f:
+            f.write(log_path.read_text())
+            f.flush()
+            written.append(time.monotonic())
+            printed.wait(4)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    with contextlib.redirect_stdout(Stdout()) as out:
+        code = main(["detect", "--model", str(model_path), "--in", str(pipe)])
+    writer.join(10)
+    assert not writer.is_alive()
+    assert code in (0, 4) and out.getvalue().count("\n") == 5
+    assert out.at - written[0] < 0.5
 
 
 def test_join_logs_sorts_stably_and_checks_nothing_again():
@@ -244,7 +277,7 @@ def model_file(path, log_path, family, spec):
     return model
 
 
-@pytest.mark.parametrize("fmt, newline", [("candump", "\n"), ("csv", "\n"), ("other", "\n"),
+@pytest.mark.parametrize("fmt, newline", [("candump", "\n"), ("csv", "\n"),
                                           ("candump", "\r\n"), ("csv", "\r\n")])
 @pytest.mark.parametrize("window, stride", [(1.0, None), (2.0, 0.5), (0.5, 1.5)])
 @pytest.mark.parametrize("family", ["svdd", "gesvdd"])
@@ -289,32 +322,24 @@ def test_malformed_line_after_the_first_batch_prints_the_earlier_verdicts_first(
 
 
 @pytest.mark.parametrize("fmt", ["candump", "csv"])
-@pytest.mark.parametrize("strict", [True, False])
 def test_frame_before_a_printed_window_end_is_an_input_error_naming_its_row(
-        tmp_path, capsys, fmt, strict):
+        tmp_path, capsys, fmt):
     log_path, model_path = tmp_path / "log", tmp_path / "model.json"
     frames = [(k / 10, 0x100, b"\x01") for k in range(50)]
     frames[45:45] = [(4.52, 0x100, b"\x01"), (1.5, 0x200, b"")]
-    text = log_text(frames, fmt)
-    lines = text.splitlines(keepends=True)
-    head = fmt != "candump"
-    lines.insert(head + 20, "\n")  # a blank line: the late frame is row 48
-    if not strict:  # a line of the late frame's batch that only the line parser reads
-        lines[head + 45] = lines[head + 45].replace(") can0", ")  can0").replace(",0x100,", ",256,")
-    log_path.write_text("".join(lines))
+    log_path.write_text(log_text(frames, fmt))  # the late frame is row 47
     spec = FeatureSpec(VOCAB)
     model_file(model_path, log_path, "svdd", spec)
     code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
     assert code in (0, 4) and out.count("\n") == 5  # one batch: sorted as today
     with mock.patch.object(canlog, "CHUNK_LINES", 7):
         code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
-    # lines 43-49 hold the late frame, and the lines before them end at 4.0 s
-    # (candump) or 3.9 s (CSV, whose header takes a line): windows 0-3 or 0-2
-    # are printed, and the last of them ends at 4 s or 3 s
-    printed = 4 if fmt == "candump" else 3
-    assert code == 2 and out.count("\n") == printed
+    # lines 43-49 hold the late frame, and the lines before them end at 4.1 s
+    # (candump) or 4.0 s (CSV, whose header takes a line): windows 0-3 are
+    # printed, and the last of them ends at 4 s
+    assert code == 2 and out.count("\n") == 4
     assert err == (f"error: log file {log_path}: frame at 1.500000 s is earlier than "
-                   f"{printed}.000000 s, the end of a window already printed (row 48)\n")
+                   "4.000000 s, the end of a window already printed (row 47)\n")
 
 
 def test_a_file_of_blank_lines_is_a_csv_without_a_header(tmp_path, capsys):
@@ -324,7 +349,9 @@ def test_a_file_of_blank_lines_is_a_csv_without_a_header(tmp_path, capsys):
     log_path.write_text("\n \n\n")
     with mock.patch.object(canlog, "CHUNK_LINES", 1):
         code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
-    assert code == 2 and out == "" and "missing column 'timestamp'" in err
+    assert code == 2 and out == ""
+    assert err == (f"error: log file {log_path}: first line is not the header "
+                   "timestamp,id,dlc,payload\n")
 
 
 # --- files named in decode and JSON errors -----------------------------------------
@@ -363,8 +390,8 @@ def test_json_that_does_not_decode_names_its_file(tmp_path, capsys, pipeline_fil
 
 
 @pytest.mark.parametrize("command", ["detect", "extract", "inject"])
-def test_log_that_is_not_utf8_names_its_file_and_row(tmp_path, capsys, pipeline_files,
-                                                     command):
+def test_log_byte_outside_printable_ascii_names_its_file_and_row(tmp_path, capsys,
+                                                              pipeline_files, command):
     log, _, _, model = pipeline_files
     lines = log.read_bytes().splitlines(keepends=True)
     lines[44] = lines[44][:5] + b"\xff" + lines[44][5:]
@@ -377,7 +404,7 @@ def test_log_that_is_not_utf8_names_its_file_and_row(tmp_path, capsys, pipeline_
     with mock.patch.object(canlog, "CHUNK_LINES", 16):
         code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: log file {bad}: text is not UTF-8 (invalid start byte) (row 44)\n"
+    assert err == f"error: log file {bad}: byte outside printable ASCII (row 44)\n"
 
 
 # --- scores that depend only on their own row --------------------------------------
