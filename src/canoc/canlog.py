@@ -17,9 +17,11 @@ the rest is read; :func:`load_log` joins them.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, BinaryIO, Iterable, Iterator
@@ -36,12 +38,12 @@ TIMESTAMP_DECIMALS = 6
 CSV_HEADER = ("timestamp", "id", "dlc", "payload")
 _CSV_HEADER_LINE = ",".join(CSV_HEADER).encode("ascii")
 
-# lines parsed per batch, about 400 kB of candump text; larger batches
-# parsed no faster
+# lines written per chunk by the CSV writer and the label sidecar writer
 CHUNK_LINES = 1 << 13
 
-# bytes read from a log file at a time; batches are cut from them at newlines
-READ_BYTES = 1 << 20
+# bytes read from a log file at a time, each read one batch cut at its last
+# newline: about 5.7k candump or 7.5k CSV lines
+READ_BYTES = 1 << 18
 
 
 class LogParseError(ValueError):
@@ -155,8 +157,8 @@ class CanLog(Sequence):
     @classmethod
     def from_frames(cls, frames: Iterable[CanFrame]) -> "CanLog":
         """Build a log from frames in any order (stable sort by timestamp)."""
-        return _assemble([_columns([(f.timestamp, f.can_id, f.extended, f.payload)
-                                    for f in frames])])
+        return cls(*_sorted(_columns([(f.timestamp, f.can_id, f.extended, f.payload)
+                                      for f in frames])))
 
     @property
     def span(self) -> tuple[float, float]:
@@ -170,11 +172,7 @@ class CanLog(Sequence):
             lo, hi, step = key.indices(len(self))
             if step != 1:
                 return tuple(self[k] for k in range(lo, hi, step))
-            # a slice of a valid log is valid, so nothing is checked again
-            view = object.__new__(CanLog)
-            for name in COLUMNS:
-                object.__setattr__(view, name, getattr(self, name)[lo:max(lo, hi)])
-            return view
+            return _view([getattr(self, name)[lo:max(lo, hi)] for name in COLUMNS])
         k = range(len(self))[key]
         return CanFrame(float(self.times[k]), int(self.ids[k]),
                         self.payload[k, :self.dlc[k]].tobytes(), bool(self.extended[k]))
@@ -201,7 +199,7 @@ def _columns(rows: list[tuple[float, int, bool, bytes]]) -> tuple[np.ndarray, ..
             dlc, _payload_matrix(dlc, b"".join(row[3] for row in rows)))
 
 
-def _sorted(columns: list[np.ndarray]) -> list[np.ndarray]:
+def _sorted(columns: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
     """Columns in timestamp order; a stable sort, so ties keep their order."""
     times = columns[0]
     if (times[1:] < times[:-1]).any():
@@ -210,11 +208,17 @@ def _sorted(columns: list[np.ndarray]) -> list[np.ndarray]:
     return columns
 
 
-def _assemble(parts: list[tuple[np.ndarray, ...]]) -> CanLog:
-    """One log from per-batch columns in file order (stable sort by timestamp)."""
-    parts = parts or [_columns([])]
-    return CanLog(*_sorted([column[0] if len(parts) == 1 else np.concatenate(column)
-                            for column in zip(*parts)]))
+def _view(columns: Sequence[np.ndarray]) -> CanLog:
+    """The log of ``columns`` in ``COLUMNS`` order, which already hold a
+    valid log's frames: made read-only, and checked for nothing again."""
+    log = object.__new__(CanLog)
+    for name, column in zip(COLUMNS, columns):
+        column.flags.writeable = False
+        object.__setattr__(log, name, column)
+    return log
+
+
+_EMPTY = CanLog(*_columns([]))
 
 
 def join_logs(logs: Sequence[CanLog]) -> CanLog:
@@ -224,13 +228,9 @@ def join_logs(logs: Sequence[CanLog]) -> CanLog:
     if len(logs) == 1:
         return logs[0]
     if not logs:
-        return _assemble([])
-    joined = object.__new__(CanLog)
-    for name, column in zip(COLUMNS, _sorted([np.concatenate([getattr(log, name) for log in logs])
-                                              for name in COLUMNS])):
-        column.flags.writeable = False
-        object.__setattr__(joined, name, column)
-    return joined
+        return _EMPTY
+    return _view(_sorted([np.concatenate([getattr(log, name) for log in logs])
+                          for name in COLUMNS]))
 
 
 def _in_order(columns: tuple[np.ndarray, ...], row: int, not_before: float):
@@ -439,8 +439,9 @@ def _read(data: bytes, first_row: int, not_before: float, columns,
         if line != header:
             raise LogParseError(f"first line is not the header {header.decode()}")
     if not data:
-        return _assemble([])
-    return _assemble([_in_order(columns(data, first_row), first_row, not_before)])
+        return _EMPTY
+    # the byte pass has checked every frame, so only the order is made here
+    return _view(_sorted(_in_order(columns(data, first_row), first_row, not_before)))
 
 
 def read_candump(data: bytes, *, first_row: int = 1,
@@ -555,39 +556,29 @@ def write_csv_log(log: CanLog, sink: IO[str]) -> None:
 
 
 def _file_batches(f: BinaryIO) -> Iterator[tuple[bytes, int]]:
-    """(bytes, first line number) of each batch of lines of a binary file
-    read up to ``READ_BYTES`` at a time, with ``\\r\\n`` and ``\\r`` turned
-    into ``\\n`` as a text-mode file reads them. A batch ends after
-    ``CHUNK_LINES`` lines, or at the last newline of a read shorter than
-    ``READ_BYTES``: ``read1`` returns what a pipe holds, so lines are read
-    as soon as they arrive. The last batch may lack its final newline."""
-    row, size = 1, 0
-    pieces, newlines = [], []  # the bytes since the last cut, and their newlines
+    """(bytes, first line number) of each batch of lines of a binary file,
+    with ``\\r\\n`` and ``\\r`` turned into ``\\n`` as a text-mode file reads
+    them. A batch is one ``read1`` of up to ``READ_BYTES``, cut after its
+    last newline; the bytes after the cut start the next batch, and a read
+    without a newline joins the next read. ``read1`` returns what a pipe
+    holds, so lines are read as soon as they arrive. The last batch may
+    lack its final newline."""
+    row, pieces = 1, []  # the bytes since the last cut
     while block := f.read1(READ_BYTES):
-        drained = len(block) < READ_BYTES
         while block.endswith(b"\r") and (more := f.read(1)):  # keep a \r\n whole
             block += more
         if b"\r" in block:
             block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        newlines.append(size + np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10))
-        pieces.append(block)
-        size += len(block)
-        ends = np.concatenate(newlines)
-        newlines = [ends]
-        marks = list(range(CHUNK_LINES, ends.size + 1, CHUNK_LINES))  # lines before each cut
-        if drained and ends.size > (marks[-1] if marks else 0):
-            marks.append(ends.size)
-        if not marks:
-            continue
-        data, lo = b"".join(pieces), 0
-        for done, mark in zip([0, *marks], marks):
-            hi = int(ends[mark - 1]) + 1
-            yield data[lo:hi], row
-            row, lo = row + mark - done, hi
-        pieces, size = [data[lo:]], len(data) - lo
-        newlines = [ends[marks[-1]:] - lo]
-    if size:
-        yield b"".join(pieces), row
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            data, pieces = b"".join([*pieces, block[:cut]]), [block[cut:]]
+            yield data, row
+            # numpy counts them in a fifth of the time that bytes.count takes
+            row += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == 10))
+        else:  # joined once, so that a long line costs linear time
+            pieces.append(block)
+    if tail := b"".join(pieces):
+        yield tail, row
 
 
 def _checked(parse) -> Iterator[CanLog]:
@@ -612,10 +603,12 @@ def iter_log(path: str) -> Iterator[CanLog]:
 
     A consumer that finds a frame earlier than the end of a window it
     already printed throws :class:`LateFrameError` in here, so that the
-    error names the frame's row.
+    error names the frame's row. The path ``-`` reads standard input,
+    which is left open.
     """
     try:
-        with open(path, "rb") as f:
+        with (contextlib.nullcontext(sys.stdin.buffer) if path == "-"
+              else open(path, "rb")) as f:
             batches = _file_batches(f)
             first = next(batches, (b"", 1))  # an empty file is a CSV without its header
             header = first[0].partition(b"\n")[0] + b"\n"

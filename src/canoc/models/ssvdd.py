@@ -178,8 +178,15 @@ def _initial_q(Z: np.ndarray, d: int, how: str, seed: int | None) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return orthonormalize_rows(rng.standard_normal((d, D)))
     if how == "pca":
+        # the principal directions miss the columns that are constant in
+        # training, where a flood shows up, so their unit vectors take the
+        # place of the last principal directions
         _, _, vt = np.linalg.svd(Z, full_matrices=False)
-        return vt[:d].copy()
+        constant = np.flatnonzero(np.ptp(Z, axis=0) == 0)[:d]
+        if not constant.size:
+            return vt[:d].copy()
+        return orthonormalize_rows(np.vstack((vt[:d - constant.size],
+                                              np.eye(D)[constant])))
     raise ValueError(f"q_init must be one of {Q_INITS}")
 
 
@@ -216,7 +223,7 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
     lr = eta
     alphas = None
     for it in range(iterations):
-        alphas = solve_svdd_dual(FactorGram(Z @ Q.T), C, a0=alphas)
+        alphas = solve_svdd_dual(FactorGram(Projection(Q).transform(Z)), C, a0=alphas)
         grad = ssvdd_gradient(Z, Q, alphas, beta, psi)
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite Q gradient at iteration {it}")
@@ -225,7 +232,9 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
         if iteration_callback is not None:
             iteration_callback(it, Q, alphas)
 
-    inner = svdd_fit(Z @ Q.T, C, LINEAR)
+    # the rows the scorer's own projection gives, so that no training row
+    # of a no-slack fit scores above 0 by rounding
+    inner = svdd_fit(Projection(Q).transform(Z), C, LINEAR)
     params = {"d": d, "C": float(C), "beta": beta, "psi": psi, "eta": eta,
               "iterations": iterations, "q_init": q_init,
               "seed": seed if q_init == "random" else None,  # only that start reads it

@@ -18,8 +18,8 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .canlog import (CAN_SFF_MAX, CHUNK_LINES, COLUMNS, MAX_PAYLOAD_BYTES, CanLog, _assemble,
-                     _payload_matrix, load_log, save_log)
+from .canlog import (CAN_SFF_MAX, CHUNK_LINES, COLUMNS, MAX_PAYLOAD_BYTES, CanLog, join_logs,
+                     load_log, save_log)
 from .features import (LABEL_NORMAL, LABEL_RANDOM_ID, LABEL_REPLAY,
                        LABEL_ZERO_ID, Window, naming, read_text)
 
@@ -139,7 +139,7 @@ class LabeledLog:
 def generate_normal(spec: BusSpec) -> CanLog:
     """Synthesize attack-free traffic; deterministic for a fixed seed."""
     streams = np.random.SeedSequence(spec.seed).spawn(len(spec.ids))
-    parts = []
+    logs = []
     for ecu, stream in zip(spec.ids, streams):
         rng = np.random.default_rng(stream)
         count = int(np.ceil(spec.duration / ecu.period)) + 2
@@ -151,10 +151,10 @@ def generate_normal(spec: BusSpec) -> CanLog:
         keep = t < spec.duration
         t = t[keep]
         payload = rng.integers(0, 256, size=(count, MAX_PAYLOAD_BYTES), dtype=np.uint8)
-        parts.append((t, np.full(t.size, ecu.can_id, dtype=np.int64),
-                      np.zeros(t.size, dtype=np.bool_),
-                      np.full(t.size, MAX_PAYLOAD_BYTES, dtype=np.uint8), payload[keep]))
-    return _assemble(parts)
+        logs.append(CanLog(t, np.full(t.size, ecu.can_id, dtype=np.int64),
+                           np.zeros(t.size, dtype=np.bool_),
+                           np.full(t.size, MAX_PAYLOAD_BYTES, dtype=np.uint8), payload[keep]))
+    return join_logs(logs)
 
 
 def _as_labeled(log: CanLog | LabeledLog) -> LabeledLog:
@@ -199,10 +199,10 @@ def _inject_flood(log: CanLog | LabeledLog, scenario: AttackScenario) -> Labeled
     else:
         ids = np.zeros(count, dtype=np.int64)
         plen = 0 if scenario.payload_length is None else scenario.payload_length
-    payloads = rng.integers(0, 256, size=(count, plen), dtype=np.uint8)
-    dlc = np.full(count, plen, dtype=np.uint8)
-    return _merge(base, (times, ids, np.zeros(count, dtype=np.bool_), dlc,
-                         _payload_matrix(dlc, payloads.tobytes())), kind)
+    payload = np.zeros((count, MAX_PAYLOAD_BYTES), dtype=np.uint8)
+    payload[:, :plen] = rng.integers(0, 256, size=(count, plen), dtype=np.uint8)
+    return _merge(base, (times, ids, np.zeros(count, dtype=np.bool_),
+                         np.full(count, plen, dtype=np.uint8), payload), kind)
 
 
 def _inject_replay(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
@@ -266,17 +266,20 @@ def write_labels(labels: Iterable[str], sink: IO[str]) -> None:
 
 
 def read_labels(stream: Iterable[str]) -> list[str]:
-    """Frame labels of a sidecar. A label must be writable as one bare
-    feature-CSV cell, so ``,``, ``"`` and control characters are rejected."""
+    """Frame labels of a sidecar, one per line. A label must be writable as
+    one bare feature-CSV cell, so a blank line, ``,``, ``"`` and control
+    characters are rejected."""
     lines = [line.rstrip("\n") for line in stream]
     if not lines or lines[0] != "label":
         raise ValueError("first line is not the header 'label'")
     body = lines[1:]
     for label in dict.fromkeys(body):  # distinct labels, first seen first
+        if not label:
+            raise ValueError(f"line {body.index(label) + 2}: blank label")
         if _BAD_LABEL_CHAR_RE.search(label):
             raise ValueError(f"line {body.index(label) + 2}: label {label!r} "
                              f"contains ',', '\"' or a control character")
-    return [line for line in body if line]
+    return body
 
 
 def save_labeled(labeled: LabeledLog, log_path: str, labels_path: str) -> None:

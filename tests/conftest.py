@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from canoc import CanFrame, CanLog
-from canoc.canlog import LogParseError
+from canoc.canlog import COLUMNS, LogParseError
 
 
 def make_log(entries):
@@ -60,11 +60,13 @@ def reference_read(data, fmt):
 
 def read_frames(read, data):
     """``read(data)`` in the form of ``reference_read``: the log's frames,
-    or ("error", row) for a LogParseError."""
+    or ("error", row) for a LogParseError. The readers build their logs
+    without ``CanLog``'s checks, so the log must also pass them."""
     try:
         log = read(data)
     except LogParseError as err:
         return "error", err.row
+    assert CanLog(*(getattr(log, name) for name in COLUMNS)) == log
     return [(t, can_id, extended, bytes(payload[:dlc])) for t, can_id, extended, dlc, payload
             in zip(log.times.tolist(), log.ids.tolist(), log.extended.tolist(),
                    log.dlc.tolist(), log.payload.tolist())]

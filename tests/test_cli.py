@@ -132,8 +132,9 @@ def test_extract_rejects_bad_window_flag(tmp_path, capsys, flag, value):
      "label file {labels}: line 2 is not UTF-8 (invalid start byte)"),
     ("0.0,0x100,3,AABBCC", "normal\nnormal",
      "label file {labels}: one label per frame required"),
+    ("0.0,0x100,3,AABBCC", "", "label file {labels}: line 2: blank label"),
 ], ids=["dlc non-ASCII digit", "dlc underscore", "label with comma", "label not UTF-8",
-        "one label too many"])
+        "one label too many", "blank label"])
 def test_extract_rejects_malformed_log_or_labels(tmp_path, capsys, log_row, label,
                                                   expected):
     log, labels = tmp_path / "log.csv", tmp_path / "log.labels.csv"

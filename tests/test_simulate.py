@@ -280,6 +280,14 @@ def test_label_sidecar_roundtrip():
         read_labels(io.StringIO("nope\n"))
 
 
+@pytest.mark.parametrize("text, line", [("label\nnormal\n\nreplay\n", 3), ("label\n\n", 2),
+                                        ("label\nnormal\n\n", 3), ("label\nnormal\n\n,\n", 3)])
+def test_a_blank_line_in_a_label_sidecar_is_an_error(text, line):
+    # a blank line would otherwise drop one label, and shift those after it
+    with pytest.raises(ValueError, match=f"^line {line}: blank label$"):
+        read_labels(io.StringIO(text))
+
+
 @pytest.mark.parametrize("count", [0, 1, CHUNK_LINES, 2 * CHUNK_LINES + 1])
 def test_label_writer_writes_one_line_per_label_across_chunks(count):
     labels = [("normal", "replay", "zero_id")[k % 3] for k in range(count)]

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from canoc import (KernelSpec, npt_embed, predict, score_samples, ssvdd_fit,
-                   svdd_fit)
+from canoc import (KernelSpec, SplitSpec, apply_scaler, build_vocabulary, default_bus, evaluate,
+                   extract_matrix, fit_model, fit_scaler, generate_normal, npt_embed, predict,
+                   score_samples, segment_windows, split, ssvdd_fit, svdd_fit)
 from canoc.models import (FactorGram, NptEmbedding, PSI_VARIANTS, orthonormalize_rows,
                           solve_svdd_dual, ssvdd_gradient, ssvdd_objective)
 from canoc.models.ssvdd import psi_selector
@@ -227,3 +228,26 @@ def test_support_row_gradient_equals_the_all_rows_formula(rng):
         expected = 2.0 * Q @ M
         got = ssvdd_gradient(X, Q, alphas, 0.05, psi)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_the_cli_default_fit_detects_on_the_acceptance_seeds():
+    # the CLI fits S-SVDD from a PCA start with every other default; the
+    # start keeps the columns that are constant in normal training, which is
+    # where the zero-ID flood shows up
+    from test_acceptance import ATTACK_SPECS, _attack_rows
+
+    overall, zero_id = [], []
+    for seed in range(5):
+        log = generate_normal(default_bus(600.0, seed=seed))
+        vocab = build_vocabulary(log)
+        parts = [extract_matrix([w for w in segment_windows(log, 1.0) if not w.partial], vocab)]
+        parts += [_attack_rows(seed + offset, kind, vocab) for kind, offset in ATTACK_SPECS]
+        train, test, test_labels = split(np.vstack([X for X, _ in parts]),
+                                         [label for _, labels in parts for label in labels],
+                                         SplitSpec(0.7, seed=seed))
+        scaler = fit_scaler(train)
+        report = evaluate(fit_model("ssvdd", apply_scaler(scaler, train), scaler=scaler),
+                          test, test_labels)
+        overall.append(report.gmean)
+        zero_id.append(report.per_attack["zero_id"])
+    assert np.mean(overall) >= 0.80 and np.mean(zero_id) >= 0.80, (overall, zero_id)

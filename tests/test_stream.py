@@ -61,11 +61,10 @@ ODD_LINES = ("", "   ", "(1.0)  can0 100#00", "(1.0) can0 100#0", "x,0x100,0,",
 @given(FRAMES, st.sampled_from(("candump", "csv", "other")),
        st.sampled_from(("\n", "\r\n", "\r")),
        st.lists(st.tuples(st.integers(0, 30), st.sampled_from(ODD_LINES)), max_size=3),
-       st.sampled_from((1, 2, 3, 7)), st.sampled_from((1, 5, 64, canlog.READ_BYTES)),
-       st.booleans())
+       st.sampled_from((1, 5, 23, 64, canlog.READ_BYTES)), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_load_log_joins_batches_that_read_as_the_line_reference(
-        tmp_path_factory, frames, fmt, newline, odd, chunk, read_bytes, last_newline):
+        tmp_path_factory, frames, fmt, newline, odd, read_bytes, last_newline):
     frames = [(t / 10 ** 6, i, p) for t, i, p in frames]
     lines = log_text(frames, fmt).splitlines(keepends=True)
     for at, line in odd:
@@ -79,8 +78,14 @@ def test_load_log_joins_batches_that_read_as_the_line_reference(
     # the reference reads the text as a text-mode file gives it
     data = text.encode().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     expected = reference_read(data, "candump" if data.startswith(b"(") else "csv")
-    with mock.patch.object(canlog, "CHUNK_LINES", chunk), \
-            mock.patch.object(canlog, "READ_BYTES", read_bytes):
+    with mock.patch.object(canlog, "READ_BYTES", read_bytes):
+        with open(path, "rb") as f:
+            cuts = list(canlog._file_batches(f))
+        # batches of whole lines that cover the text, each numbered by its first line
+        assert b"".join(raw for raw, _ in cuts) == data
+        assert all(raw.endswith(b"\n") for raw, _ in cuts[:-1])
+        assert [row for _, row in cuts] == [1 + sum(raw.count(b"\n") for raw, _ in cuts[:k])
+                                            for k in range(len(cuts))]
         assert read_frames(lambda _: load_log(str(path)), None) == expected
         try:
             batches = list(iter_log(str(path)))
@@ -88,21 +93,22 @@ def test_load_log_joins_batches_that_read_as_the_line_reference(
             assert str(err).startswith(f"log file {path}: ")
             return
     assert all((b.times[1:] >= b.times[:-1]).all() for b in batches)
-    assert all(len(b) <= chunk for b in batches)
 
 
 @pytest.mark.parametrize("fmt", ["candump", "csv"])
 @pytest.mark.parametrize("bad_row", [5, 6, 7])
 def test_error_rows_count_over_the_whole_file_across_a_batch_edge(tmp_path, fmt, bad_row):
-    # CHUNK_LINES is 3: candump rows 5, 6 and 7 end the second batch and start the
-    # third; a CSV's header is line 1, so its data rows 5, 6 and 7 are lines 6-8
+    # READ_BYTES is two 23-byte candump lines: candump rows 5 and 6 make the
+    # third batch and row 7 starts the fourth. A CSV's header is line 1 and
+    # its rows take 20 bytes: data row 5 ends the third batch and row 6
+    # starts the fourth
     frames = [(k / 4, 0x100, b"\x01") for k in range(12)]
     lines = log_text(frames, fmt).splitlines(keepends=True)
     at = bad_row - 1 + (fmt != "candump")
     lines[at] = lines[at].replace("#01", "#1").replace(",01", ",1")
     path = tmp_path / "log"
     path.write_text("".join(lines))
-    with mock.patch.object(canlog, "CHUNK_LINES", 3), pytest.raises(LogParseError) as err:
+    with mock.patch.object(canlog, "READ_BYTES", 46), pytest.raises(LogParseError) as err:
         load_log(str(path))
     assert err.value.row == bad_row
     assert str(err.value).startswith(f"log file {path}: ")
@@ -123,15 +129,17 @@ def test_a_pipe_is_read_batch_by_batch_as_its_lines_arrive(tmp_path):
 
     writer = threading.Thread(target=write)
     writer.start()
-    with mock.patch.object(canlog, "CHUNK_LINES", 4):
+    # the 5 lines take 105 bytes: the first read ends 1 byte into the 4th line
+    with mock.patch.object(canlog, "READ_BYTES", 64):
         batches = iter_log(str(pipe))
-        first = next(batches)  # while the writer holds the pipe open
+        first = [next(batches), next(batches)]  # while the writer holds the pipe open
         first_read.set()
         rest = list(batches)
     writer.join(10)
     assert not writer.is_alive()
-    # the 5th line arrived with the first 4, and is read before the pause
-    assert waited_out == [False] and len(first) == 4 and [len(b) for b in rest] == [1, 1]
+    # the 4th line's tail is read with the 5th, before the pause
+    assert waited_out == [False] and [len(b) for b in first] == [3, 2]
+    assert [len(b) for b in rest] == [1]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
@@ -288,12 +296,11 @@ def test_streamed_detect_prints_what_the_whole_log_gives(tmp_path, capsys, fmt, 
     spec = FeatureSpec(VOCAB, window, stride)
     expected = reference(log_path, model_file(model_path, log_path, family, spec), spec)
     assert expected[1].count("\n") > 5
-    for chunk in (1, 2, 3, 7, canlog.CHUNK_LINES):
-        for read_bytes in (64, canlog.READ_BYTES):
-            with mock.patch.object(canlog, "CHUNK_LINES", chunk), \
-                    mock.patch.object(canlog, "READ_BYTES", read_bytes):
-                code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
-            assert (code, out, err) == (*expected, ""), (chunk, read_bytes)
+    # batches of one line, of one or two, of two or three, of about eight, and the whole log
+    for read_bytes in (1, 23, 64, 200, canlog.READ_BYTES):
+        with mock.patch.object(canlog, "READ_BYTES", read_bytes):
+            code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
+        assert (code, out, err) == (*expected, ""), read_bytes
 
 
 def bad_payload(line):
@@ -309,13 +316,15 @@ def test_malformed_line_after_the_first_batch_prints_the_earlier_verdicts_first(
     spec = FeatureSpec(VOCAB)
     _, expected = reference(log_path, model_file(model_path, log_path, "svdd", spec), spec)
     lines = log_path.read_text().splitlines(keepends=True)
-    row = 61  # the frame at 6.0 s; CHUNK_LINES 7 puts it in the batch of lines 57-63
+    # the frame at 6.0 s; 160-byte reads put it in the batch of rows 56-62
+    # (23-byte candump lines) or 55-62 (20-byte CSV rows after a 25-byte header)
+    row = 61
     lines[row - (fmt == "candump")] = bad_payload(lines[row - (fmt == "candump")])
     log_path.write_text("".join(lines))
-    with mock.patch.object(canlog, "CHUNK_LINES", 7):
+    with mock.patch.object(canlog, "READ_BYTES", 160):
         code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
-    # the batches before it hold frames up to 5.5 s (candump) or 5.4 s (CSV,
-    # whose header takes a line): windows 0-4 are complete
+    # the batches before it hold frames up to 5.4 s (candump) or 5.3 s
+    # (CSV): windows 0-4 are complete
     assert code == 2 and out == "".join(expected.splitlines(keepends=True)[:5])
     assert err.startswith(f"error: log file {log_path}: odd payload hex length")
     assert err.endswith(f"(row {row})\n")
@@ -332,11 +341,11 @@ def test_frame_before_a_printed_window_end_is_an_input_error_naming_its_row(
     model_file(model_path, log_path, "svdd", spec)
     code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
     assert code in (0, 4) and out.count("\n") == 5  # one batch: sorted as today
-    with mock.patch.object(canlog, "CHUNK_LINES", 7):
+    with mock.patch.object(canlog, "READ_BYTES", 160):
         code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
-    # lines 43-49 hold the late frame, and the lines before them end at 4.1 s
-    # (candump) or 4.0 s (CSV, whose header takes a line): windows 0-3 are
-    # printed, and the last of them ends at 4 s
+    # 160-byte reads put the late frame in the batch of rows 42-48 (candump)
+    # or 47-52 (CSV), and the rows before them end at 4.0 s (candump) or
+    # 4.52 s (CSV): windows 0-3 are printed, and the last of them ends at 4 s
     assert code == 2 and out.count("\n") == 4
     assert err == (f"error: log file {log_path}: frame at 1.500000 s is earlier than "
                    "4.000000 s, the end of a window already printed (row 47)\n")
@@ -347,11 +356,37 @@ def test_a_file_of_blank_lines_is_a_csv_without_a_header(tmp_path, capsys):
     log_path.write_text(log_text([(k / 10, 0x100, b"") for k in range(30)], "candump"))
     model_file(model_path, log_path, "svdd", FeatureSpec(VOCAB))
     log_path.write_text("\n \n\n")
-    with mock.patch.object(canlog, "CHUNK_LINES", 1):
+    with mock.patch.object(canlog, "READ_BYTES", 1):
         code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
     assert code == 2 and out == ""
     assert err == (f"error: log file {log_path}: first line is not the header "
                    "timestamp,id,dlc,payload\n")
+
+
+@pytest.mark.parametrize("fmt", ["candump", "csv"])
+@pytest.mark.parametrize("broken", [False, True], ids=["whole", "bad row"])
+def test_detect_reads_standard_input_as_it_reads_the_file(tmp_path, fmt, broken):
+    log_path, model_path = tmp_path / "log", tmp_path / "model.json"
+    log_path.write_text(log_text(traffic(), fmt))
+    model_file(model_path, log_path, "svdd", FeatureSpec(VOCAB))
+    if broken:
+        lines = log_path.read_text().splitlines(keepends=True)
+        lines[60] = bad_payload(lines[60])
+        log_path.write_text("".join(lines))
+
+    def detect(path, stdin):
+        done = subprocess.run([sys.executable, "-m", "canoc.cli", "detect", "--model",
+                               str(model_path), "--in", path], input=stdin, env=child_env(),
+                              capture_output=True)
+        return done.returncode, done.stdout, done.stderr
+
+    code, out, err = detect(str(log_path), b"")
+    if broken:
+        assert code == 2 and err.startswith(f"error: log file {log_path}: ".encode())
+    else:
+        assert code in (0, 4) and out.count(b"\n") > 5
+    assert detect("-", log_path.read_bytes()) == (
+        code, out, err.replace(f"log file {log_path}: ".encode(), b"log file -: "))
 
 
 # --- files named in decode and JSON errors -----------------------------------------
@@ -401,7 +436,7 @@ def test_log_byte_outside_printable_ascii_names_its_file_and_row(tmp_path, capsy
             "extract": ["extract", "--in", bad, "--out", tmp_path / "o"],
             "inject": ["inject", "--in", bad, "--out", tmp_path / "o", "--kind", "zero_id",
                        "--rate", 10]}[command]
-    with mock.patch.object(canlog, "CHUNK_LINES", 16):
+    with mock.patch.object(canlog, "READ_BYTES", 512):
         code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: log file {bad}: byte outside printable ASCII (row 44)\n"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from canoc import KernelSpec, esvdd_fit, gesvdd_fit, predict, score_samples, svdd_fit
+from canoc import (KernelSpec, esvdd_fit, gesvdd_fit, predict, score_samples, ssvdd_fit,
+                   svdd_fit)
 from canoc.models import median_heuristic, resolve_kernel
 
 
@@ -71,12 +72,21 @@ def test_training_set_predicted_normal_at_c1(rng):
     assert (predict(model, X) == "normal").all()
 
 
-@pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf")], ids=["linear", "rbf"])
-@pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("fit", [svdd_fit, esvdd_fit, gesvdd_fit], ids=["svdd", "esvdd", "gesvdd"])
+def _ssvdd_d2(X, C, kernel):
+    return ssvdd_fit(X, d=2, C=C, iterations=5, kernel=kernel)
+
+
+@pytest.mark.parametrize("fit, seed, kernel", [
+    pytest.param(fit, seed, KernelSpec(kind), id=f"{name}-{seed}-{kind}")
+    for name, fit, kinds in (("svdd", svdd_fit, ("linear", "rbf")),
+                             ("esvdd", esvdd_fit, ("linear", "rbf")),
+                             ("gesvdd", gesvdd_fit, ("linear", "rbf")),
+                             ("ssvdd", _ssvdd_d2, ("linear",)))
+    for seed in range(10) for kind in kinds])
 def test_no_training_row_of_a_no_slack_fit_scores_above_zero(fit, seed, kernel):
-    # R^2 comes from the scorer's own arithmetic, and a whitened fit sees the
-    # rows its scorer transforms, so not even by rounding
+    # R^2 comes from the scorer's own arithmetic, and a whitened or projected
+    # fit sees the rows its scorer transforms, so not even by rounding (rbf
+    # S-SVDD fits on an embedding that its scorer computes another way)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((int(rng.integers(20, 200)), int(rng.integers(2, 12))))
     assert score_samples(fit(X, 1.0, kernel=kernel), X).max() <= 0.0
