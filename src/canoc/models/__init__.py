@@ -4,7 +4,7 @@ Every fitter returns one :class:`Detector`."""
 
 from .api import (FAMILY_PARAMS, LABEL_ANOMALY, MODEL_FAMILIES, fit_model,
                   predict, score_samples)
-from .detector import Detector, Projection, Whiten
+from .detector import Detector, Projection
 from .kernels import (KernelSpec, LINEAR, gram_matrix, median_heuristic,
                       resolve_kernel)
 from .ocsvm import ocsvm_fit

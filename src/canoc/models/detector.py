@@ -23,22 +23,8 @@ from .kernels import KernelSpec, gram_matrix, products
 
 
 @dataclass(frozen=True, eq=False)
-class Whiten:
-    """D x D linear map ``x W`` applied before the expansion."""
-
-    kind: ClassVar[str] = "whiten"
-    matrix: np.ndarray
-
-    def dims(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return products(X, self.matrix.T, rowwise=True)
-
-
-@dataclass(frozen=True, eq=False)
 class Projection:
-    """Row-orthonormal d x D subspace projection ``Q x``."""
+    """A d x D linear map ``Q x``."""
 
     kind: ClassVar[str] = "projection"
     q: np.ndarray
@@ -47,7 +33,7 @@ class Projection:
         return self.q.shape[1], self.q.shape[0]
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return products(X, self.q, rowwise=True)
+        return products(X, self.q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +75,9 @@ class Detector:
     def expansion(self, X: np.ndarray) -> np.ndarray:
         """The kernel expansion ``s(x)`` of rows that have been through the
         scaler and the transforms; each row's value depends only on that row."""
-        Kx = gram_matrix(X, self.support_samples, self.kernel, rowwise=True)
+        Kx = gram_matrix(X, self.support_samples, self.kernel)
         self_kernel = (np.einsum("ij,ij->i", X, X) if self.kernel.kind == "linear"
                        else np.ones(X.shape[0]))
         return (self.u * self_kernel
-                - self.v * products(Kx, self.alphas[None, :], rowwise=True)[:, 0]
+                - self.v * products(Kx, self.alphas[None, :])[:, 0]
                 + self.offset - self.r_squared)

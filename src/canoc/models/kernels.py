@@ -36,37 +36,35 @@ def _as_matrix(X, name: str) -> np.ndarray:
     return X
 
 
-def products(X: np.ndarray, Y: np.ndarray, *, rowwise: bool = False) -> np.ndarray:
-    """``X Y^T``. With ``rowwise``, each entry is np.einsum's dot product of
-    two contiguous rows, which never calls BLAS: a row of the result then
-    depends only on its row of X, not on how many rows X has or how it is
-    laid out in memory. Scoring uses it, so that a window's score does not
-    depend on the windows scored with it. Training keeps BLAS."""
-    if not rowwise:
-        return X @ Y.T
+def products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``X Y^T``, each entry np.einsum's dot product of two contiguous rows.
+    It never calls BLAS, so a row of the result depends only on its row of X,
+    not on how many rows X has, how it is laid out in memory or the thread
+    count: a training gram's rows are the rows the scorer computes, and a
+    window's score does not depend on the windows scored with it."""
     return np.einsum("ij,kj->ik", np.ascontiguousarray(X), np.ascontiguousarray(Y), order="C")
 
 
-def squared_distances(X: np.ndarray, Y: np.ndarray, *, rowwise: bool = False) -> np.ndarray:
+def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, clipped at 0."""
     x2 = np.einsum("ij,ij->i", X, X)
     y2 = np.einsum("ij,ij->i", Y, Y)
-    d2 = x2[:, None] + y2[None, :] - 2.0 * products(X, Y, rowwise=rowwise)
+    d2 = x2[:, None] + y2[None, :] - 2.0 * products(X, Y)
     return np.maximum(d2, 0.0)
 
 
-def gram_matrix(X, Y, kernel: KernelSpec, *, rowwise: bool = False) -> np.ndarray:
-    """Kernel gram: linear ``X Y^T`` or rbf ``exp(-|x-y|^2 / (2 sigma^2))``;
-    ``rowwise`` as in :func:`products`."""
+def gram_matrix(X, Y, kernel: KernelSpec) -> np.ndarray:
+    """Kernel gram: linear ``X Y^T`` or rbf ``exp(-|x-y|^2 / (2 sigma^2))``,
+    through :func:`products`."""
     X = _as_matrix(X, "X")
     Y = _as_matrix(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"column counts differ: {X.shape[1]} vs {Y.shape[1]}")
     if kernel.kind == "linear":
-        return products(X, Y, rowwise=rowwise)
+        return products(X, Y)
     if kernel.sigma is None:
         raise ValueError("rbf sigma unresolved; call resolve_kernel first")
-    return np.exp(squared_distances(X, Y, rowwise=rowwise) / (-2.0 * kernel.sigma**2))
+    return np.exp(squared_distances(X, Y) / (-2.0 * kernel.sigma**2))
 
 
 def median_heuristic(X) -> float:

@@ -19,21 +19,21 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from ..features import (FeatureSpec, _is_number, read_json, spec_from_dict,
-                        spec_to_dict)
+from ..features import (FeatureSpec, _is_number, naming, read_json,
+                        spec_from_dict, spec_to_dict)
 from .api import MODEL_FAMILIES
-from .detector import Detector, Projection, Whiten
+from .detector import Detector, Projection
 from .kernels import KernelSpec
 from .ssvdd import NptEmbedding
 
 MODEL_FORMAT = "canoc-model"
 MODEL_VERSION = 2
 
-TRANSFORMS = {cls.kind: cls for cls in (Whiten, NptEmbedding, Projection)}
+TRANSFORMS = {cls.kind: cls for cls in (NptEmbedding, Projection)}
 # dimension of every array field, by field name
 ARRAY_NDIM = {"alphas": 1, "support_samples": 2, "mean": 1, "stdev": 1,
-              "matrix": 2, "q": 2, "train_samples": 2, "eigvecs": 2,
-              "eigvals": 1, "row_means": 1}
+              "q": 2, "train_samples": 2, "eigvecs": 2, "eigvals": 1,
+              "row_means": 1}
 
 
 def _encode(value):
@@ -175,15 +175,17 @@ def save_model(model: Detector, path: str, spec: FeatureSpec | None = None) -> N
 def load_model(path: str) -> tuple[Detector, FeatureSpec | None]:
     """Load a model file; returns (model, feature spec or None). The spec's
     vocabulary must give the model's input dimension."""
-    doc = read_json(path, f"model file {path}")
-    model = model_from_dict(doc)
-    if "extraction" not in doc:
-        return model, None
-    spec = spec_from_dict(doc["extraction"], "model field 'extraction'")
-    if model.scaler is not None and spec.vocab.dimension != model.scaler.mean.shape[0]:
-        raise ValueError(f"model field 'extraction': vocabulary dimension "
-                         f"{spec.vocab.dimension} does not match model dimension "
-                         f"{model.scaler.mean.shape[0]}")
+    where = f"model file {path}"
+    doc = read_json(path, where)
+    with naming(where):
+        model = model_from_dict(doc)
+        if "extraction" not in doc:
+            return model, None
+        spec = spec_from_dict(doc["extraction"], "model field 'extraction'")
+        if model.scaler is not None and spec.vocab.dimension != model.scaler.mean.shape[0]:
+            raise ValueError(f"model field 'extraction': vocabulary dimension "
+                             f"{spec.vocab.dimension} does not match model dimension "
+                             f"{model.scaler.mean.shape[0]}")
     return model, spec
 
 

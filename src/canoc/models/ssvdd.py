@@ -107,16 +107,12 @@ class NptEmbedding:
             raise ValueError("npt eigvals must be > 0")
         return D, r
 
-    @property
-    def train_embedding(self) -> np.ndarray:
-        return self.eigvecs * np.sqrt(self.eigvals)
-
     def transform(self, X) -> np.ndarray:
         X = _as_matrix(X, "X")
-        Kx = gram_matrix(X, self.train_samples, self.kernel, rowwise=True)
+        Kx = gram_matrix(X, self.train_samples, self.kernel)
         Kc = (Kx - Kx.mean(axis=1, keepdims=True)
               - self.row_means[None, :] + self.total_mean)
-        return products(Kc, self.eigvecs.T, rowwise=True) / np.sqrt(self.eigvals)
+        return products(Kc, self.eigvecs.T) / np.sqrt(self.eigvals)
 
 
 def orthonormalize_rows(Q: np.ndarray) -> np.ndarray:
@@ -212,7 +208,7 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
         npt, Z = None, X
     else:
         npt = NptEmbedding.fit(X, kernel)
-        Z = npt.train_embedding
+        Z = npt.transform(X)  # the scorer's embedding of the training rows
     D = Z.shape[1]
     if d is None:
         d = min(10, D)

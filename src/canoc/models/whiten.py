@@ -1,8 +1,8 @@
 """Whitened one-class models: ellipsoidal and graph-embedded variants.
 
-Both are realized as a linear transform W applied before an inner SVDD or
-OC-SVM. E-SVDD whitens by the regularized covariance, so the spherical
-boundary in the whitened space is an ellipsoid in input space; the
+Both are realized as a linear map ``Projection(W')`` applied before an
+inner SVDD or OC-SVM. E-SVDD whitens by the regularized covariance, so the
+spherical boundary in the whitened space is an ellipsoid in input space; the
 graph-embedded variants whiten by a kNN-Laplacian scatter instead, warping
 the geometry toward locally connected structure.
 """
@@ -14,13 +14,13 @@ from dataclasses import replace
 import numpy as np
 
 from ..features import Scaler
-from .detector import Detector, Whiten
+from .detector import Detector, Projection
 from .kernels import KernelSpec, LINEAR, _as_matrix, squared_distances
 from .ocsvm import ocsvm_fit
 from .svdd import svdd_fit
 
 
-def _whitened(family: str, inner: Detector, step: Whiten, epsilon: float,
+def _whitened(family: str, inner: Detector, step: Projection, epsilon: float,
               k: int | None, scaler: Scaler | None) -> Detector:
     params = {**inner.params, "epsilon": float(epsilon), "k_neighbors": k}
     return replace(inner, family=family, params=params, scaler=scaler, transforms=(step,))
@@ -45,7 +45,7 @@ def esvdd_fit(X, C: float = 1.0, epsilon: float = 1e-3, kernel: KernelSpec = LIN
     cov = np.atleast_2d(np.cov(X, rowvar=False))
     if not np.all(np.isfinite(cov)):
         raise ValueError("training covariance is not finite")
-    step = Whiten(inv_sqrt_psd(cov + epsilon * np.eye(X.shape[1])))
+    step = Projection(inv_sqrt_psd(cov + epsilon * np.eye(X.shape[1])).T)
     inner = svdd_fit(step.transform(X), C, kernel)
     return _whitened("esvdd", inner, step, epsilon, None, scaler)
 
@@ -82,7 +82,7 @@ def gesvdd_fit(X, C: float = 1.0, k: int = 5, epsilon: float = 1e-3,
                kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None) -> Detector:
     """Graph-embedded SVDD: whiten by (X'LX + eps I)^(-1/2), then SVDD."""
     X = _as_matrix(X, "X")
-    step = Whiten(_laplacian_whitener(X, k, epsilon))
+    step = Projection(_laplacian_whitener(X, k, epsilon).T)
     inner = svdd_fit(step.transform(X), C, kernel)
     return _whitened("gesvdd", inner, step, epsilon, int(k), scaler)
 
@@ -91,6 +91,6 @@ def geocsvm_fit(X, nu: float = 0.1, k: int = 5, epsilon: float = 1e-3,
                 kernel: KernelSpec = LINEAR, *, scaler: Scaler | None = None) -> Detector:
     """Graph-embedded one-class SVM (same whitening, OC-SVM inner)."""
     X = _as_matrix(X, "X")
-    step = Whiten(_laplacian_whitener(X, k, epsilon))
+    step = Projection(_laplacian_whitener(X, k, epsilon).T)
     inner = ocsvm_fit(step.transform(X), nu, kernel)
     return _whitened("geocsvm", inner, step, epsilon, int(k), scaler)

@@ -440,6 +440,8 @@ MALFORMED = {
     "extraction window NaN": (_set(float("nan"), "extraction", "window"),
                               "'extraction.window'"),
     "unknown transform": (_set([{"kind": "rotate"}], "transforms"), "'transforms[0].kind'"),
+    "whiten transform": (_set([{"kind": "whiten", "matrix": [[1.0]]}], "transforms"),
+                         "'transforms[0].kind'"),
     "unknown family": (_set("forest", "family"), "'family'"),
     "bad kernel kind": (_set({"kind": "poly", "sigma": None}, "kernel"), "'kernel'"),
     "numeric vocabulary id": (_set([256], "extraction", "ids"), "'extraction'"),
@@ -456,6 +458,7 @@ def test_detect_rejects_malformed_model(tmp_path, capsys, detect_inputs, case):
     code, out, err = run(capsys, "detect", "--model", path, "--in", log)
     assert code == 2 and out == ""
     assert err.startswith("error:") and expected in err, err
+    assert f"model file {path}: " in err, err
 
 
 @pytest.mark.parametrize("text", ["1e999", "-1e999"])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canoc.models import (DualSolverError, FactorGram, KernelSpec, center_distances_sq, fit_model,
-                          gram_matrix, solve_ocsvm_dual, solve_simplex_box_qp,
+from canoc.models import (DualSolverError, FactorGram, KernelSpec, LINEAR, center_distances_sq,
+                          fit_model, gram_matrix, solve_ocsvm_dual, solve_simplex_box_qp,
                           solve_svdd_dual)
 from canoc.models import smo
 
@@ -335,6 +335,7 @@ def test_factor_rows_are_exactly_symmetric_and_match_the_gram(Y):
     assert np.array_equal(rows, rows.T)
     assert np.array_equal(np.diagonal(rows), F.diagonal())
     assert np.array_equal(np.array(F), rows)
+    assert np.array_equal(rows, gram_matrix(Y, Y, LINEAR))
     K = Y @ Y.T
     assert np.abs(rows - K).max() <= 1e-12 * max(np.abs(K).max(), np.finfo(float).tiny)
     a = np.random.default_rng(0).dirichlet(np.ones(Y.shape[0]))

@@ -6,8 +6,9 @@ import pytest
 from canoc import (KernelSpec, SplitSpec, apply_scaler, build_vocabulary, default_bus, evaluate,
                    extract_matrix, fit_model, fit_scaler, generate_normal, npt_embed, predict,
                    score_samples, segment_windows, split, ssvdd_fit, svdd_fit)
-from canoc.models import (FactorGram, NptEmbedding, PSI_VARIANTS, orthonormalize_rows,
-                          solve_svdd_dual, ssvdd_gradient, ssvdd_objective)
+from canoc.models import (FactorGram, NptEmbedding, PSI_VARIANTS, gram_matrix,
+                          orthonormalize_rows, solve_svdd_dual, ssvdd_gradient,
+                          ssvdd_objective)
 from canoc.models.ssvdd import psi_selector
 from canoc.models import ssvdd as ssvdd_module
 
@@ -158,8 +159,9 @@ def test_npt_rejects_non_psd():
 
 def test_npt_out_of_sample_matches_training_rows(rng):
     X = rng.standard_normal((25, 3))
-    emb = NptEmbedding.fit(X, KernelSpec("rbf", 1.2))
-    assert np.abs(emb.transform(X) - emb.train_embedding).max() <= 1e-8
+    kernel = KernelSpec("rbf", 1.2)
+    emb = NptEmbedding.fit(X, kernel)
+    assert np.abs(emb.transform(X) - npt_embed(gram_matrix(X, X, kernel))).max() <= 1e-8
 
 
 def test_nonlinear_ssvdd_trains_and_scores(rng):

@@ -3,7 +3,7 @@ import pytest
 
 from canoc import (KernelSpec, esvdd_fit, gesvdd_fit, predict, score_samples, ssvdd_fit,
                    svdd_fit)
-from canoc.models import median_heuristic, resolve_kernel
+from canoc.models import gram_matrix, median_heuristic, resolve_kernel
 
 
 def test_identical_training_set_flags_everything_else():
@@ -81,15 +81,27 @@ def _ssvdd_d2(X, C, kernel):
     for name, fit, kinds in (("svdd", svdd_fit, ("linear", "rbf")),
                              ("esvdd", esvdd_fit, ("linear", "rbf")),
                              ("gesvdd", gesvdd_fit, ("linear", "rbf")),
-                             ("ssvdd", _ssvdd_d2, ("linear",)))
+                             ("ssvdd", _ssvdd_d2, ("linear", "rbf")))
     for seed in range(10) for kind in kinds])
 def test_no_training_row_of_a_no_slack_fit_scores_above_zero(fit, seed, kernel):
-    # R^2 comes from the scorer's own arithmetic, and a whitened or projected
-    # fit sees the rows its scorer transforms, so not even by rounding (rbf
-    # S-SVDD fits on an embedding that its scorer computes another way)
+    # R^2 comes from the scorer's own arithmetic, and a whitened, embedded or
+    # projected fit sees the rows its scorer transforms, so not even by rounding
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((int(rng.integers(20, 200)), int(rng.integers(2, 12))))
     assert score_samples(fit(X, 1.0, kernel=kernel), X).max() <= 0.0
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+@pytest.mark.parametrize("seed", range(20))
+def test_every_training_gram_row_is_the_scorers_row(seed, kind):
+    # a fit's gram and a scorer's kernel row run one arithmetic, so row i of
+    # the training gram is bit for bit the row the scorer gives X[i] alone
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((int(rng.integers(2, 120)), int(rng.integers(1, 40))))
+    kernel = resolve_kernel(KernelSpec(kind), X)
+    K = gram_matrix(X, X, kernel)
+    for i in range(X.shape[0]):
+        assert np.array_equal(K[i], gram_matrix(X[i:i + 1], X, kernel)[0]), i
 
 
 def test_far_outlier_flagged_by_every_family(rng):

@@ -91,7 +91,7 @@ def test_complete_graph_reduces_to_covariance_whitening(rng):
     X = rng.standard_normal((30, 3)) @ np.diag([3.0, 1.0, 0.5])
     ge = gesvdd_fit(X, 1.0, k=29, epsilon=1e-10)
     el = esvdd_fit(X, 1.0, epsilon=1e-10)
-    M = ge.transforms[0].matrix @ np.linalg.inv(el.transforms[0].matrix)
+    M = ge.transforms[0].q.T @ np.linalg.inv(el.transforms[0].q.T)
     scale = np.trace(M) / 3
     assert np.abs(M - scale * np.eye(3)).max() <= 1e-6 * abs(scale)
 
@@ -108,8 +108,8 @@ def test_two_cluster_containment(rng):
 
 def test_neighbor_count_changes_whitener(rng):
     X = np.vstack([rng.normal(0, 1, (25, 3)), rng.normal(6, 1, (25, 3))])
-    w_few = gesvdd_fit(X, 1.0, k=3).transforms[0].matrix
-    w_all = gesvdd_fit(X, 1.0, k=49).transforms[0].matrix
+    w_few = gesvdd_fit(X, 1.0, k=3).transforms[0].q.T
+    w_all = gesvdd_fit(X, 1.0, k=49).transforms[0].q.T
     assert not np.allclose(w_few, w_all)
 
 
@@ -117,7 +117,7 @@ def test_geocsvm_trains_and_unpacks(rng):
     X = rng.standard_normal((40, 3))
     model = geocsvm_fit(X, 0.1, k=5)
     (whiten,) = model.transforms
-    assert whiten.matrix.shape == (3, 3) and model.params["k_neighbors"] == 5
+    assert whiten.q.T.shape == (3, 3) and model.params["k_neighbors"] == 5
     assert model.family == "geocsvm" and np.isfinite(model.offset)
 
 
