@@ -18,8 +18,6 @@ the rest is read; :func:`load_log` joins them.
 from __future__ import annotations
 
 import contextlib
-import functools
-import itertools
 import math
 import sys
 from collections.abc import Sequence
@@ -233,15 +231,6 @@ def join_logs(logs: Sequence[CanLog]) -> CanLog:
                           for name in COLUMNS]))
 
 
-def _in_order(columns: tuple[np.ndarray, ...], row: int, not_before: float):
-    """The columns of a batch, one row per line from ``row``; a frame
-    earlier than ``not_before`` raises :class:`LateFrameError` naming its row."""
-    late = np.flatnonzero(columns[0] < not_before)
-    if late.size:
-        raise LateFrameError(float(columns[0][late[0]]), not_before, row=row + int(late[0]))
-    return columns
-
-
 # byte -> hex digit value, 255 for a byte that is not a hex digit
 _HEX = np.full(256, 255, dtype=np.uint8)
 _HEX[np.frombuffer(b"0123456789ABCDEFabcdef", dtype=np.uint8)] = [*range(16), *range(10, 16)]
@@ -427,8 +416,7 @@ def _csv_columns(data: bytes, first_row: int) -> tuple[np.ndarray, ...]:
     return times, ids.astype(np.int64), ids > CAN_SFF_MAX, lengths, payload
 
 
-def _read(data: bytes, first_row: int, not_before: float, columns,
-          header: bytes | None = None) -> CanLog:
+def _read(data: bytes, first_row: int, columns, header: bytes | None = None) -> CanLog:
     """One log from ``data``, the bytes of whole lines, the last perhaps
     without its newline, after ``header``'s line when one is given. The
     lines are read at once by ``columns``; rows count from ``first_row``."""
@@ -441,11 +429,10 @@ def _read(data: bytes, first_row: int, not_before: float, columns,
     if not data:
         return _EMPTY
     # the byte pass has checked every frame, so only the order is made here
-    return _view(_sorted(_in_order(columns(data, first_row), first_row, not_before)))
+    return _view(_sorted(columns(data, first_row)))
 
 
-def read_candump(data: bytes, *, first_row: int = 1,
-                 not_before: float = -math.inf) -> CanLog:
+def read_candump(data: bytes, *, first_row: int = 1) -> CanLog:
     """Parse candump text, the bytes of lines such as
     ``(1679000000.123456) can0 1F4#DEADBEEF``; output is sorted by
     timestamp, ties stable.
@@ -454,14 +441,12 @@ def read_candump(data: bytes, *, first_row: int = 1,
     spaces, a printable ASCII interface without spaces, a 1-8 digit hex id
     in range, extended when it has more than 3 digits, and 0-8 whole
     payload bytes as bare hex. All lines are read at once; the error of the
-    first bad line carries its 1-based row, counted from ``first_row``. A
-    frame earlier than ``not_before`` is a :class:`LateFrameError`.
+    first bad line carries its 1-based row, counted from ``first_row``.
     """
-    return _read(data, first_row, not_before, _candump_columns)
+    return _read(data, first_row, _candump_columns)
 
 
-def parse_csv_log(data: bytes, *, first_row: int = 1,
-                  not_before: float = -math.inf) -> CanLog:
+def parse_csv_log(data: bytes, *, first_row: int = 1) -> CanLog:
     """Parse a CSV traffic log, the bytes of the header line
     ``timestamp,id,dlc,payload`` and the data lines after it, as
     :func:`write_csv_log` writes them; output is sorted by timestamp, ties
@@ -471,10 +456,9 @@ def parse_csv_log(data: bytes, *, first_row: int = 1,
     digits after ``0x`` or ``0X``, a one-digit dlc equal to the payload's
     byte count and the payload bytes as bare hex. All lines are read at
     once; the error of the first bad line carries its 1-based data row,
-    counted from ``first_row``. A frame earlier than ``not_before`` is a
-    :class:`LateFrameError`.
+    counted from ``first_row``.
     """
-    return _read(data, first_row, not_before, _csv_columns, _CSV_HEADER_LINE)
+    return _read(data, first_row, _csv_columns, _CSV_HEADER_LINE)
 
 
 
@@ -555,15 +539,15 @@ def write_csv_log(log: CanLog, sink: IO[str]) -> None:
         sink.write(cells[cells != 0].tobytes().decode("ascii"))
 
 
-def _file_batches(f: BinaryIO) -> Iterator[tuple[bytes, int]]:
-    """(bytes, first line number) of each batch of lines of a binary file,
-    with ``\\r\\n`` and ``\\r`` turned into ``\\n`` as a text-mode file reads
-    them. A batch is one ``read1`` of up to ``READ_BYTES``, cut after its
-    last newline; the bytes after the cut start the next batch, and a read
-    without a newline joins the next read. ``read1`` returns what a pipe
-    holds, so lines are read as soon as they arrive. The last batch may
-    lack its final newline."""
-    row, pieces = 1, []  # the bytes since the last cut
+def _file_batches(f: BinaryIO) -> Iterator[bytes]:
+    """The bytes of each batch of lines of a binary file, with ``\\r\\n``
+    and ``\\r`` turned into ``\\n`` as a text-mode file reads them. A batch
+    is one ``read1`` of up to ``READ_BYTES``, cut after its last newline;
+    the bytes after the cut start the next batch, and a read without a
+    newline joins the next read. ``read1`` returns what a pipe holds, so
+    lines are read as soon as they arrive. The last batch may lack its
+    final newline."""
+    pieces = []  # the bytes since the last cut
     while block := f.read1(READ_BYTES):
         while block.endswith(b"\r") and (more := f.read(1)):  # keep a \r\n whole
             block += more
@@ -572,53 +556,50 @@ def _file_batches(f: BinaryIO) -> Iterator[tuple[bytes, int]]:
         cut = block.rfind(b"\n") + 1
         if cut:
             data, pieces = b"".join([*pieces, block[:cut]]), [block[cut:]]
-            yield data, row
-            # numpy counts them in a fifth of the time that bytes.count takes
-            row += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == 10))
+            yield data
         else:  # joined once, so that a long line costs linear time
             pieces.append(block)
     if tail := b"".join(pieces):
-        yield tail, row
-
-
-def _checked(parse) -> Iterator[CanLog]:
-    """Yield the batch ``parse()`` reads. A :class:`LateFrameError` thrown
-    back in is raised again by reading the batch once more with its floor,
-    which names the row of the first frame earlier than it."""
-    log = parse()
-    try:
-        yield log
-    except LateFrameError as late:
-        parse(not_before=late.floor)
-        raise
+        yield tail
 
 
 def iter_log(path: str) -> Iterator[CanLog]:
     """A traffic log file as consecutive batches of lines in file order
     (see :func:`_file_batches`), each sorted by timestamp with ties stable.
     The first line tells the format: candump when it starts with ``(``,
-    else CSV. Each batch goes through :func:`read_candump` or
-    :func:`parse_csv_log`, rows count over the whole file, and every error
-    names the file.
+    else CSV, whose header line is split off once and read before each
+    batch. Each batch goes through :func:`read_candump` or
+    :func:`parse_csv_log`; every line after the header is a frame, so rows
+    count over the whole file by the frames of the batches before. Every
+    error names the file.
 
     A consumer that finds a frame earlier than the end of a window it
-    already printed throws :class:`LateFrameError` in here, so that the
-    error names the frame's row. The path ``-`` reads standard input,
-    which is left open.
+    already printed throws :class:`LateFrameError` in here, and it is
+    raised again naming the row of the batch's first frame earlier than
+    that end. The path ``-`` reads standard input, which is left open.
     """
     try:
         with (contextlib.nullcontext(sys.stdin.buffer) if path == "-"
               else open(path, "rb")) as f:
-            batches = _file_batches(f)
-            first = next(batches, (b"", 1))  # an empty file is a CSV without its header
-            header = first[0].partition(b"\n")[0] + b"\n"
-            for raw, row in itertools.chain([first], batches):
-                if header.startswith(b"("):
-                    parse = functools.partial(read_candump, raw, first_row=row)
-                else:  # each CSV batch after the first lacks the header line
-                    parse = functools.partial(parse_csv_log, raw if row == 1 else header + raw,
-                                              first_row=max(row - 1, 1))
-                yield from _checked(parse)
+            row, header, reader = 1, b"", None
+            for data in _file_batches(f):
+                if reader is None:
+                    if data.startswith(b"("):
+                        reader, columns = read_candump, _candump_columns
+                    else:
+                        reader, columns = parse_csv_log, _csv_columns
+                        header, newline, data = data.partition(b"\n")
+                        header += newline
+                log = reader(header + data, first_row=row)
+                try:
+                    yield log
+                except LateFrameError as late:
+                    times = columns(data, row)[0]
+                    k = int(np.argmax(times < late.floor))
+                    raise LateFrameError(float(times[k]), late.floor, row=row + k) from None
+                row += len(log)
+            if reader is None:  # an empty file is a CSV without its header
+                parse_csv_log(b"")
     except LogParseError as err:
         err.args = (f"log file {path}: {err}",)
         raise

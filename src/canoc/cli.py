@@ -1,10 +1,11 @@
 """Command-line pipeline: simulate, inject, extract, train, eval, detect.
 
-Exit codes: 0 ok/clean, 2 usage or input error, 3 contract violation
-(non-normal training rows), 4 anomaly detected. Every command is
-deterministic given its inputs and flags; ``simulate`` and ``inject`` draw
-from ``--seed``. A flat ``key = value`` config file can supply any optional
-flag, but not a required one; explicit flags win.
+Exit codes: 0 ok/clean, 2 usage or input error (an input too large to
+hold in memory included), 3 contract violation (non-normal training
+rows), 4 anomaly detected. Every command is deterministic given its
+inputs and flags; ``simulate`` and ``inject`` draw from ``--seed``. A flat
+``key = value`` config file can supply any optional flag, but not a
+required one; explicit flags win.
 """
 
 from __future__ import annotations
@@ -363,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,6 +22,11 @@ class KernelSpec:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}")
         if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        # the rbf kernel divides by -2 sigma**2, which must be a finite nonzero double
+        with np.errstate(over="ignore"):
+            if self.sigma is not None and not 0 < 2.0 * np.float64(self.sigma) ** 2 < np.inf:
+                raise ValueError(f"sigma {self.sigma} is out of range: 2 * sigma**2 "
+                                 "underflows to 0 or overflows")
 
 
 LINEAR = KernelSpec("linear")

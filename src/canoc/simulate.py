@@ -115,8 +115,9 @@ class AttackScenario:
             if self.replay_segment is None:
                 raise ValueError("replay needs a (src_start, src_end) segment")
             s0, s1 = self.replay_segment
-            if not s1 > s0:
-                raise ValueError("replay segment must have src_end > src_start")
+            if not (math.isfinite(s0) and math.isfinite(s1) and s1 > s0):
+                raise ValueError(f"replay segment must be finite with src_end > src_start, "
+                                 f"got {self.replay_segment!r}")
             if self.repeat < 1:
                 raise ValueError("replay repeat must be >= 1")
         if self.payload_length is not None and not 0 <= self.payload_length <= 8:
@@ -217,10 +218,11 @@ def _inject_replay(log: CanLog | LabeledLog, scenario: AttackScenario) -> Labele
     span = src_end - src_start
     start = scenario.window[0]
     _check_window_overlap(base.log, start, start + scenario.repeat * span)
-    segment = [getattr(base.log, name)[inside] for name in COLUMNS]
-    shifted = [segment[0] + (start + r * span - src_start) for r in range(scenario.repeat)]
-    added = [np.concatenate(shifted)] + [np.concatenate([column] * scenario.repeat)
-                                          for column in segment[1:]]
+    # all copies at once, so that a repeat count too large to hold fails at allocation
+    offsets = start + np.arange(scenario.repeat) * span - src_start
+    rows = np.tile(np.flatnonzero(inside), scenario.repeat)
+    added = [(times[inside] + offsets[:, None]).ravel()] + [getattr(base.log, name)[rows]
+                                                             for name in COLUMNS[1:]]
     return _merge(base, tuple(added), LABEL_REPLAY)
 
 

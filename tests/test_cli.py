@@ -852,6 +852,26 @@ def test_inject_rejects_a_flag_its_kind_does_not_take(tmp_path, capsys, kind, fl
     assert err.startswith(f"error: {kind} takes no ") and field in err, err
 
 
+# each asks for an array of 700 PiB or more, past any 64-bit address space, so
+# that no machine can allocate it, whatever its overcommit policy
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--duration", "1e15"],
+    ["simulate", "--bus-ids", "0x100", "--bus-periods", "1e-17", "--duration", 1],
+    ["inject", "--kind", "zero_id", "--rate", "1e17", "--start", 0, "--end", 4],
+    ["inject", "--kind", "replay", "--segment", "1:2", "--start", 2, "--end", 3,
+     "--repeat", 10 ** 17]], ids=["duration", "period", "rate", "repeat"])
+def test_a_size_too_large_for_memory_is_an_input_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    if argv[0] == "inject":
+        log, labels = simulate(tmp_path, capsys, duration=5.0)
+        argv = [*argv, "--in", log, "--labels", labels]
+    started = time.monotonic()
+    code, stdout, err = run(capsys, *argv, "--out", out)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert re.fullmatch(r"error: Unable to allocate \S+ [PE]iB for an array .*\n", err), err
+    assert time.monotonic() - started < 10
+
+
 @pytest.mark.parametrize("flags", [["--window", 2], ["--stride", 0.5],
                                    ["--stdev-mode", "timestamps"], ["--no-other-bucket"],
                                    ["--window", 2, "--stdev-mode", "timestamps",

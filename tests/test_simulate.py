@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import tempfile
 from collections import Counter
 
@@ -136,6 +137,10 @@ def test_scenario_validation():
             AttackScenario(kind="zero_id", rate=10.0, window=window)
     with pytest.raises(ValueError, match="segment"):
         AttackScenario(kind="replay", window=(0, 1))
+    for segment in ((1.0, float("inf")), (float("nan"), 2.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"replay segment must be finite with src_end > src_start, got {segment!r}")):
+            AttackScenario(kind="replay", window=(0, 1), replay_segment=segment)
 
 
 @pytest.mark.parametrize("kind, extra", [

@@ -81,11 +81,9 @@ def test_load_log_joins_batches_that_read_as_the_line_reference(
     with mock.patch.object(canlog, "READ_BYTES", read_bytes):
         with open(path, "rb") as f:
             cuts = list(canlog._file_batches(f))
-        # batches of whole lines that cover the text, each numbered by its first line
-        assert b"".join(raw for raw, _ in cuts) == data
-        assert all(raw.endswith(b"\n") for raw, _ in cuts[:-1])
-        assert [row for _, row in cuts] == [1 + sum(raw.count(b"\n") for raw, _ in cuts[:k])
-                                            for k in range(len(cuts))]
+        # batches of whole lines that cover the text
+        assert b"".join(cuts) == data
+        assert all(raw.endswith(b"\n") for raw in cuts[:-1])
         assert read_frames(lambda _: load_log(str(path)), None) == expected
         try:
             batches = list(iter_log(str(path)))
@@ -348,6 +346,23 @@ def test_frame_before_a_printed_window_end_is_an_input_error_naming_its_row(
     # 4.52 s (CSV): windows 0-3 are printed, and the last of them ends at 4 s
     assert code == 2 and out.count("\n") == 4
     assert err == (f"error: log file {log_path}: frame at 1.500000 s is earlier than "
+                   "4.000000 s, the end of a window already printed (row 47)\n")
+
+
+@pytest.mark.parametrize("fmt", ["candump", "csv"])
+def test_the_late_frame_named_is_the_first_in_file_order_not_the_earliest(
+        tmp_path, capsys, fmt):
+    log_path, model_path = tmp_path / "log", tmp_path / "model.json"
+    frames = [(k / 10, 0x100, b"\x01") for k in range(50)]
+    frames[46:46] = [(2.0, 0x200, b""), (1.5, 0x200, b"")]  # rows 47 and 48
+    log_path.write_text(log_text(frames, fmt))
+    spec = FeatureSpec(VOCAB)
+    model_file(model_path, log_path, "svdd", spec)
+    with mock.patch.object(canlog, "READ_BYTES", 160):
+        code, out, err = run(capsys, "detect", "--model", model_path, "--in", log_path)
+    # both late frames are in one batch, after windows 0-3 are printed
+    assert code == 2 and out.count("\n") == 4
+    assert err == (f"error: log file {log_path}: frame at 2.000000 s is earlier than "
                    "4.000000 s, the end of a window already printed (row 47)\n")
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,15 @@ def test_resolve_kernel_fills_sigma_only_for_unset_rbf(rng):
     assert resolved == KernelSpec("rbf", median_heuristic(X))
     for kernel in (KernelSpec("linear"), KernelSpec("rbf", 2.5)):
         assert resolve_kernel(kernel, X) is kernel
+
+
+def test_kernel_spec_rejects_a_sigma_whose_rbf_denominator_is_not_a_finite_nonzero_double():
+    for sigma in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            KernelSpec("rbf", sigma)
+    for sigma in (1e-300, 1.4e-162, 1e154, 1e200):  # 2 sigma**2 is 0 or inf
+        with pytest.raises(ValueError, match=re.escape(f"sigma {sigma} is out of range")):
+            KernelSpec("rbf", sigma)
+    for sigma in (1e-100, 1e150):
+        X = np.eye(2)
+        assert np.isfinite(gram_matrix(X, X, KernelSpec("rbf", sigma))).all()
