@@ -36,7 +36,9 @@ TIMESTAMP_DECIMALS = 6
 CSV_HEADER = ("timestamp", "id", "dlc", "payload")
 _CSV_HEADER_LINE = ",".join(CSV_HEADER).encode("ascii")
 
-# lines written per chunk by the CSV writer and the label sidecar writer
+# lines per chunk: written at once by the CSV writer and the label sidecar
+# writer, and read at once from a label sidecar; about the frames of one
+# slice of simulated traffic
 CHUNK_LINES = 1 << 13
 
 # bytes read from a log file at a time, each read one batch cut at its last
@@ -518,13 +520,16 @@ def _time_cells(times: np.ndarray) -> np.ndarray:
     return cells
 
 
-def write_csv_log(log: CanLog, sink: IO[str]) -> None:
+def write_csv_log(log: CanLog, sink: IO[str], *, header: bool = True) -> None:
     """Serialize a log to CSV: 6-decimal timestamps, 0x-hex ids, hex payload.
+    Without ``header``, only the data lines are written: the batches of a
+    log after its first go to the same sink this way.
 
     The lines of each ``CHUNK_LINES`` rows are built as one byte matrix,
     each field padded with byte 0, and written at once without the padding.
     """
-    sink.write(",".join(CSV_HEADER) + "\n")
+    if header:
+        sink.write(",".join(CSV_HEADER) + "\n")
     id_values = np.unique(log.ids)
     id_cells = _padded([f"0x{can_id:X}" for can_id in id_values.tolist()])
     for lo in range(0, len(log), CHUNK_LINES):
@@ -563,9 +568,12 @@ def _file_batches(f: BinaryIO) -> Iterator[bytes]:
         yield tail
 
 
-def iter_log(path: str) -> Iterator[CanLog]:
+def iter_log(path: str, *, orders: bool = False) -> Iterator[CanLog]:
     """A traffic log file as consecutive batches of lines in file order
     (see :func:`_file_batches`), each sorted by timestamp with ties stable.
+    With ``orders``, each batch comes as ``(log, order)``: frame k of the
+    log is line ``order[k]`` of the batch, so that data read beside the
+    file in step, one item per line, can follow its frames' sort.
     The first line tells the format: candump when it starts with ``(``,
     else CSV, whose header line is split off once and read before each
     batch. Each batch goes through :func:`read_candump` or
@@ -592,7 +600,11 @@ def iter_log(path: str) -> Iterator[CanLog]:
                         header += newline
                 log = reader(header + data, first_row=row)
                 try:
-                    yield log
+                    if orders:  # the sort that the reader made, from the lines' own times
+                        times = columns(data, row)[0] if len(log) else log.times
+                        yield log, np.argsort(times, kind="stable")
+                    else:
+                        yield log
                 except LateFrameError as late:
                     times = columns(data, row)[0]
                     k = int(np.argmax(times < late.floor))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -106,20 +107,22 @@ def _labels_path(args: argparse.Namespace) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _parse_bus(args)
-    log = simulate.generate_normal(spec)
-    labeled = simulate.LabeledLog(log, (features.LABEL_NORMAL,) * len(log))
-    simulate.save_labeled(labeled, args.out, _labels_path(args))
-    print(f"wrote {len(log)} frames over {args.duration:g} s "
+    batches = simulate.iter_normal(spec)
+    frames = simulate.save_labeled((simulate.LabeledLog(log, (features.LABEL_NORMAL,) * len(log))
+                                    for log in batches), args.out, _labels_path(args))
+    print(f"wrote {frames} frames over {args.duration:g} s "
           f"({len(spec.ids)} ids) to {args.out}")
     return EXIT_OK
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
-    if args.labels:
-        labeled: simulate.LabeledLog | canlog.CanLog = simulate.load_labeled(
-            args.input, args.labels)
-    else:
-        labeled = canlog.load_log(args.input)
+    # the input is read twice, the second time while the output is written
+    if args.input == "-":
+        raise ValueError("inject reads its input log twice; give a file, not -")
+    inputs = {os.path.realpath(path) for path in (args.input, args.labels) if path}
+    for path in (args.out, _labels_path(args)):
+        if os.path.realpath(path) in inputs:
+            raise ValueError(f"output file {path} is also an input of inject")
     scenario = simulate.AttackScenario(
         kind=args.kind,
         rate=args.rate,
@@ -130,11 +133,12 @@ def cmd_inject(args: argparse.Namespace) -> int:
         seed=args.seed,
         payload_length=args.payload_len,
     )
-    result = simulate.inject(labeled, scenario)
-    simulate.save_labeled(result, args.out, _labels_path(args))
-    base = labeled.log if isinstance(labeled, simulate.LabeledLog) else labeled
-    print(f"injected {len(result.log) - len(base)} {args.kind} frames; wrote "
-          f"{len(result.log)} frames to {args.out}")
+    # the first pass finds the span and the replay source; the second merges
+    added, earliest = simulate.scan_log(args.input, scenario)
+    frames = simulate.save_labeled(
+        simulate.iter_injected(simulate.iter_labeled(args.input, args.labels), earliest, added),
+        args.out, _labels_path(args))
+    print(f"injected {len(added.log)} {args.kind} frames; wrote {frames} frames to {args.out}")
     return EXIT_OK
 
 
@@ -153,22 +157,49 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if flags:
             raise ValueError(f"vocabulary file {args.vocab} fixes the extraction "
                              f"settings; drop {', '.join(flags)}")
-    if args.labels:
-        labeled = simulate.load_labeled(args.input, args.labels)
-        log = labeled.log
-    else:
-        log = canlog.load_log(args.input)
-    if not len(log):
-        raise ValueError(f"input log {args.input} is empty")
-    if args.vocab:
         spec = _load_spec(args.vocab)
+        window, stride, stdev_mode = spec.window, spec.stride, spec.stdev_mode
     else:
-        vocab = features.build_vocabulary(log, include_other_bucket=not args.no_other_bucket)
-        spec = features.FeatureSpec(vocab, **given)
-    windows = features.segment_windows(log, spec.window, spec.stride)
-    window_labels = simulate.label_windows(labeled, windows) if args.labels else None
-    X, labels = features.extract_matrix(windows, spec.vocab, spec.stdev_mode,
-                                        window_labels)
+        spec = None
+        window = given.get("window", features.FeatureSpec.window)
+        stride = given.get("stride", window)
+        stdev_mode = given.get("stdev_mode", features.FeatureSpec.stdev_mode)
+    batches = simulate.iter_labeled(args.input, args.labels)
+    # with --labels, the labeled frames from the start of the last window on
+    held = simulate.LabeledLog(canlog.join_logs([]), ())
+    ids = np.empty(0, dtype=np.int64)  # the distinct ids read so far
+
+    def logs():
+        nonlocal held, ids
+        for batch in batches:
+            if args.labels:
+                held = simulate.join_labeled([held, batch])
+            ids = np.union1d(ids, batch.log.ids)
+            try:
+                yield batch.log
+            except canlog.LateFrameError as late:
+                batches.throw(late)
+                raise
+
+    # each batch's rows against the vocabulary file, or the ids read so far:
+    # a log's own ids leave its other bucket empty
+    parts, labels = [], []
+    for windows in features.iter_windows(logs(), window, stride):
+        vocab = spec.vocab if spec else features.IdVocabulary(tuple(ids.tolist()), False)
+        X, window_labels = features.extract_matrix(
+            windows, vocab, stdev_mode,
+            simulate.label_windows(held, windows) if args.labels else None)
+        parts.append((X, vocab))
+        labels += window_labels
+        if args.labels:
+            held = held[int(np.searchsorted(held.log.times, windows[-1].start)):]
+    if not parts:  # a log with a frame has a window
+        raise ValueError(f"input log {args.input} is empty")
+    if spec is None:
+        spec = features.FeatureSpec(features.IdVocabulary(tuple(ids.tolist()),
+                                                          not args.no_other_bucket), **given)
+    X = np.concatenate([features.relayout(part, vocab, spec.vocab, window)
+                        for part, vocab in parts])
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         features.write_feature_csv(f, X, labels, spec.vocab)
     if args.save_vocab:

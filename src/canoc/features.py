@@ -381,6 +381,23 @@ def extract_matrix(windows: Sequence[Window], vocab: IdVocabulary,
     return rows, list(labels)
 
 
+def relayout(X: np.ndarray, vocab: IdVocabulary, target: IdVocabulary,
+             length: float) -> np.ndarray:
+    """Feature rows of ``length``-second windows, extracted against
+    ``vocab``, laid out for ``target``, a vocabulary holding every id of
+    ``vocab``. A slot's triple depends only on its own frames, so each slot
+    that ``vocab`` lacks, the other bucket included, takes the empty-slot
+    triple ``(0, length, 0)``: the rows are exact when no frame of those
+    windows falls in such a slot."""
+    rows = np.zeros((X.shape[0], target.dimension))
+    rows[:, 1::3] = length
+    slots = np.searchsorted(target.ids, vocab.ids)
+    if vocab.include_other_bucket:
+        slots = np.append(slots, len(target.ids))
+    rows[:, (3 * slots[:, None] + np.arange(3)).ravel()] = X
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class Scaler:
     """Column standardization fitted on training (normal) rows only."""

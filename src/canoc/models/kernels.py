@@ -22,11 +22,14 @@ class KernelSpec:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}")
         if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-        # the rbf kernel divides by -2 sigma**2, which must be a finite nonzero double
-        with np.errstate(over="ignore"):
-            if self.sigma is not None and not 0 < 2.0 * np.float64(self.sigma) ** 2 < np.inf:
-                raise ValueError(f"sigma {self.sigma} is out of range: 2 * sigma**2 "
-                                 "underflows to 0 or overflows")
+        # the rbf kernel divides by -2 sigma**2, whose inverse must be a finite
+        # nonzero double: a subnormal 2 sigma**2 is nonzero, but its inverse overflows
+        if self.sigma is not None:
+            with np.errstate(over="ignore", divide="ignore"):
+                inverse = 1.0 / (2.0 * np.float64(self.sigma) ** 2)
+            if not 0 < inverse < np.inf:
+                raise ValueError(f"sigma {self.sigma} is out of range: 1 / (2 * sigma**2) "
+                                 "overflows or underflows to 0")
 
 
 LINEAR = KernelSpec("linear")

@@ -9,17 +9,19 @@ format-pure.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .canlog import (CAN_SFF_MAX, CHUNK_LINES, COLUMNS, MAX_PAYLOAD_BYTES, CanLog, join_logs,
-                     load_log, save_log)
+from .canlog import (CAN_SFF_MAX, CHUNK_LINES, COLUMNS, MAX_PAYLOAD_BYTES, CanLog,
+                     LateFrameError, iter_log, join_logs, write_csv_log)
 from .features import (LABEL_NORMAL, LABEL_RANDOM_ID, LABEL_REPLAY,
                        LABEL_ZERO_ID, Window, naming, read_text)
 
@@ -126,7 +128,8 @@ class AttackScenario:
 
 @dataclass(frozen=True, eq=False)
 class LabeledLog:
-    """A log plus a parallel per-frame provenance label sequence."""
+    """A log plus a parallel per-frame provenance label sequence; a step-1
+    slice is the labeled log of those frames."""
 
     log: CanLog
     frame_labels: tuple[str, ...]
@@ -136,26 +139,69 @@ class LabeledLog:
         if len(self.frame_labels) != len(self.log):
             raise ValueError("one label per frame required")
 
+    def __getitem__(self, key: slice) -> "LabeledLog":
+        return LabeledLog(self.log[key], self.frame_labels[key])
 
-def generate_normal(spec: BusSpec) -> CanLog:
-    """Synthesize attack-free traffic; deterministic for a fixed seed."""
+
+def join_labeled(parts: Sequence[LabeledLog]) -> LabeledLog:
+    """One labeled log of the frames of ``parts``, at least one, in their
+    order, stably sorted by timestamp, each label with its frame; the log
+    is :func:`canoc.canlog.join_logs` of theirs."""
+    parts = [part for part in parts if len(part.log)] or parts[:1]
+    if len(parts) == 1:
+        return parts[0]
+    times = np.concatenate([part.log.times for part in parts])
+    labels = tuple(itertools.chain.from_iterable(part.frame_labels for part in parts))
+    if (times[1:] < times[:-1]).any():
+        labels = tuple(map(labels.__getitem__, np.argsort(times, kind="stable").tolist()))
+    return LabeledLog(join_logs([part.log for part in parts]), labels)
+
+
+def iter_normal(spec: BusSpec) -> Iterator[CanLog]:
+    """Attack-free traffic as consecutive time slices of about
+    ``CHUNK_LINES`` frames; deterministic for a fixed seed.
+
+    Each ECU draws all its jittered times here, before the first slice, so
+    that a bus too large to hold fails at once. Its payload rows are drawn
+    slice by slice, in order, from the generator its uniforms left: numpy
+    makes each 8-byte row of 2 whole 32-bit draws, so the rows equal those
+    of one draw. A slice holds each ECU's frames in ECU order, stably
+    sorted, as the frames of that time span are in the sort of all of them.
+    """
     streams = np.random.SeedSequence(spec.seed).spawn(len(spec.ids))
-    logs = []
+    ecus = []
     for ecu, stream in zip(spec.ids, streams):
         rng = np.random.default_rng(stream)
         count = int(np.ceil(spec.duration / ecu.period)) + 2
-        base = np.arange(count) * ecu.period
+        t = np.arange(count, dtype=np.float64)
+        t *= ecu.period
         amp = ecu.jitter * ecu.period
-        t = base + rng.uniform(-amp, amp, count)
-        t = np.maximum(t, 0.0)
+        t += rng.uniform(-amp, amp, count)
+        np.maximum(t, 0.0, out=t)
         t.sort(kind="stable")
-        keep = t < spec.duration
-        t = t[keep]
-        payload = rng.integers(0, 256, size=(count, MAX_PAYLOAD_BYTES), dtype=np.uint8)
-        logs.append(CanLog(t, np.full(t.size, ecu.can_id, dtype=np.int64),
-                           np.zeros(t.size, dtype=np.bool_),
-                           np.full(t.size, MAX_PAYLOAD_BYTES, dtype=np.uint8), payload[keep]))
-    return join_logs(logs)
+        ecus.append((ecu.can_id, t[:int(np.searchsorted(t, spec.duration))], rng))
+    frames = sum(len(t) for _, t, _ in ecus)
+    edges = np.linspace(0.0, spec.duration, -(-frames // CHUNK_LINES) + 1)[1:-1]
+    cuts = [[0, *np.searchsorted(t, edges).tolist(), len(t)] for _, t, _ in ecus]
+
+    def slices() -> Iterator[CanLog]:
+        for k in range(len(edges) + 1):
+            parts = []
+            for (can_id, t, rng), cut in zip(ecus, cuts):
+                n = cut[k + 1] - cut[k]
+                parts.append(CanLog(t[cut[k]:cut[k + 1]], np.full(n, can_id),
+                                    np.zeros(n, dtype=np.bool_),
+                                    np.full(n, MAX_PAYLOAD_BYTES, dtype=np.uint8),
+                                    rng.integers(0, 256, size=(n, MAX_PAYLOAD_BYTES),
+                                                 dtype=np.uint8)))
+            yield join_logs(parts)
+
+    return slices()
+
+
+def generate_normal(spec: BusSpec) -> CanLog:
+    """Synthesize attack-free traffic: the slices of :func:`iter_normal`, joined."""
+    return join_logs(list(iter_normal(spec)))
 
 
 def _as_labeled(log: CanLog | LabeledLog) -> LabeledLog:
@@ -164,74 +210,109 @@ def _as_labeled(log: CanLog | LabeledLog) -> LabeledLog:
     return LabeledLog(log, (LABEL_NORMAL,) * len(log))
 
 
-def _check_window_overlap(base: CanLog, start: float, end: float) -> None:
-    if not len(base):
+def _check_window_overlap(span: tuple[float, float] | None, start: float, end: float) -> None:
+    """``span`` is the base log's (first, last) timestamp, None when it is empty."""
+    if span is None:
         return
-    t_first, t_last = base.span
+    t_first, t_last = span
     if end <= t_first or start > t_last:
         raise ValueError(f"attack window [{start}, {end}) lies outside the "
                          f"log span [{t_first}, {t_last}]")
 
 
-def _merge(base: LabeledLog, added: tuple[np.ndarray, ...], kind: str) -> LabeledLog:
-    """Append injected rows (log columns in ``COLUMNS`` order), re-sort
-    stably; base rows are never touched."""
-    columns = [np.concatenate([getattr(base.log, name), column])
-               for name, column in zip(COLUMNS, added)]
-    order = np.argsort(columns[0], kind="stable")
-    labels = base.frame_labels + (kind,) * added[0].size
-    return LabeledLog(CanLog(*(column[order] for column in columns)),
-                      tuple(map(labels.__getitem__, order.tolist())))
+def _segment(log: CanLog, scenario: AttackScenario) -> CanLog:
+    """The frames of a time-sorted log that a replay copies; none for a flood."""
+    if scenario.kind in _FLOOD_KINDS:
+        return log[:0]
+    lo, hi = np.searchsorted(log.times, scenario.replay_segment, side="left").tolist()
+    return log[lo:hi]
 
 
-def _inject_flood(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
-    """Poisson-spaced frames inside the window: uniform 11-bit ids (known or
-    foreign) with random payloads, or id 0 with an empty payload."""
+def _attack(scenario: AttackScenario, span: tuple[float, float] | None,
+            segment: CanLog) -> LabeledLog:
+    """The injected frames of ``scenario``, stably sorted by timestamp, on a
+    base log of ``span`` whose replay source frames are ``segment``.
+
+    A flood draws Poisson-spaced frames inside the window: uniform 11-bit
+    ids (known or foreign) with random payloads, or id 0 with an empty
+    payload. A replay re-transmits the segment from the window start,
+    ``repeat`` times back-to-back, keeping its gaps."""
     kind = scenario.kind
-    base = _as_labeled(log)
     start, end = scenario.window
-    _check_window_overlap(base.log, start, end)
-    rng = np.random.default_rng([scenario.seed, _KIND_TAGS[kind]])
-    count = int(rng.poisson(scenario.rate * (end - start)))
-    times = np.sort(start + rng.uniform(0.0, end - start, count))
-    if kind == LABEL_RANDOM_ID:
-        ids = rng.integers(0, CAN_SFF_MAX + 1, count)
-        plen = 8 if scenario.payload_length is None else scenario.payload_length
+    if kind in _FLOOD_KINDS:
+        _check_window_overlap(span, start, end)
+        rng = np.random.default_rng([scenario.seed, _KIND_TAGS[kind]])
+        count = int(rng.poisson(scenario.rate * (end - start)))
+        times = np.sort(start + rng.uniform(0.0, end - start, count))
+        if kind == LABEL_RANDOM_ID:
+            ids = rng.integers(0, CAN_SFF_MAX + 1, count)
+            plen = 8 if scenario.payload_length is None else scenario.payload_length
+        else:
+            ids = np.zeros(count, dtype=np.int64)
+            plen = 0 if scenario.payload_length is None else scenario.payload_length
+        payload = np.zeros((count, MAX_PAYLOAD_BYTES), dtype=np.uint8)
+        payload[:, :plen] = rng.integers(0, 256, size=(count, plen), dtype=np.uint8)
+        columns = [times, ids, np.zeros(count, dtype=np.bool_),
+                   np.full(count, plen, dtype=np.uint8), payload]
     else:
-        ids = np.zeros(count, dtype=np.int64)
-        plen = 0 if scenario.payload_length is None else scenario.payload_length
-    payload = np.zeros((count, MAX_PAYLOAD_BYTES), dtype=np.uint8)
-    payload[:, :plen] = rng.integers(0, 256, size=(count, plen), dtype=np.uint8)
-    return _merge(base, (times, ids, np.zeros(count, dtype=np.bool_),
-                         np.full(count, plen, dtype=np.uint8), payload), kind)
-
-
-def _inject_replay(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
-    """Re-transmit a captured segment starting at the attack window,
-    ``repeat`` times back-to-back, preserving intra-segment gaps."""
-    base = _as_labeled(log)
-    src_start, src_end = scenario.replay_segment
-    times = base.log.times
-    inside = (src_start <= times) & (times < src_end)
-    if not inside.any():
-        raise ValueError(f"replay segment [{src_start}, {src_end}) contains no frames")
-    span = src_end - src_start
-    start = scenario.window[0]
-    _check_window_overlap(base.log, start, start + scenario.repeat * span)
-    # all copies at once, so that a repeat count too large to hold fails at allocation
-    offsets = start + np.arange(scenario.repeat) * span - src_start
-    rows = np.tile(np.flatnonzero(inside), scenario.repeat)
-    added = [(times[inside] + offsets[:, None]).ravel()] + [getattr(base.log, name)[rows]
-                                                             for name in COLUMNS[1:]]
-    return _merge(base, tuple(added), LABEL_REPLAY)
+        src_start, src_end = scenario.replay_segment
+        if not len(segment):
+            raise ValueError(f"replay segment [{src_start}, {src_end}) contains no frames")
+        length = src_end - src_start
+        _check_window_overlap(span, start, start + scenario.repeat * length)
+        # all copies at once, so that a repeat count too large to hold fails at allocation
+        offsets = start + np.arange(scenario.repeat) * length - src_start
+        rows = np.tile(np.arange(len(segment)), scenario.repeat)
+        columns = [(segment.times + offsets[:, None]).ravel()] + [getattr(segment, name)[rows]
+                                                                  for name in COLUMNS[1:]]
+    order = np.argsort(columns[0], kind="stable")
+    return LabeledLog(CanLog(*(column[order] for column in columns)), (kind,) * len(order))
 
 
 def inject(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
     """Apply one attack, chosen by ``scenario.kind``, to a log; a plain log
-    counts as all-normal."""
-    if scenario.kind in _FLOOD_KINDS:
-        return _inject_flood(log, scenario)
-    return _inject_replay(log, scenario)
+    counts as all-normal. Base rows are never touched, and come before the
+    injected rows at equal timestamps."""
+    base = _as_labeled(log)
+    span = base.log.span if len(base.log) else None
+    return join_labeled([base, _attack(scenario, span, _segment(base.log, scenario))])
+
+
+def scan_log(path: str, scenario: AttackScenario) -> tuple[LabeledLog, list[float]]:
+    """A first pass over the log file at ``path`` for :func:`iter_injected`:
+    the frames that ``scenario`` injects, and the earliest time of each
+    batch of :func:`canoc.canlog.iter_log`, infinite for an empty one."""
+    first, last, earliest, segment = math.inf, -math.inf, [], join_logs([])
+    for batch in iter_log(path):
+        earliest.append(float(batch.times[0]) if len(batch) else math.inf)
+        if len(batch):
+            first, last = min(first, float(batch.times[0])), max(last, float(batch.times[-1]))
+        # a copy, so that no batch is kept
+        segment = join_logs([segment, _segment(batch, scenario)])
+    span = (first, last) if first <= last else None
+    return _attack(scenario, span, segment), earliest
+
+
+def iter_injected(batches: Iterable[LabeledLog], earliest: Sequence[float],
+                  added: LabeledLog) -> Iterator[LabeledLog]:
+    """The frames of :func:`inject`, with the base log read as ``batches``
+    and ``added`` and ``earliest`` from :func:`scan_log`: a part after each
+    batch. A base frame is held until no later batch holds an earlier one,
+    and an injected frame until no later batch holds one as early; so the
+    parts of a log whose batches do not overlap in time hold one batch."""
+    held = LabeledLog(join_logs([]), ())
+    # per batch, the earliest time of the batches after it
+    bounds = np.minimum.accumulate(np.append(earliest, math.inf)[::-1])[-2::-1]
+    for k, batch in enumerate(batches):
+        if k == len(bounds):
+            raise ValueError("the log changed between the two passes over it")
+        held = join_labeled([held, batch])
+        base = int(np.searchsorted(held.log.times, bounds[k], side="right"))
+        injected = int(np.searchsorted(added.log.times, bounds[k], side="left"))
+        yield join_labeled([held[:base], added[:injected]])
+        held, added = held[base:], added[injected:]
+    if len(held.log) or len(added.log):
+        raise ValueError("the log changed between the two passes over it")
 
 
 def label_windows(labeled: LabeledLog, windows: Sequence[Window]) -> list[str]:
@@ -258,39 +339,118 @@ def label_windows(labeled: LabeledLog, windows: Sequence[Window]) -> list[str]:
 _BAD_LABEL_CHAR_RE = re.compile(r'[,"\x00-\x1f\x7f-\x9f]')
 
 
-def write_labels(labels: Iterable[str], sink: IO[str]) -> None:
+def write_labels(labels: Iterable[str], sink: IO[str], *, header: bool = True) -> None:
     """Sidecar label column: header + one label per frame, log order,
-    written ``CHUNK_LINES`` labels at a time."""
-    sink.write("label\n")
+    written ``CHUNK_LINES`` labels at a time. Without ``header``, only the
+    labels are written, as for the batches of a log after its first."""
+    if header:
+        sink.write("label\n")
     labels = iter(labels)
     while chunk := list(itertools.islice(labels, CHUNK_LINES)):
         sink.write("\n".join(chunk) + "\n")
 
 
-def read_labels(stream: Iterable[str]) -> list[str]:
-    """Frame labels of a sidecar, one per line. A label must be writable as
-    one bare feature-CSV cell, so a blank line, ``,``, ``"`` and control
-    characters are rejected."""
-    lines = [line.rstrip("\n") for line in stream]
-    if not lines or lines[0] != "label":
-        raise ValueError("first line is not the header 'label'")
-    body = lines[1:]
-    for label in dict.fromkeys(body):  # distinct labels, first seen first
-        if not label:
-            raise ValueError(f"line {body.index(label) + 2}: blank label")
-        if _BAD_LABEL_CHAR_RE.search(label):
-            raise ValueError(f"line {body.index(label) + 2}: label {label!r} "
-                             f"contains ',', '\"' or a control character")
-    return body
+# characters read from a label sidecar at a time: about 9,000 short labels
+LABEL_READ = 1 << 16
 
 
-def save_labeled(labeled: LabeledLog, log_path: str, labels_path: str) -> None:
-    save_log(labeled.log, log_path)
-    with open(labels_path, "w", encoding="utf-8", newline="") as f:
-        write_labels(labeled.frame_labels, f)
+def _label_chunks(f: IO[str]) -> Iterator[list[str]]:
+    """The labels of a sidecar text stream after its header ``label``, the
+    whole lines of ``LABEL_READ`` characters at a time. A label must be
+    writable as one bare feature-CSV cell, so a blank line, ``,``, ``"``
+    and control characters are rejected. Equal labels are one object, so
+    that a label held costs one pointer."""
+    line, rest, canonical = 1, "", {}  # line: the line number of labels[0]
+    while True:
+        block = f.read(LABEL_READ)
+        if block:
+            labels = (rest + block).split("\n")
+            rest = labels.pop()
+        else:  # the last line, when it has no newline
+            labels = [rest] if rest else []
+        if line == 1 and (labels or not block):
+            if labels[:1] != ["label"]:
+                raise ValueError("first line is not the header 'label'")
+            del labels[0]
+            line = 2
+        for label in dict.fromkeys(labels):  # distinct labels, first seen first
+            if not label:
+                raise ValueError(f"line {labels.index(label) + line}: blank label")
+            if _BAD_LABEL_CHAR_RE.search(label):
+                raise ValueError(f"line {labels.index(label) + line}: label {label!r} "
+                                 f"contains ',', '\"' or a control character")
+        if labels:
+            labels[:] = map(canonical.setdefault, labels, labels)
+            yield labels
+            line += len(labels)
+        if not block:
+            return
 
 
-def load_labeled(log_path: str, labels_path: str) -> LabeledLog:
-    log = load_log(log_path)
-    with naming(f"label file {labels_path}"):
-        return LabeledLog(log, tuple(read_labels(read_text(labels_path))))
+def read_labels(stream: IO[str]) -> list[str]:
+    """Frame labels of a sidecar text stream, one per line after the header ``label``."""
+    return list(itertools.chain.from_iterable(_label_chunks(stream)))
+
+
+def _sidecar(path: str) -> Iterator[list[str]]:
+    """The label chunks of the sidecar file at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield from _label_chunks(f)
+    except UnicodeDecodeError:
+        read_text(path)  # raises the error again, naming its line
+        raise
+
+
+def iter_labeled(log_path: str, labels_path: str | None = None) -> Iterator[LabeledLog]:
+    """The batches of :func:`canoc.canlog.iter_log` with their frames'
+    labels, read in step from the sidecar at ``labels_path``: a batch's
+    labels follow its frames' stable sort. Without a sidecar every frame
+    is normal. A :class:`LateFrameError` thrown in goes on to the log
+    reader, which raises it again naming its row."""
+    where = f"label file {labels_path}"
+    batches = iter_log(log_path, orders=labels_path is not None)
+    labels = itertools.chain.from_iterable(_sidecar(labels_path)) if labels_path else None
+    for batch in batches:
+        if labels is None:
+            labeled = LabeledLog(batch, (LABEL_NORMAL,) * len(batch))
+        else:
+            log, order = batch
+            with naming(where):
+                chunk = list(itertools.islice(labels, len(log)))
+                if len(chunk) < len(log):
+                    raise ValueError("one label per frame required")
+                labeled = LabeledLog(log, map(chunk.__getitem__, order.tolist()))
+        try:
+            yield labeled
+        except LateFrameError as late:
+            batches.throw(late)
+            raise
+    if labels is not None:
+        with naming(where):
+            if next(labels, None) is not None:
+                raise ValueError("one label per frame required")
+
+
+def save_labeled(batches: Iterable[LabeledLog], log_path: str, labels_path: str) -> int:
+    """Write the labeled batches of one log, at least one, as a CSV log and
+    its label sidecar, batch by batch, and return the frame count. When
+    writing fails, no file written is left."""
+    if os.path.realpath(log_path) == os.path.realpath(labels_path):
+        raise ValueError(f"the log and its labels would both be written to {log_path}")
+    written, frames = [], 0
+    try:
+        with open(log_path, "w", encoding="utf-8", newline="") as log_file:
+            written.append(log_path)
+            with open(labels_path, "w", encoding="utf-8", newline="") as labels_file:
+                written.append(labels_path)
+                for k, part in enumerate(batches):
+                    write_csv_log(part.log, log_file, header=not k)
+                    write_labels(part.frame_labels, labels_file, header=not k)
+                    frames += len(part.log)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return frames

@@ -2,13 +2,16 @@ import json
 import re
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from canoc import canlog
 from canoc.cli import main
 from canoc.features import FeatureSpec, apply_scaler, fit_scaler, read_feature_csv
 from canoc.models import FAMILY_PARAMS, MODEL_FAMILIES, fit_model, save_model
+from canoc.simulate import iter_labeled, join_labeled
 
 
 def run(capsys, *argv):
@@ -887,3 +890,61 @@ def test_extract_rejects_window_settings_beside_a_vocabulary_file(tmp_path, caps
     given = ", ".join(str(flag) for flag in flags if str(flag).startswith("--"))
     assert err == (f"error: vocabulary file {vocab} fixes the extraction settings; "
                    f"drop {given}\n"), err
+
+
+@pytest.mark.parametrize("read_bytes", [30, 1 << 18], ids=["a batch per row", "one batch"])
+def test_labels_follow_their_frames_in_an_unsorted_log(tmp_path, capsys, read_bytes):
+    # the replay frame is the first row but the last frame: it lies in window 1
+    log, labels = tmp_path / "log.csv", tmp_path / "log.labels.csv"
+    log.write_text("timestamp,id,dlc,payload\n1.5,0x100,0,\n0.1,0x200,0,\n1.2,0x200,0,\n")
+    labels.write_text("label\nreplay\nnormal\nnormal\n")
+    feats, attacked = tmp_path / "f.csv", tmp_path / "attacked.csv"
+    with mock.patch.object(canlog, "READ_BYTES", read_bytes):
+        joined = join_labeled(list(iter_labeled(str(log), str(labels))))
+        assert joined.frame_labels == ("normal", "normal", "replay")
+        code, _, err = run(capsys, "extract", "--in", log, "--labels", labels, "--out", feats)
+        assert code == 0, err
+        assert [row.split(",")[0] for row in feats.read_text().splitlines()[1:]] == [
+            "normal", "replay"]
+        code, _, err = run(capsys, "inject", "--in", log, "--labels", labels, "--out", attacked,
+                           "--kind", "zero_id", "--rate", 1, "--start", 0.2, "--end", 0.201)
+        assert code == 0, err
+    assert Path(str(attacked) + ".labels.csv").read_text() == "label\nnormal\nnormal\nreplay\n"
+
+
+def test_train_rejects_an_rbf_sigma_whose_inverse_overflows(tmp_path, capsys, detect_inputs):
+    # 2 * 1e-160**2 is subnormal: nonzero, but 1 / (2 sigma**2) overflows
+    features = detect_inputs[0].with_name("features.csv")
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, "train", "--features", features, "--out", model,
+                         "--kernel", "rbf", "--sigma", "1e-160")
+    assert (code, out) == (2, "") and not model.exists()
+    assert err == ("error: sigma 1e-160 is out of range: 1 / (2 * sigma**2) overflows "
+                   "or underflows to 0\n")
+
+
+def test_inject_refuses_an_output_that_it_reads_or_standard_input(tmp_path, capsys):
+    log, labels = simulate(tmp_path, capsys, duration=5.0)
+    before = log.read_bytes(), labels.read_bytes()
+    attack = ["--kind", "zero_id", "--rate", 50, "--start", 1, "--end", 2]
+    code, out, err = run(capsys, "inject", "--in", log, "--labels", labels, "--out", log, *attack)
+    assert (code, out, err) == (2, "", f"error: output file {log} is also an input of inject\n")
+    code, out, err = run(capsys, "inject", "--in", log, "--labels", labels,
+                         "--out", tmp_path / "out.csv", "--labels-out", labels, *attack)
+    assert (code, out) == (2, "") and "is also an input of inject" in err
+    code, out, err = run(capsys, "inject", "--in", "-", "--out", tmp_path / "out.csv", *attack)
+    assert (code, out) == (2, "") and "give a file, not -" in err
+    assert (log.read_bytes(), labels.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [log.name, labels.name]
+
+
+def test_a_label_error_after_the_first_batch_leaves_no_output(tmp_path, capsys):
+    log, labels = simulate(tmp_path, capsys, duration=30.0)
+    lines = labels.read_text().splitlines(keepends=True)
+    labels.write_text("".join(lines[:-1]))  # one label short
+    attacked = tmp_path / "attacked.csv"
+    code, out, err = run(capsys, "inject", "--in", log, "--labels", labels, "--out", attacked,
+                         "--kind", "zero_id", "--rate", 50, "--start", 1, "--end", 2)
+    assert (code, out) == (2, "")
+    assert err == f"error: label file {labels}: one label per frame required\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [log.name, labels.name]

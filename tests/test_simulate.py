@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from canoc import (AttackScenario, BusSpec, EcuSpec, LabeledLog,
                    build_vocabulary, extract_features, generate_normal,
                    inject, label_windows, read_labels, segment_windows, write_labels)
 from canoc.canlog import CHUNK_LINES
+from canoc import simulate
 from canoc.cli import main
 from canoc.simulate import default_bus
 
@@ -291,6 +293,35 @@ def test_a_blank_line_in_a_label_sidecar_is_an_error(text, line):
     # a blank line would otherwise drop one label, and shift those after it
     with pytest.raises(ValueError, match=f"^line {line}: blank label$"):
         read_labels(io.StringIO(text))
+
+
+def labels_by_line(text):
+    """The sidecar reader's result on ``text``, taken line by line: the
+    labels, or the message of the first error."""
+    lines = [line.rstrip("\n") for line in io.StringIO(text)]
+    if not lines or lines[0] != "label":
+        return "first line is not the header 'label'"
+    for number, label in enumerate(lines[1:], start=2):
+        if not label:
+            return f"line {number}: blank label"
+        if re.search(r'[,"\x00-\x1f\x7f-\x9f]', label):
+            return f"line {number}: label {label!r} contains ',', '\"' or a control character"
+    return lines[1:]
+
+
+@given(st.lists(st.sampled_from(["label", "normal", "replay", "", "a,b", "x\ty", "\r"]),
+                max_size=12).map("\n".join) | st.text(alphabet="label\n,\r", max_size=30),
+       st.booleans(), st.sampled_from([1, 2, 7, simulate.LABEL_READ]))
+@settings(max_examples=300, deadline=None)
+def test_labels_read_in_blocks_of_any_size_are_the_labels_of_the_lines(text, header,
+                                                                     label_read):
+    text = "label\n" + text if header else text
+    with mock.patch.object(simulate, "LABEL_READ", label_read):
+        try:
+            got = read_labels(io.StringIO(text))
+        except ValueError as err:
+            got = str(err)
+    assert got == labels_by_line(text)
 
 
 @pytest.mark.parametrize("count", [0, 1, CHUNK_LINES, 2 * CHUNK_LINES + 1])

@@ -1,9 +1,11 @@
 """Streaming ``detect``: the log read in batches, each batch printing the
 verdicts of the windows it completed, from scores that depend only on their
-own row."""
+own row; and ``simulate``, ``inject`` and ``extract``, whose batches give
+the bytes of the whole-log code, in memory that does not grow with the log."""
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canoc
-from canoc import canlog
+from canoc import canlog, features, simulate
 from canoc.canlog import (CSV_HEADER, CanLog, LateFrameError, LogParseError, iter_log,
                           join_logs, load_log)
 from canoc.cli import main
@@ -404,6 +406,167 @@ def test_detect_reads_standard_input_as_it_reads_the_file(tmp_path, fmt, broken)
         code, out, err.replace(f"log file {log_path}: ".encode(), b"log file -: "))
 
 
+# --- simulate, inject and extract against the whole-log reference -------------------
+
+def reference_normal(spec):
+    """The traffic of ``spec`` drawn whole: each ECU's payload rows in one
+    draw, and all frames sorted at once."""
+    logs = []
+    for ecu, stream in zip(spec.ids, np.random.SeedSequence(spec.seed).spawn(len(spec.ids))):
+        rng = np.random.default_rng(stream)
+        count = int(np.ceil(spec.duration / ecu.period)) + 2
+        amp = ecu.jitter * ecu.period
+        t = np.maximum(np.arange(count) * ecu.period + rng.uniform(-amp, amp, count), 0.0)
+        t.sort(kind="stable")
+        keep = t < spec.duration
+        payload = rng.integers(0, 256, size=(count, 8), dtype=np.uint8)
+        n = int(keep.sum())
+        logs.append(CanLog(t[keep], np.full(n, ecu.can_id), np.zeros(n, dtype=bool),
+                           np.full(n, 8), payload[keep]))
+    return join_logs(logs)
+
+
+def written(labeled):
+    """The CSV log and label sidecar texts of a labeled log, each written at once."""
+    log, labels = io.StringIO(), io.StringIO()
+    canlog.write_csv_log(labeled.log, log)
+    simulate.write_labels(labeled.frame_labels, labels)
+    return log.getvalue(), labels.getvalue()
+
+
+def read_whole(log_path, labels_path):
+    """A labeled CSV log read at once: its rows parsed together, and its
+    labels sorted stably by the times of their rows."""
+    data = log_path.read_bytes()
+    times = [float(line.split(b",")[0]) for line in data.splitlines()[1:]]
+    labels = labels_path.read_text().splitlines()[1:]
+    return simulate.LabeledLog(canlog.parse_csv_log(data),
+                               [labels[k] for k in np.argsort(times, kind="stable")])
+
+
+# log reads of one line, of one or two, of about three, of about ten, and whole;
+# written chunks of one, two and seven lines, and whole; label reads of one, two,
+# seven and 64 characters, and whole
+READS = [(23, 1, 1), (40, 2, 2), (64, 7, 7), (200, 7, 64),
+         (canlog.READ_BYTES, canlog.CHUNK_LINES, simulate.LABEL_READ)]
+
+
+def small_reads(read_bytes, chunk_lines, label_read):
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(canlog, "READ_BYTES", read_bytes))
+    stack.enter_context(mock.patch.object(canlog, "CHUNK_LINES", chunk_lines))
+    stack.enter_context(mock.patch.object(simulate, "CHUNK_LINES", chunk_lines))
+    stack.enter_context(mock.patch.object(simulate, "LABEL_READ", label_read))
+    return stack
+
+
+@pytest.mark.parametrize("bus", ["default", "ties"])
+def test_simulated_slices_are_the_traffic_drawn_whole(tmp_path, capsys, bus):
+    # jitterless periods of 1/8, 1/4 and 1/2 s tie on every quarter second
+    argv = (["--duration", 5.0, "--seed", 3] if bus == "default" else
+            ["--duration", 10.0, "--bus-ids", "0x300,0x100,0x200",
+             "--bus-periods", "0.25,0.5,0.125", "--bus-jitter", 0])
+    spec = default_bus(5.0, seed=3) if bus == "default" else simulate.BusSpec(
+        tuple(simulate.EcuSpec(i, p, 0.0) for i, p in ((0x300, 0.25), (0x100, 0.5),
+                                                       (0x200, 0.125))), 10.0)
+    expected = reference_normal(spec)
+    text = written(simulate.LabeledLog(expected, ("normal",) * len(expected)))
+    for chunk_lines in (2, 7, 64, simulate.CHUNK_LINES):  # frames per slice, about
+        with small_reads(canlog.READ_BYTES, chunk_lines, simulate.LABEL_READ):
+            assert generate_normal(spec) == expected
+            code, _, err = run(capsys, "simulate", "--out", tmp_path / "log.csv", *argv)
+        assert code == 0, err
+        assert ((tmp_path / "log.csv").read_text(), (tmp_path / "log.csv.labels.csv").read_text()
+                ) == text, chunk_lines
+
+
+def labeled_traffic(tmp_path, late=False):
+    """The frames of traffic(), out of order in places, as a CSV log with
+    labels of three kinds in its sidecar; ``late`` moves three early frames
+    to the end of the file."""
+    log_path, labels_path = tmp_path / "base.csv", tmp_path / "base.labels.csv"
+    frames = traffic()
+    if late:
+        frames += [frames.pop(k) for k in (40, 20, 5)]
+    log_path.write_text(log_text(frames, "csv"))
+    count = len(frames)
+    labels_path.write_text("label\n" + "".join(
+        ("replay" if k % 7 == 3 else "zero_id" if k % 11 == 5 else "normal") + "\n"
+        for k in range(count)))
+    return log_path, labels_path
+
+
+# a replay whose copies of frames on quarter seconds tie with base frames, and floods
+SCENARIOS = [
+    (["--kind", "replay", "--segment", "0.5:1.5", "--start", 4, "--end", 5, "--repeat", 2],
+     simulate.AttackScenario(kind="replay", window=(4.0, 5.0), replay_segment=(0.5, 1.5),
+                             repeat=2)),
+    (["--kind", "random_id", "--rate", 40, "--start", 2, "--end", 11, "--seed", 4],
+     simulate.AttackScenario(kind="random_id", rate=40.0, window=(2.0, 11.0), seed=4)),
+    (["--kind", "zero_id", "--rate", 30, "--start", 0, "--end", 12, "--payload-len", 2],
+     simulate.AttackScenario(kind="zero_id", rate=30.0, window=(0.0, 12.0),
+                             payload_length=2)),
+]
+
+
+@pytest.mark.parametrize("flags, scenario", SCENARIOS, ids=["replay", "random_id", "zero_id"])
+@pytest.mark.parametrize("late", [False, True], ids=["in order", "late frames"])
+def test_streamed_inject_writes_what_the_whole_log_gives(tmp_path, capsys, flags, scenario,
+                                                         late):
+    # a late frame is held back by every batch before it, not only the last
+    log_path, labels_path = labeled_traffic(tmp_path, late)
+    expected = written(simulate.inject(read_whole(log_path, labels_path), scenario))
+    out = tmp_path / "out.csv"
+    for read_bytes, chunk_lines, label_read in READS:
+        with small_reads(read_bytes, chunk_lines, label_read):
+            code, _, err = run(capsys, "inject", "--in", log_path, "--labels", labels_path,
+                               "--out", out, *flags)
+        assert code == 0, err
+        assert (out.read_text(), Path(f"{out}.labels.csv").read_text()) == expected, read_bytes
+
+
+@pytest.mark.parametrize("window, stride", [(1.0, None), (2.0, 0.5), (0.5, 1.5)])
+@pytest.mark.parametrize("vocab", [None, VOCAB, IdVocabulary((0x100, 0x300), False)],
+                         ids=["own ids", "vocabulary file", "no other bucket"])
+@pytest.mark.parametrize("mode", ["gaps", "timestamps"])
+def test_streamed_extract_writes_what_the_whole_log_gives(tmp_path, capsys, window, stride,
+                                                          vocab, mode):
+    log_path, labels_path = labeled_traffic(tmp_path)
+    labeled = read_whole(log_path, labels_path)
+    spec = FeatureSpec(vocab or features.build_vocabulary(labeled.log), window, stride, mode)
+    windows = segment_windows(labeled.log, window, stride)
+    X, labels = extract_matrix(windows, spec.vocab, mode,
+                               simulate.label_windows(labeled, windows))
+    expected = io.StringIO()
+    features.write_feature_csv(expected, X, labels, spec.vocab)
+    out, vocab_path = tmp_path / "f.csv", tmp_path / "vocab.json"
+    if vocab is None:
+        flags = ["--window", window, "--stdev-mode", mode] + (["--stride", stride] if stride
+                                                             else [])
+    else:
+        vocab_path.write_text(json.dumps(features.spec_to_dict(spec)))
+        flags = ["--vocab", vocab_path]
+    for read_bytes, chunk_lines, label_read in READS:
+        with small_reads(read_bytes, chunk_lines, label_read):
+            code, _, err = run(capsys, "extract", "--in", log_path, "--labels", labels_path,
+                               "--out", out, *flags)
+        assert code == 0, err
+        assert out.read_text() == expected.getvalue(), read_bytes
+
+
+@pytest.mark.parametrize("fmt", ["candump", "csv"])
+def test_extract_names_the_row_of_a_frame_before_a_window_it_extracted(tmp_path, capsys, fmt):
+    log_path = tmp_path / "log"
+    frames = [(k / 10, 0x100, b"\x01") for k in range(50)]
+    frames[46:46] = [(2.0, 0x200, b""), (1.5, 0x200, b"")]  # rows 47 and 48
+    log_path.write_text(log_text(frames, fmt))
+    with mock.patch.object(canlog, "READ_BYTES", 160):
+        code, out, err = run(capsys, "extract", "--in", log_path, "--out", tmp_path / "f.csv")
+    assert (code, out) == (2, "") and not (tmp_path / "f.csv").exists()
+    assert err == (f"error: log file {log_path}: frame at 2.000000 s is earlier than "
+                   "4.000000 s, the end of a window already printed (row 47)\n")
+
+
 # --- files named in decode and JSON errors -----------------------------------------
 
 @pytest.fixture(scope="module")
@@ -549,6 +712,32 @@ def test_detect_memory_does_not_grow_with_the_log(long_logs):
         assert code in (0, 4)
         peaks[seconds] = peak
     assert peaks[1200] <= 1.1 * peaks[300], peaks
+
+
+def peak_kib(*argv):
+    """The exit code and peak RSS of ``canoc <argv>``, run from LAUNCHER."""
+    done = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-m", "canoc.cli",
+                           *map(str, argv)], env=child_env(), capture_output=True, text=True,
+                          check=True)
+    return tuple(map(int, done.stdout.split()))
+
+
+def test_simulate_inject_and_extract_memory_does_not_grow_with_the_log(tmp_path):
+    # the same attacks on 300 s and 1200 s of traffic: only simulate's time
+    # columns, 8 bytes a frame, and the feature rows grow with the log
+    peaks = {}
+    for seconds in (300, 1200):
+        log, attacked = tmp_path / f"{seconds}.csv", tmp_path / f"{seconds}-attacked.csv"
+        peaks["simulate", seconds] = peak_kib("simulate", "--out", log, "--duration", seconds)
+        peaks["inject", seconds] = peak_kib(
+            "inject", "--in", log, "--labels", f"{log}.labels.csv", "--out", attacked,
+            "--kind", "zero_id", "--rate", 500, "--start", 20, "--end", 40)
+        peaks["extract", seconds] = peak_kib("extract", "--in", attacked, "--labels",
+                                             f"{attacked}.labels.csv", "--out",
+                                             tmp_path / f"{seconds}.features.csv")
+    assert all(code == 0 for code, _ in peaks.values()), peaks
+    for command in ("simulate", "inject", "extract"):
+        assert peaks[command, 1200][1] <= 1.1 * peaks[command, 300][1], peaks
 
 
 def test_detect_output_does_not_depend_on_the_blas_thread_count(long_logs):

@@ -187,7 +187,8 @@ def test_kernel_spec_rejects_a_sigma_whose_rbf_denominator_is_not_a_finite_nonze
     for sigma in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             KernelSpec("rbf", sigma)
-    for sigma in (1e-300, 1.4e-162, 1e154, 1e200):  # 2 sigma**2 is 0 or inf
+    # 2 sigma**2 is 0 or inf, or subnormal, so that its inverse overflows
+    for sigma in (1e-300, 1.4e-162, 1e-160, 1e154, 1e200):
         with pytest.raises(ValueError, match=re.escape(f"sigma {sigma} is out of range")):
             KernelSpec("rbf", sigma)
     for sigma in (1e-100, 1e150):
