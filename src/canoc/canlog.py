@@ -21,8 +21,8 @@ import contextlib
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import IO, BinaryIO, Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import IO, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,10 +36,12 @@ TIMESTAMP_DECIMALS = 6
 CSV_HEADER = ("timestamp", "id", "dlc", "payload")
 _CSV_HEADER_LINE = ",".join(CSV_HEADER).encode("ascii")
 
-# lines per chunk: written at once by the CSV writer and the label sidecar
-# writer, and read at once from a label sidecar; about the frames of one
-# slice of simulated traffic
+# lines per chunk written at once by the CSV writer and the label sidecar
+# writer; about the frames of one slice of simulated traffic
 CHUNK_LINES = 1 << 13
+
+# the label of a frame that carries none; code 0 of every label column
+LABEL_NORMAL = "normal"
 
 # bytes read from a log file at a time, each read one batch cut at its last
 # newline: about 5.7k candump or 7.5k CSV lines
@@ -94,6 +96,7 @@ class CanFrame:
 
 
 COLUMNS = ("times", "ids", "extended", "dlc", "payload")
+_LABELED = (*COLUMNS, "labels")
 _DTYPES = (np.float64, np.int64, np.bool_, np.uint8, np.uint8)
 
 
@@ -110,12 +113,14 @@ class CanLog(Sequence):
 
     ``times`` f8 seconds, ``ids`` i8, ``extended`` bool, ``dlc`` u1 payload
     byte count and ``payload`` u1 ``[n, 8]``, zero past ``dlc``. The log
-    keeps read-only views of the arrays it is given.
+    keeps read-only views of the arrays it is given. A log from
+    :meth:`with_labels` also has ``labels``, a u1 code per frame into
+    ``label_names``, which every slice, join and sort moves with the frames.
 
     A log is a read-only sequence of its frames: ``len`` is O(1), an index
     builds one :class:`CanFrame`, a step-1 slice is a log sharing this
-    log's memory, and a log equals another log with the same columns or a
-    tuple of the same frames.
+    log's memory, and a log equals another log with the same frame columns,
+    whatever their labels, or a tuple of the same frames.
     """
 
     times: np.ndarray
@@ -123,6 +128,8 @@ class CanLog(Sequence):
     extended: np.ndarray
     dlc: np.ndarray
     payload: np.ndarray
+    labels: np.ndarray | None = field(default=None, init=False)
+    label_names: tuple[str, ...] = field(default=(LABEL_NORMAL,), init=False)
 
     def __post_init__(self) -> None:
         for name, dtype in zip(COLUMNS, _DTYPES):
@@ -172,7 +179,9 @@ class CanLog(Sequence):
             lo, hi, step = key.indices(len(self))
             if step != 1:
                 return tuple(self[k] for k in range(lo, hi, step))
-            return _view([getattr(self, name)[lo:max(lo, hi)] for name in COLUMNS])
+            names = COLUMNS if self.labels is None else _LABELED
+            return _view([getattr(self, name)[lo:max(lo, hi)] for name in names],
+                         self.label_names)
         k = range(len(self))[key]
         return CanFrame(float(self.times[k]), int(self.ids[k]),
                         self.payload[k, :self.dlc[k]].tobytes(), bool(self.extended[k]))
@@ -187,6 +196,14 @@ class CanLog(Sequence):
         return NotImplemented
 
     __hash__ = None
+
+    def with_labels(self, labels: np.ndarray, names: tuple[str, ...]) -> "CanLog":
+        """These frames, labeled ``names[labels[k]]``; ``names[0]`` must be ``LABEL_NORMAL``."""
+        return _view([*(getattr(self, name) for name in COLUMNS), labels], names)
+
+    def label_codes(self) -> np.ndarray:
+        """Each frame's label code: 0, ``LABEL_NORMAL``, for a log without labels."""
+        return np.zeros(len(self), dtype=np.uint8) if self.labels is None else self.labels
 
 
 def _columns(rows: list[tuple[float, int, bool, bytes]]) -> tuple[np.ndarray, ...]:
@@ -208,11 +225,13 @@ def _sorted(columns: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
     return columns
 
 
-def _view(columns: Sequence[np.ndarray]) -> CanLog:
-    """The log of ``columns`` in ``COLUMNS`` order, which already hold a
-    valid log's frames: made read-only, and checked for nothing again."""
+def _view(columns: Sequence[np.ndarray], label_names=(LABEL_NORMAL,)) -> CanLog:
+    """The log of ``columns`` in ``_LABELED`` order, the labels perhaps
+    left out, which already hold a valid log's frames: made read-only, and
+    checked for nothing again."""
     log = object.__new__(CanLog)
-    for name, column in zip(COLUMNS, columns):
+    object.__setattr__(log, "label_names", label_names)
+    for name, column in zip(_LABELED, columns):
         column.flags.writeable = False
         object.__setattr__(log, name, column)
     return log
@@ -224,13 +243,21 @@ _EMPTY = CanLog(*_columns([]))
 def join_logs(logs: Sequence[CanLog]) -> CanLog:
     """One log of the frames of ``logs`` in their order, stably sorted by
     timestamp: the frames of a log read in batches, or a log's last frames
-    and the batch that follows them. Nothing is checked again."""
+    and the batch that follows them. Nothing is checked again. The join of a
+    labeled log has the label names of ``logs`` in order, each once, at most 256."""
     if len(logs) == 1:
         return logs[0]
     if not logs:
         return _EMPTY
-    return _view(_sorted([np.concatenate([getattr(log, name) for log in logs])
-                          for name in COLUMNS]))
+    columns = [np.concatenate([getattr(log, name) for log in logs]) for name in COLUMNS]
+    if all(log.labels is None for log in logs):
+        return _view(_sorted(columns))
+    names = tuple(dict.fromkeys(name for log in logs for name in log.label_names))
+    if len(names) > 256:
+        raise ValueError("a labeled log holds at most 256 distinct labels")
+    columns.append(np.concatenate([np.array(list(map(names.index, log.label_names)),
+                                            dtype=np.uint8)[log.label_codes()] for log in logs]))
+    return _view(_sorted(columns), names)
 
 
 # byte -> hex digit value, 255 for a byte that is not a hex digit
@@ -418,10 +445,17 @@ def _csv_columns(data: bytes, first_row: int) -> tuple[np.ndarray, ...]:
     return times, ids.astype(np.int64), ids > CAN_SFF_MAX, lengths, payload
 
 
-def _read(data: bytes, first_row: int, columns, header: bytes | None = None) -> CanLog:
+# called with a batch's line count: the lines' label codes in line order, and their names
+LabelSource = Callable[[int], tuple[np.ndarray, tuple[str, ...]]]
+
+
+def _read(data: bytes, first_row: int, columns, header: bytes | None = None,
+          labels: LabelSource | None = None) -> CanLog:
     """One log from ``data``, the bytes of whole lines, the last perhaps
     without its newline, after ``header``'s line when one is given. The
-    lines are read at once by ``columns``; rows count from ``first_row``."""
+    lines are read at once by ``columns``; rows count from ``first_row``.
+    With ``labels``, called once the lines are read, the log carries the
+    label of each line with its frame."""
     if not isinstance(data, bytes):
         raise TypeError(f"a log is read from bytes, not {type(data).__name__}")
     if header is not None:
@@ -431,10 +465,15 @@ def _read(data: bytes, first_row: int, columns, header: bytes | None = None) -> 
     if not data:
         return _EMPTY
     # the byte pass has checked every frame, so only the order is made here
-    return _view(_sorted(columns(data, first_row)))
+    parsed = columns(data, first_row)
+    if labels is None:
+        return _view(_sorted(parsed))
+    codes, names = labels(len(parsed[0]))
+    return _view(_sorted([*parsed, codes]), names)
 
 
-def read_candump(data: bytes, *, first_row: int = 1) -> CanLog:
+def read_candump(data: bytes, *, first_row: int = 1,
+                 labels: LabelSource | None = None) -> CanLog:
     """Parse candump text, the bytes of lines such as
     ``(1679000000.123456) can0 1F4#DEADBEEF``; output is sorted by
     timestamp, ties stable.
@@ -444,11 +483,13 @@ def read_candump(data: bytes, *, first_row: int = 1) -> CanLog:
     in range, extended when it has more than 3 digits, and 0-8 whole
     payload bytes as bare hex. All lines are read at once; the error of the
     first bad line carries its 1-based row, counted from ``first_row``.
+    With ``labels`` (see ``LabelSource``), the log is labeled.
     """
-    return _read(data, first_row, _candump_columns)
+    return _read(data, first_row, _candump_columns, labels=labels)
 
 
-def parse_csv_log(data: bytes, *, first_row: int = 1) -> CanLog:
+def parse_csv_log(data: bytes, *, first_row: int = 1,
+                  labels: LabelSource | None = None) -> CanLog:
     """Parse a CSV traffic log, the bytes of the header line
     ``timestamp,id,dlc,payload`` and the data lines after it, as
     :func:`write_csv_log` writes them; output is sorted by timestamp, ties
@@ -458,10 +499,10 @@ def parse_csv_log(data: bytes, *, first_row: int = 1) -> CanLog:
     digits after ``0x`` or ``0X``, a one-digit dlc equal to the payload's
     byte count and the payload bytes as bare hex. All lines are read at
     once; the error of the first bad line carries its 1-based data row,
-    counted from ``first_row``.
+    counted from ``first_row``. With ``labels`` (see ``LabelSource``), the
+    log is labeled.
     """
-    return _read(data, first_row, _csv_columns, _CSV_HEADER_LINE)
-
+    return _read(data, first_row, _csv_columns, _CSV_HEADER_LINE, labels)
 
 
 # Below this, floor(t) is an int64 of at most 10 digits. Python formats the
@@ -568,18 +609,16 @@ def _file_batches(f: BinaryIO) -> Iterator[bytes]:
         yield tail
 
 
-def iter_log(path: str, *, orders: bool = False) -> Iterator[CanLog]:
+def iter_log(path: str, *, labels: LabelSource | None = None) -> Iterator[CanLog]:
     """A traffic log file as consecutive batches of lines in file order
-    (see :func:`_file_batches`), each sorted by timestamp with ties stable.
-    With ``orders``, each batch comes as ``(log, order)``: frame k of the
-    log is line ``order[k]`` of the batch, so that data read beside the
-    file in step, one item per line, can follow its frames' sort.
+    (see :func:`_file_batches`), each sorted by timestamp with ties stable,
+    and labeled from ``labels``, read in step, when it is given.
     The first line tells the format: candump when it starts with ``(``,
     else CSV, whose header line is split off once and read before each
     batch. Each batch goes through :func:`read_candump` or
     :func:`parse_csv_log`; every line after the header is a frame, so rows
     count over the whole file by the frames of the batches before. Every
-    error names the file.
+    error of the log names the file.
 
     A consumer that finds a frame earlier than the end of a window it
     already printed throws :class:`LateFrameError` in here, and it is
@@ -598,13 +637,9 @@ def iter_log(path: str, *, orders: bool = False) -> Iterator[CanLog]:
                         reader, columns = parse_csv_log, _csv_columns
                         header, newline, data = data.partition(b"\n")
                         header += newline
-                log = reader(header + data, first_row=row)
+                log = reader(header + data, first_row=row, labels=labels)
                 try:
-                    if orders:  # the sort that the reader made, from the lines' own times
-                        times = columns(data, row)[0] if len(log) else log.times
-                        yield log, np.argsort(times, kind="stable")
-                    else:
-                        yield log
+                    yield log
                 except LateFrameError as late:
                     times = columns(data, row)[0]
                     k = int(np.argmax(times < late.floor))

@@ -107,9 +107,7 @@ def _labels_path(args: argparse.Namespace) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _parse_bus(args)
-    batches = simulate.iter_normal(spec)
-    frames = simulate.save_labeled((simulate.LabeledLog(log, (features.LABEL_NORMAL,) * len(log))
-                                    for log in batches), args.out, _labels_path(args))
+    frames = simulate.save_labeled(simulate.iter_normal(spec), args.out, _labels_path(args))
     print(f"wrote {frames} frames over {args.duration:g} s "
           f"({len(spec.ids)} ids) to {args.out}")
     return EXIT_OK
@@ -138,7 +136,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
     frames = simulate.save_labeled(
         simulate.iter_injected(simulate.iter_labeled(args.input, args.labels), earliest, added),
         args.out, _labels_path(args))
-    print(f"injected {len(added.log)} {args.kind} frames; wrote {frames} frames to {args.out}")
+    print(f"injected {len(added)} {args.kind} frames; wrote {frames} frames to {args.out}")
     return EXIT_OK
 
 
@@ -165,18 +163,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
         stride = given.get("stride", window)
         stdev_mode = given.get("stdev_mode", features.FeatureSpec.stdev_mode)
     batches = simulate.iter_labeled(args.input, args.labels)
-    # with --labels, the labeled frames from the start of the last window on
-    held = simulate.LabeledLog(canlog.join_logs([]), ())
     ids = np.empty(0, dtype=np.int64)  # the distinct ids read so far
 
     def logs():
-        nonlocal held, ids
+        nonlocal ids
         for batch in batches:
-            if args.labels:
-                held = simulate.join_labeled([held, batch])
-            ids = np.union1d(ids, batch.log.ids)
+            ids = np.union1d(ids, batch.ids)
             try:
-                yield batch.log
+                yield batch
             except canlog.LateFrameError as late:
                 batches.throw(late)
                 raise
@@ -186,13 +180,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
     parts, labels = [], []
     for windows in features.iter_windows(logs(), window, stride):
         vocab = spec.vocab if spec else features.IdVocabulary(tuple(ids.tolist()), False)
+        # the windows of labeled batches carry their frames' labels
         X, window_labels = features.extract_matrix(
             windows, vocab, stdev_mode,
-            simulate.label_windows(held, windows) if args.labels else None)
+            simulate.label_windows(None, windows) if args.labels else None)
         parts.append((X, vocab))
         labels += window_labels
-        if args.labels:
-            held = held[int(np.searchsorted(held.log.times, windows[-1].start)):]
     if not parts:  # a log with a frame has a window
         raise ValueError(f"input log {args.input} is empty")
     if spec is None:
@@ -233,7 +226,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         X = X[normal]
     if X.shape[0] < 2:
         raise ValueError("need at least 2 normal training rows")
-    scaler = features.fit_scaler(X)
+    with features.naming(f"feature file {args.features}"):
+        scaler = features.fit_scaler(X, vocab.feature_names())
     # every hyperparameter whose flag is set (C from --c); fit_model rejects
     # one that the family does not take
     params = {key: getattr(args, key.lower()) for keys in FAMILY_PARAMS.values()

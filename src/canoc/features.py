@@ -36,9 +36,8 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .canlog import CAN_EFF_MAX, CanLog, LateFrameError, join_logs
+from .canlog import CAN_EFF_MAX, LABEL_NORMAL, CanLog, LateFrameError, join_logs
 
-LABEL_NORMAL = "normal"
 LABEL_RANDOM_ID = "random_id"
 LABEL_ZERO_ID = "zero_id"
 LABEL_REPLAY = "replay"
@@ -147,7 +146,7 @@ def vocabulary_from_feature_names(names: Sequence[str]) -> IdVocabulary:
 @dataclass(frozen=True)
 class Window:
     """A [start, start+length) slice of a log. ``frames`` is a row view of
-    the log; a sequence of frames given here becomes a log through
+    the log, with its labels; a sequence of frames given here becomes a log through
     :meth:`CanLog.from_frames`. ``partial`` marks a trailing window not fully
     covered by the observed time span."""
 
@@ -409,11 +408,20 @@ class Scaler:
 SCALER_FLOOR = 1e-8
 
 
-def fit_scaler(X: np.ndarray) -> Scaler:
+def fit_scaler(X: np.ndarray, names: Sequence[str] | None = None) -> Scaler:
+    """The scaler of ``X``'s columns. A column whose mean or spread is
+    beyond the float range is an error, naming it from ``names`` when given."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("scaler needs a non-empty 2-d matrix")
-    return Scaler(mean=X.mean(axis=0), stdev=np.maximum(X.std(axis=0), SCALER_FLOOR))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, stdev = X.mean(axis=0), X.std(axis=0)
+    bad = ~(np.isfinite(mean) & np.isfinite(stdev))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"column {names[k] if names else k!r}: the mean or spread of its "
+                         "values is beyond the float range")
+    return Scaler(mean=mean, stdev=np.maximum(stdev, SCALER_FLOOR))
 
 
 def apply_scaler(scaler: Scaler, X: np.ndarray) -> np.ndarray:

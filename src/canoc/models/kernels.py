@@ -72,7 +72,11 @@ def gram_matrix(X, Y, kernel: KernelSpec) -> np.ndarray:
         return products(X, Y)
     if kernel.sigma is None:
         raise ValueError("rbf sigma unresolved; call resolve_kernel first")
-    return np.exp(squared_distances(X, Y) / (-2.0 * kernel.sigma**2))
+    # a squared distance past 2 sigma**2 * 1.8e308 overflows the exponent to
+    # -inf, its limit, whose exp is 0
+    with np.errstate(over="ignore"):
+        exponent = squared_distances(X, Y) / (-2.0 * kernel.sigma**2)
+    return np.exp(exponent)
 
 
 def median_heuristic(X) -> float:

@@ -2,9 +2,9 @@
 
 Normal traffic: each simulated ECU transmits at a nominal period with
 uniform jitter. Attacks mirror the three DoS-style injections (random-ID
-flood, zero-ID flood, replay). Everything is seed-deterministic, and attack
-provenance travels in a sidecar label sequence so serialized logs stay
-format-pure.
+flood, zero-ID flood, replay). Everything is seed-deterministic. Attack
+provenance is each frame's label, in the log's label column; on disk it
+travels in a sidecar label file so serialized logs stay format-pure.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import itertools
 import math
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .canlog import (CAN_SFF_MAX, CHUNK_LINES, COLUMNS, MAX_PAYLOAD_BYTES, CanLog,
-                     LateFrameError, iter_log, join_logs, write_csv_log)
+                     iter_log, join_logs, write_csv_log)
 from .features import (LABEL_NORMAL, LABEL_RANDOM_ID, LABEL_REPLAY,
                        LABEL_ZERO_ID, Window, naming, read_text)
 
@@ -126,35 +125,33 @@ class AttackScenario:
             raise ValueError("payload length must be 0..8")
 
 
-@dataclass(frozen=True, eq=False)
+def _encode(labels: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """The code of each label in ``index``, which gives each new label the
+    next code, up to 255."""
+    for label in dict.fromkeys(labels):
+        if index.setdefault(label, len(index)) > 255:
+            raise ValueError("a labeled log holds at most 256 distinct labels")
+    return np.frombuffer(bytes(map(index.__getitem__, labels)), dtype=np.uint8)
+
+
 class LabeledLog:
-    """A log plus a parallel per-frame provenance label sequence; a step-1
-    slice is the labeled log of those frames."""
+    """A labeled log: ``LabeledLog(log, labels)`` gives the frames of
+    ``log`` the provenance labels ``labels``, one per frame in order, as
+    its label column; without ``labels`` the log keeps its own."""
 
-    log: CanLog
-    frame_labels: tuple[str, ...]
+    def __init__(self, log: CanLog, labels: Iterable[str] | None = None) -> None:
+        if labels is not None:
+            labels, index = list(labels), {LABEL_NORMAL: 0}
+            if len(labels) != len(log):
+                raise ValueError("one label per frame required")
+            log = log.with_labels(_encode(labels, index), tuple(index))
+        self.log = log
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frame_labels", tuple(self.frame_labels))
-        if len(self.frame_labels) != len(self.log):
-            raise ValueError("one label per frame required")
-
-    def __getitem__(self, key: slice) -> "LabeledLog":
-        return LabeledLog(self.log[key], self.frame_labels[key])
-
-
-def join_labeled(parts: Sequence[LabeledLog]) -> LabeledLog:
-    """One labeled log of the frames of ``parts``, at least one, in their
-    order, stably sorted by timestamp, each label with its frame; the log
-    is :func:`canoc.canlog.join_logs` of theirs."""
-    parts = [part for part in parts if len(part.log)] or parts[:1]
-    if len(parts) == 1:
-        return parts[0]
-    times = np.concatenate([part.log.times for part in parts])
-    labels = tuple(itertools.chain.from_iterable(part.frame_labels for part in parts))
-    if (times[1:] < times[:-1]).any():
-        labels = tuple(map(labels.__getitem__, np.argsort(times, kind="stable").tolist()))
-    return LabeledLog(join_logs([part.log for part in parts]), labels)
+    @property
+    def frame_labels(self) -> tuple[str, ...]:
+        """The label of each frame, in log order."""
+        names = np.array(self.log.label_names, dtype=object)
+        return tuple(names[self.log.label_codes()].tolist())
 
 
 def iter_normal(spec: BusSpec) -> Iterator[CanLog]:
@@ -204,12 +201,6 @@ def generate_normal(spec: BusSpec) -> CanLog:
     return join_logs(list(iter_normal(spec)))
 
 
-def _as_labeled(log: CanLog | LabeledLog) -> LabeledLog:
-    if isinstance(log, LabeledLog):
-        return log
-    return LabeledLog(log, (LABEL_NORMAL,) * len(log))
-
-
 def _check_window_overlap(span: tuple[float, float] | None, start: float, end: float) -> None:
     """``span`` is the base log's (first, last) timestamp, None when it is empty."""
     if span is None:
@@ -229,9 +220,10 @@ def _segment(log: CanLog, scenario: AttackScenario) -> CanLog:
 
 
 def _attack(scenario: AttackScenario, span: tuple[float, float] | None,
-            segment: CanLog) -> LabeledLog:
-    """The injected frames of ``scenario``, stably sorted by timestamp, on a
-    base log of ``span`` whose replay source frames are ``segment``.
+            segment: CanLog) -> CanLog:
+    """The injected frames of ``scenario``, stably sorted by timestamp and
+    labeled with its kind, on a base log of ``span`` whose replay source
+    frames are ``segment``.
 
     A flood draws Poisson-spaced frames inside the window: uniform 11-bit
     ids (known or foreign) with random payloads, or id 0 with an empty
@@ -266,21 +258,22 @@ def _attack(scenario: AttackScenario, span: tuple[float, float] | None,
         columns = [(segment.times + offsets[:, None]).ravel()] + [getattr(segment, name)[rows]
                                                                   for name in COLUMNS[1:]]
     order = np.argsort(columns[0], kind="stable")
-    return LabeledLog(CanLog(*(column[order] for column in columns)), (kind,) * len(order))
+    return CanLog(*(column[order] for column in columns)).with_labels(
+        np.ones(len(order), dtype=np.uint8), (LABEL_NORMAL, kind))
 
 
 def inject(log: CanLog | LabeledLog, scenario: AttackScenario) -> LabeledLog:
     """Apply one attack, chosen by ``scenario.kind``, to a log; a plain log
     counts as all-normal. Base rows are never touched, and come before the
     injected rows at equal timestamps."""
-    base = _as_labeled(log)
-    span = base.log.span if len(base.log) else None
-    return join_labeled([base, _attack(scenario, span, _segment(base.log, scenario))])
+    base = log.log if isinstance(log, LabeledLog) else log
+    span = base.span if len(base) else None
+    return LabeledLog(join_logs([base, _attack(scenario, span, _segment(base, scenario))]))
 
 
-def scan_log(path: str, scenario: AttackScenario) -> tuple[LabeledLog, list[float]]:
+def scan_log(path: str, scenario: AttackScenario) -> tuple[CanLog, list[float]]:
     """A first pass over the log file at ``path`` for :func:`iter_injected`:
-    the frames that ``scenario`` injects, and the earliest time of each
+    the labeled frames that ``scenario`` injects, and the earliest time of each
     batch of :func:`canoc.canlog.iter_log`, infinite for an empty one."""
     first, last, earliest, segment = math.inf, -math.inf, [], join_logs([])
     for batch in iter_log(path):
@@ -293,47 +286,60 @@ def scan_log(path: str, scenario: AttackScenario) -> tuple[LabeledLog, list[floa
     return _attack(scenario, span, segment), earliest
 
 
-def iter_injected(batches: Iterable[LabeledLog], earliest: Sequence[float],
-                  added: LabeledLog) -> Iterator[LabeledLog]:
+def iter_injected(batches: Iterable[CanLog], earliest: Sequence[float],
+                  added: CanLog) -> Iterator[CanLog]:
     """The frames of :func:`inject`, with the base log read as ``batches``
     and ``added`` and ``earliest`` from :func:`scan_log`: a part after each
     batch. A base frame is held until no later batch holds an earlier one,
     and an injected frame until no later batch holds one as early; so the
     parts of a log whose batches do not overlap in time hold one batch."""
-    held = LabeledLog(join_logs([]), ())
+    held = join_logs([])
     # per batch, the earliest time of the batches after it
     bounds = np.minimum.accumulate(np.append(earliest, math.inf)[::-1])[-2::-1]
     for k, batch in enumerate(batches):
         if k == len(bounds):
             raise ValueError("the log changed between the two passes over it")
-        held = join_labeled([held, batch])
-        base = int(np.searchsorted(held.log.times, bounds[k], side="right"))
-        injected = int(np.searchsorted(added.log.times, bounds[k], side="left"))
-        yield join_labeled([held[:base], added[:injected]])
+        held = join_logs([held, batch])
+        base = int(np.searchsorted(held.times, bounds[k], side="right"))
+        injected = int(np.searchsorted(added.times, bounds[k], side="left"))
+        yield join_logs([held[:base], added[:injected]])
         held, added = held[base:], added[injected:]
-    if len(held.log) or len(added.log):
+    if len(held) or len(added):
         raise ValueError("the log changed between the two passes over it")
 
 
-def label_windows(labeled: LabeledLog, windows: Sequence[Window]) -> list[str]:
+def label_windows(labeled: LabeledLog | None, windows: Sequence[Window]) -> list[str]:
     """Ground-truth label per window: the attack kind if the window holds any
     injected frame (majority kind on mixes, ties to the earliest injected
     frame among the tied kinds), else normal.
 
-    Each window must be a slice of ``labeled.log``, as segment_windows cuts
-    it: it starts at the first frame at or after ``w.start``."""
-    log, labels = labeled.log, labeled.frame_labels
-    starts = np.searchsorted(log.times, [w.start for w in windows], side="left")
-    out = []
-    for k, (w, lo) in enumerate(zip(windows, starts.tolist())):
-        hi = lo + len(w.frames)
-        if log[lo:hi] != w.frames:
-            raise ValueError(f"window {k} (start {w.start}) is not a slice of the "
-                             "labeled log")
-        kinds = [label for label in labels[lo:hi] if label != LABEL_NORMAL]
-        # max keeps the first of the tied kinds, in frame order
-        out.append(max(kinds, key=Counter(kinds).__getitem__) if kinds else LABEL_NORMAL)
-    return out
+    A window cut from a labeled log, such as ``labeled.log`` or a batch of
+    :func:`iter_labeled`, carries its frames' labels. Any other window must
+    be a slice of ``labeled.log``, as segment_windows cuts it: it starts at
+    the first frame at or after ``w.start``; without ``labeled`` it is normal."""
+    parts = [w.frames for w in windows]
+    if labeled is not None:
+        starts = np.searchsorted(labeled.log.times, [w.start for w in windows], side="left")
+        for k, lo in enumerate(starts.tolist()):
+            if parts[k].labels is None:
+                parts[k] = labeled.log[lo:lo + len(parts[k])]
+                if parts[k] != windows[k].frames:
+                    raise ValueError(f"window {k} (start {windows[k].start}) is not a "
+                                     "slice of the labeled log")
+    codes = np.concatenate([np.zeros(0, np.uint8), *(part.label_codes() for part in parts)])
+    lengths = np.array([len(part) for part in parts], dtype=np.intp)
+    hi = np.cumsum(lengths)
+    lo = hi - lengths
+    # per window, the best code so far, its frame count and its first frame; codes
+    # compare only within a window, whose frames share one label table
+    best, count, first = np.zeros((3, len(parts)), dtype=np.intp)
+    for code in np.flatnonzero(np.bincount(codes)[1:]) + 1:
+        at = np.flatnonzero(codes == code)
+        a = np.searchsorted(at, lo)
+        n, start = np.searchsorted(at, hi) - a, at[np.minimum(a, len(at) - 1)]
+        wins = (n > count) | ((n == count) & (n > 0) & (start < first))
+        best[wins], count[wins], first[wins] = code, n[wins], start[wins]
+    return [part.label_names[code] for part, code in zip(parts, best.tolist())]
 
 
 _BAD_LABEL_CHAR_RE = re.compile(r'[,"\x00-\x1f\x7f-\x9f]')
@@ -358,9 +364,8 @@ def _label_chunks(f: IO[str]) -> Iterator[list[str]]:
     """The labels of a sidecar text stream after its header ``label``, the
     whole lines of ``LABEL_READ`` characters at a time. A label must be
     writable as one bare feature-CSV cell, so a blank line, ``,``, ``"``
-    and control characters are rejected. Equal labels are one object, so
-    that a label held costs one pointer."""
-    line, rest, canonical = 1, "", {}  # line: the line number of labels[0]
+    and control characters are rejected."""
+    line, rest = 1, ""  # line: the line number of labels[0]
     while True:
         block = f.read(LABEL_READ)
         if block:
@@ -380,7 +385,6 @@ def _label_chunks(f: IO[str]) -> Iterator[list[str]]:
                 raise ValueError(f"line {labels.index(label) + line}: label {label!r} "
                                  f"contains ',', '\"' or a control character")
         if labels:
-            labels[:] = map(canonical.setdefault, labels, labels)
             yield labels
             line += len(labels)
         if not block:
@@ -402,40 +406,35 @@ def _sidecar(path: str) -> Iterator[list[str]]:
         raise
 
 
-def iter_labeled(log_path: str, labels_path: str | None = None) -> Iterator[LabeledLog]:
-    """The batches of :func:`canoc.canlog.iter_log` with their frames'
-    labels, read in step from the sidecar at ``labels_path``: a batch's
-    labels follow its frames' stable sort. Without a sidecar every frame
-    is normal. A :class:`LateFrameError` thrown in goes on to the log
-    reader, which raises it again naming its row."""
-    where = f"label file {labels_path}"
-    batches = iter_log(log_path, orders=labels_path is not None)
-    labels = itertools.chain.from_iterable(_sidecar(labels_path)) if labels_path else None
-    for batch in batches:
-        if labels is None:
-            labeled = LabeledLog(batch, (LABEL_NORMAL,) * len(batch))
-        else:
-            log, order = batch
-            with naming(where):
-                chunk = list(itertools.islice(labels, len(log)))
-                if len(chunk) < len(log):
-                    raise ValueError("one label per frame required")
-                labeled = LabeledLog(log, map(chunk.__getitem__, order.tolist()))
-        try:
-            yield labeled
-        except LateFrameError as late:
-            batches.throw(late)
-            raise
-    if labels is not None:
+def iter_labeled(log_path: str, labels_path: str | None = None) -> Iterator[CanLog]:
+    """The batches of :func:`canoc.canlog.iter_log`, labeled from the
+    sidecar at ``labels_path``, read in step: each line's label goes with
+    its frame through the batch's sort. Without a sidecar every frame is
+    normal. A :class:`LateFrameError` thrown in goes on to the log reader,
+    which raises it again naming its row."""
+    if labels_path is None:
+        yield from iter_log(log_path)
+        return
+    where, index = f"label file {labels_path}", {LABEL_NORMAL: 0}
+    labels = itertools.chain.from_iterable(_sidecar(labels_path))
+
+    def take(count: int) -> tuple[np.ndarray, tuple[str, ...]]:
         with naming(where):
-            if next(labels, None) is not None:
+            chunk = list(itertools.islice(labels, count))
+            if len(chunk) < count:
                 raise ValueError("one label per frame required")
+            return _encode(chunk, index), tuple(index)
+
+    yield from iter_log(log_path, labels=take)
+    with naming(where):
+        if next(labels, None) is not None:
+            raise ValueError("one label per frame required")
 
 
-def save_labeled(batches: Iterable[LabeledLog], log_path: str, labels_path: str) -> int:
-    """Write the labeled batches of one log, at least one, as a CSV log and
-    its label sidecar, batch by batch, and return the frame count. When
-    writing fails, no file written is left."""
+def save_labeled(batches: Iterable[CanLog], log_path: str, labels_path: str) -> int:
+    """Write the batches of one log, at least one, as a CSV log and the
+    label sidecar of their frames, batch by batch, and return the frame
+    count. When writing fails, no file written is left."""
     if os.path.realpath(log_path) == os.path.realpath(labels_path):
         raise ValueError(f"the log and its labels would both be written to {log_path}")
     written, frames = [], 0
@@ -445,9 +444,9 @@ def save_labeled(batches: Iterable[LabeledLog], log_path: str, labels_path: str)
             with open(labels_path, "w", encoding="utf-8", newline="") as labels_file:
                 written.append(labels_path)
                 for k, part in enumerate(batches):
-                    write_csv_log(part.log, log_file, header=not k)
-                    write_labels(part.frame_labels, labels_file, header=not k)
-                    frames += len(part.log)
+                    write_csv_log(part, log_file, header=not k)
+                    write_labels(LabeledLog(part).frame_labels, labels_file, header=not k)
+                    frames += len(part)
     except BaseException:
         for path in written:
             with contextlib.suppress(OSError):

@@ -1,11 +1,13 @@
+import itertools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from canoc import CanFrame, CanLog
-from canoc.canlog import COLUMNS, LogParseError
+from canoc.canlog import COLUMNS, LogParseError, join_logs
 
 
 def make_log(entries):
@@ -70,3 +72,29 @@ def read_frames(read, data):
     return [(t, can_id, extended, bytes(payload[:dlc])) for t, can_id, extended, dlc, payload
             in zip(log.times.tolist(), log.ids.tolist(), log.extended.tolist(),
                    log.dlc.tolist(), log.payload.tolist())]
+
+
+# --- labels as a tuple of strings: the reference for the label column -------------
+
+def tuple_join_labeled(parts):
+    """The (log, labels) of ``parts``, (log, tuple of labels) pairs in order,
+    stably sorted by timestamp, each label with its frame: the tuple join that
+    the label column replaced."""
+    times = np.concatenate([log.times for log, _ in parts])
+    labels = tuple(itertools.chain.from_iterable(labels for _, labels in parts))
+    order = np.argsort(times, kind="stable").tolist()
+    return join_logs([log for log, _ in parts]), tuple(labels[k] for k in order)
+
+
+def tuple_label_windows(log, labels, windows):
+    """Each window's label from the tuple ``labels`` of ``log``'s frames, by
+    its position in ``log``: the label_windows that the code reduction replaced."""
+    starts = np.searchsorted(log.times, [w.start for w in windows], side="left")
+    out = []
+    for w, lo in zip(windows, starts.tolist()):
+        hi = lo + len(w.frames)
+        assert log[lo:hi] == w.frames
+        kinds = [label for label in labels[lo:hi] if label != "normal"]
+        # max keeps the first of the tied kinds, in frame order
+        out.append(max(kinds, key=Counter(kinds).__getitem__) if kinds else "normal")
+    return out

@@ -9,9 +9,10 @@ import pytest
 
 from canoc import canlog
 from canoc.cli import main
-from canoc.features import FeatureSpec, apply_scaler, fit_scaler, read_feature_csv
+from canoc.features import (FeatureSpec, apply_scaler, fit_scaler, read_feature_csv,
+                            write_feature_csv)
 from canoc.models import FAMILY_PARAMS, MODEL_FAMILIES, fit_model, save_model
-from canoc.simulate import iter_labeled, join_labeled
+from canoc.simulate import LabeledLog, iter_labeled
 
 
 def run(capsys, *argv):
@@ -900,7 +901,7 @@ def test_labels_follow_their_frames_in_an_unsorted_log(tmp_path, capsys, read_by
     labels.write_text("label\nreplay\nnormal\nnormal\n")
     feats, attacked = tmp_path / "f.csv", tmp_path / "attacked.csv"
     with mock.patch.object(canlog, "READ_BYTES", read_bytes):
-        joined = join_labeled(list(iter_labeled(str(log), str(labels))))
+        joined = LabeledLog(canlog.join_logs(list(iter_labeled(str(log), str(labels)))))
         assert joined.frame_labels == ("normal", "normal", "replay")
         code, _, err = run(capsys, "extract", "--in", log, "--labels", labels, "--out", feats)
         assert code == 0, err
@@ -921,6 +922,31 @@ def test_train_rejects_an_rbf_sigma_whose_inverse_overflows(tmp_path, capsys, de
     assert (code, out) == (2, "") and not model.exists()
     assert err == ("error: sigma 1e-160 is out of range: 1 / (2 * sigma**2) overflows "
                    "or underflows to 0\n")
+
+
+def test_train_takes_an_rbf_sigma_whose_exponents_overflow(tmp_path, capsys, detect_inputs):
+    # 2 * 1e-154**2 is a normal double; the gram's off-diagonal exponents overflow to -inf
+    features = detect_inputs[0].with_name("features.csv")
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, "train", "--features", features, "--out", model,
+                         "--kernel", "rbf", "--sigma", "1e-154")
+    assert (code, err) == (0, "") and model.exists()
+
+
+@pytest.mark.parametrize("cell", [lambda k: 1e200 * (1 + k % 3), lambda k: 1.7e308 * (k % 2)],
+                         ids=["spread overflows", "mean overflows"])
+def test_train_rejects_a_feature_column_beyond_the_float_range(tmp_path, capsys,
+                                                               detect_inputs, cell):
+    source = detect_inputs[0].with_name("features.csv")
+    X, labels, vocab = read_feature_csv(source.read_text().splitlines(keepends=True))
+    X[:, 0] = [cell(k) for k in range(len(X))]
+    features, model = tmp_path / "features.csv", tmp_path / "model.json"
+    with open(features, "w", encoding="utf-8", newline="") as f:
+        write_feature_csv(f, X, labels, vocab)
+    code, out, err = run(capsys, "train", "--features", features, "--out", model)
+    assert (code, out) == (2, "") and not model.exists()
+    assert err == (f"error: feature file {features}: column 'f_0x100': the mean or spread "
+                   "of its values is beyond the float range\n")
 
 
 def test_inject_refuses_an_output_that_it_reads_or_standard_input(tmp_path, capsys):

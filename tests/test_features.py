@@ -415,6 +415,17 @@ def test_scaler_standardizes_random_matrix(rng):
     assert np.abs(out.std(axis=0) - 1).max() < 1e-12
 
 
+@pytest.mark.parametrize("column", [[1e200, 2e200, 3e200], [0.0, 1.7e308, 0.0, 1.7e308]],
+                         ids=["spread overflows", "mean overflows"])
+def test_scaler_rejects_a_column_beyond_the_float_range(column):
+    X = np.column_stack([np.arange(len(column), dtype=float), column])
+    message = "the mean or spread of its values is beyond the float range"
+    with pytest.raises(ValueError, match=f"^column 1: {message}$"):
+        fit_scaler(X)
+    with pytest.raises(ValueError, match=f"^column 'b': {message}$"):
+        fit_scaler(X, ["a", "b"])
+
+
 def test_scaler_dimension_mismatch():
     scaler = fit_scaler(np.zeros((3, 2)))
     with pytest.raises(ValueError, match="columns"):

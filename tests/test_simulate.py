@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canoc import (AttackScenario, BusSpec, EcuSpec, LabeledLog,
+from canoc import (AttackScenario, BusSpec, CanFrame, CanLog, EcuSpec, LabeledLog,
                    build_vocabulary, extract_features, generate_normal,
                    inject, label_windows, read_labels, segment_windows, write_labels)
-from canoc.canlog import CHUNK_LINES
+from canoc.canlog import CHUNK_LINES, COLUMNS
 from canoc import simulate
 from canoc.cli import main
 from canoc.simulate import default_bus
+from conftest import tuple_join_labeled, tuple_label_windows
 
 
 def test_jitterless_single_id_exact_schedule():
@@ -259,6 +260,61 @@ def test_label_windows_matches_the_reference_on_stacked_attacks(seed):
         labels = label_windows(labeled, windows)
         assert labels == reference_label_windows(labeled, windows)
         assert len(set(labels)) == 4
+
+
+def reference_inject(log, labels, scenario):
+    """inject on a plain log with a tuple of labels: the frames that inject
+    adds, joined by the tuple join."""
+    added = simulate._attack(scenario, log.span if len(log) else None,
+                             simulate._segment(log, scenario))
+    added = CanLog(*(getattr(added, name) for name in COLUMNS))
+    return tuple_join_labeled([(log, labels), (added, (scenario.kind,) * len(added))])
+
+
+TICK = 1 / 16  # a binary fraction, so that replayed copies tie with base frames exactly
+
+FLOOD = st.tuples(st.sampled_from(["random_id", "zero_id"]), st.integers(0, 150),
+                  st.integers(1, 40), st.integers(0, 9))
+# (source start, source length, start, repeat), in ticks
+REPLAY = st.tuples(st.just("replay"), st.integers(0, 150), st.integers(1, 40),
+                   st.integers(0, 150), st.integers(1, 3))
+
+
+def scenario_of(step):
+    if step[0] == "replay":
+        _, src, length, start, repeat = step
+        return AttackScenario(kind="replay", window=(start * TICK, (start + 1) * TICK),
+                              replay_segment=(src * TICK, (src + length) * TICK),
+                              repeat=repeat)
+    kind, start, length, seed = step
+    return AttackScenario(kind=kind, rate=16.0, window=(start * TICK, (start + length) * TICK),
+                          seed=seed)
+
+
+@given(st.lists(st.tuples(st.integers(0, 160), st.sampled_from([0x100, 0x200, 0x7FF]),
+                          st.sampled_from(["normal", "normal", "replay", "spoof"])),
+                min_size=1, max_size=60),
+       st.lists(FLOOD | REPLAY, min_size=1, max_size=4),
+       st.sampled_from([(1.0, None), (0.75, 0.25), (0.5, 1.5)]))
+@settings(max_examples=150, deadline=None)
+def test_chained_injects_label_like_the_tuple_reference(rows, steps, window):
+    # frames out of time order, tied on ticks: the log's stable sort orders them
+    base = CanLog.from_frames(CanFrame(tick * TICK, can_id) for tick, can_id, _ in rows)
+    order = np.argsort([tick for tick, _, _ in rows], kind="stable").tolist()
+    labeled = LabeledLog(base, [rows[k][2] for k in order])
+    reference = base, labeled.frame_labels
+    for step in steps:
+        try:
+            reference = reference_inject(*reference, scenario_of(step))
+        except ValueError:  # a window outside the log, or a replay source without frames
+            continue
+        labeled = inject(labeled, scenario_of(step))
+        assert labeled.log == reference[0] and labeled.frame_labels == reference[1]
+    # windows cut from the labeled log carry its labels; those of the plain log are
+    # looked up by position
+    for log in (labeled.log, reference[0]):
+        windows = segment_windows(log, *window)
+        assert label_windows(labeled, windows) == tuple_label_windows(*reference, windows)
 
 
 def test_label_windows_single_injected_frame_suffices():

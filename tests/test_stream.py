@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -552,6 +553,26 @@ def test_streamed_extract_writes_what_the_whole_log_gives(tmp_path, capsys, wind
                                "--out", out, *flags)
         assert code == 0, err
         assert out.read_text() == expected.getvalue(), read_bytes
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.sampled_from(["normal", "replay", "x y"])),
+                min_size=1, max_size=40),
+       st.sampled_from(READS))
+@settings(max_examples=100, deadline=None)
+def test_labeled_batches_carry_the_labels_of_the_whole_log_sort(rows, reads):
+    # frames out of order, tied on eighths of a second, each with its own id
+    with contextlib.ExitStack() as stack:
+        d = stack.enter_context(tempfile.TemporaryDirectory())
+        log_path, labels_path = Path(d) / "log.csv", Path(d) / "log.labels.csv"
+        log_path.write_text(log_text([(t / 8, k, b"") for k, (t, _) in enumerate(rows)], "csv"))
+        labels_path.write_text("label\n" + "".join(label + "\n" for _, label in rows))
+        stack.enter_context(small_reads(*reads))
+        joined = simulate.LabeledLog(join_logs(list(simulate.iter_labeled(str(log_path),
+                                                                          str(labels_path)))))
+        assert joined.log == read_whole(log_path, labels_path).log
+    order = np.argsort([t for t, _ in rows], kind="stable").tolist()
+    assert list(zip(joined.log.ids.tolist(), joined.frame_labels)) == [
+        (k, rows[k][1]) for k in order]
 
 
 @pytest.mark.parametrize("fmt", ["candump", "csv"])

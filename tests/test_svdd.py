@@ -194,3 +194,7 @@ def test_kernel_spec_rejects_a_sigma_whose_rbf_denominator_is_not_a_finite_nonze
     for sigma in (1e-100, 1e150):
         X = np.eye(2)
         assert np.isfinite(gram_matrix(X, X, KernelSpec("rbf", sigma))).all()
+    # 2 sigma**2 = 2e-308 is a normal double, but a squared distance of 2 over it
+    # overflows: the exponent goes to its limit, -inf, whose exp is 0
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
+    assert gram_matrix(X, X, KernelSpec("rbf", 1e-154)).tolist() == np.eye(3).tolist()
