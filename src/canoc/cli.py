@@ -21,7 +21,8 @@ import numpy as np
 from . import canlog, features, simulate
 from .evaluate import evaluate, write_report_table
 from .models import (FAMILY_PARAMS, MODEL_FAMILIES, PSI_VARIANTS, DualSolverError,
-                     KernelSpec, fit_model, load_model, save_model, score_samples)
+                     KernelSpec, ScoreRangeError, fit_model, load_model, save_model,
+                     score_samples)
 from .models.kernels import KERNEL_KINDS
 from .models.persist import model_tag
 
@@ -248,7 +249,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if spec is not None and spec.vocab != vocab:
         raise ValueError(f"the columns of {args.features} do not match the "
                          f"vocabulary of model {args.model}")
-    report = evaluate(model, X, labels)
+    try:
+        report = evaluate(model, X, labels)
+    except ScoreRangeError as err:  # counted from 1, as the rows after the header
+        raise ValueError(f"feature file {args.features}: feature row {err.row + 1} "
+                         "scores beyond the float range") from None
     if args.out_table:
         with open(args.out_table, "w", encoding="utf-8", newline="") as f:
             write_report_table(f, [report])
@@ -271,7 +276,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
     for windows in features.iter_windows(canlog.iter_log(args.input), spec.window,
                                          spec.stride):
         X, _ = features.extract_matrix(windows, spec.vocab, spec.stdev_mode)
-        scores = score_samples(model, X)
+        try:
+            scores = score_samples(model, X)
+        except ScoreRangeError as err:
+            raise ValueError(f"input log {args.input}: the window at {windows[err.row].start:.6f}"
+                             " scores beyond the float range") from None
         print("\n".join(f"{w.start:.6f},{score:.9g},{'anomaly' if score > 0 else 'normal'}"
                         for w, score in zip(windows, scores.tolist())), flush=True)
         printed = True
@@ -348,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--psi", choices=PSI_VARIANTS)
     p.add_argument("--eta", type=float, help="subspace learning rate")
-    p.add_argument("--iterations", type=int)
+    p.add_argument("--iterations", type=int,
+                   help="ssvdd: at most this many outer iterations (default 50); "
+                        "fewer once the objective settles")
     p.add_argument("--k-neighbors", type=int)
     p.add_argument("--epsilon", type=float, help="ridge regularizer")
     p.add_argument("--filter-normal", action="store_true",

@@ -2,8 +2,8 @@
 OC-SVM and GE-OC-SVM, in linear and rbf variants, over a shared dual solver.
 Every fitter returns one :class:`Detector`."""
 
-from .api import (FAMILY_PARAMS, LABEL_ANOMALY, MODEL_FAMILIES, fit_model,
-                  predict, score_samples)
+from .api import (FAMILY_PARAMS, LABEL_ANOMALY, MODEL_FAMILIES, ScoreRangeError,
+                  fit_model, predict, score_samples)
 from .detector import Detector, Projection
 from .kernels import (KernelSpec, LINEAR, gram_matrix, median_heuristic,
                       resolve_kernel)

@@ -29,21 +29,35 @@ FAMILY_PARAMS = {
 MODEL_FAMILIES = tuple(FAMILY_PARAMS)
 
 
+class ScoreRangeError(ValueError):
+    """A row whose score is beyond the float range; ``row`` is its index."""
+
+    def __init__(self, row: int) -> None:
+        super().__init__(f"row {row} scores beyond the float range")
+        self.row = row
+
+
 def score_samples(model: Detector, X) -> np.ndarray:
     """Anomaly scores, <= 0 normal and > 0 anomalous: the bundled scaler,
     then each transform, then the kernel expansion
     ``u k(x,x) - v sum_i a_i k(x, x_i) + offset - r_squared``. Every product
     is computed row by row (:func:`~canoc.models.kernels.products`), so a
-    row's score depends only on that row."""
+    row's score depends only on that row. A row whose score is not finite
+    raises :class:`ScoreRangeError`."""
     X = np.ascontiguousarray(_as_matrix(X, "X"))  # each stage keeps rows contiguous
-    if model.scaler is not None:
-        X = apply_scaler(model.scaler, X)
-    for step in model.transforms:
-        X = step.transform(X)
-    if X.shape[1] != model.support_samples.shape[1]:
-        raise ValueError(f"expected {model.support_samples.shape[1]} features, "
-                         f"got {X.shape[1]}")
-    return model.expansion(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.scaler is not None:
+            X = apply_scaler(model.scaler, X)
+        for step in model.transforms:
+            X = step.transform(X)
+        if X.shape[1] != model.support_samples.shape[1]:
+            raise ValueError(f"expected {model.support_samples.shape[1]} features, "
+                             f"got {X.shape[1]}")
+        scores = model.expansion(X)
+    beyond = ~np.isfinite(scores)
+    if beyond.any():
+        raise ScoreRangeError(int(np.argmax(beyond)))
+    return scores
 
 
 def predict(model: Detector, X) -> np.ndarray:

@@ -47,6 +47,10 @@ Q_INITS = ("pca", "identity", "random")
 # per-iteration decay of the Q step size
 ETA_DECAY = 0.95
 
+# the outer loop stops once an iteration moves the objective by at most this
+# fraction of its value
+STOP_TOL = 1e-4
+
 EIGENVALUE_FLOOR = 1e-10
 PSD_TOL = 1e-8
 
@@ -141,8 +145,15 @@ def ssvdd_objective(X: np.ndarray, Q: np.ndarray, alphas: np.ndarray,
     """Q-dependent part of the joint Lagrangian for fixed dual coefficients:
     sum_i a_i |Qx_i|^2 - |Q X'a|^2 + beta * |Q X'lam|^2."""
     Y = X @ Q.T
+    return _projected_objective(Y, np.einsum("ij,ij->i", Y, Y), alphas, beta, psi)
+
+
+def _projected_objective(Y: np.ndarray, sq_norms: np.ndarray, alphas: np.ndarray,
+                         beta: float, psi: str) -> float:
+    """:func:`ssvdd_objective` from the projections ``Y`` and their squared
+    row norms."""
     center = Y.T @ alphas
-    value = float(alphas @ np.einsum("ij,ij->i", Y, Y) - center @ center)
+    value = float(alphas @ sq_norms - center @ center)
     lam = psi_selector(psi, alphas)
     if lam is not None and beta != 0.0:
         v = Y.T @ lam
@@ -195,8 +206,10 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
     """Train the subspace description on (already standardized) rows.
 
     With an rbf kernel the data is first embedded via the projection trick;
-    Q then acts on the embedded coordinates. ``iteration_callback(it, Q,
-    alphas)`` fires after each Q update (testing hook).
+    Q then acts on the embedded coordinates. ``iterations`` is a cap: the
+    loop stops after the first iteration whose objective moved by at most
+    ``STOP_TOL`` of its value. ``iteration_callback(it, Q, alphas)`` fires
+    after each Q update (testing hook).
     """
     X = _as_matrix(X, "X")
     if psi not in PSI_VARIANTS:
@@ -217,9 +230,11 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
 
     Q = _initial_q(Z, d, q_init, seed)
     lr = eta
-    alphas = None
+    alphas, previous = None, None
     for it in range(iterations):
-        alphas = solve_svdd_dual(FactorGram(Projection(Q).transform(Z)), C, a0=alphas)
+        gram = FactorGram(Projection(Q).transform(Z))
+        alphas = solve_svdd_dual(gram, C, a0=alphas)
+        objective = _projected_objective(gram.factor, gram.diagonal(), alphas, beta, psi)
         grad = ssvdd_gradient(Z, Q, alphas, beta, psi)
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite Q gradient at iteration {it}")
@@ -227,6 +242,9 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
         lr *= ETA_DECAY
         if iteration_callback is not None:
             iteration_callback(it, Q, alphas)
+        if previous is not None and abs(objective - previous) <= STOP_TOL * abs(objective):
+            break
+        previous = objective
 
     # the rows the scorer's own projection gives, so that no training row
     # of a no-slack fit scores above 0 by rounding

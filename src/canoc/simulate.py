@@ -125,6 +125,18 @@ class AttackScenario:
             raise ValueError("payload length must be 0..8")
 
 
+_BAD_LABEL_CHAR_RE = re.compile(r'[,"\x00-\x1f\x7f-\x9f]')
+
+
+def _label_fault(label: str) -> str | None:
+    """Why ``label`` cannot be written as one bare feature-CSV cell, or None."""
+    if not label:
+        return "blank label"
+    if _BAD_LABEL_CHAR_RE.search(label):
+        return f"label {label!r} contains ',', '\"' or a control character"
+    return None
+
+
 def _encode(labels: Sequence[str], index: dict[str, int]) -> np.ndarray:
     """The code of each label in ``index``, which gives each new label the
     next code, up to 255."""
@@ -137,14 +149,19 @@ def _encode(labels: Sequence[str], index: dict[str, int]) -> np.ndarray:
 class LabeledLog:
     """A labeled log: ``LabeledLog(log, labels)`` gives the frames of
     ``log`` the provenance labels ``labels``, one per frame in order, as
-    its label column; without ``labels`` the log keeps its own."""
+    its label column; without ``labels`` the log keeps its own. A label
+    that the sidecar grammar refuses is an error naming its first frame."""
 
     def __init__(self, log: CanLog, labels: Iterable[str] | None = None) -> None:
         if labels is not None:
             labels, index = list(labels), {LABEL_NORMAL: 0}
             if len(labels) != len(log):
                 raise ValueError("one label per frame required")
-            log = log.with_labels(_encode(labels, index), tuple(index))
+            codes = _encode(labels, index)
+            for label in index:  # the distinct labels, first seen first
+                if fault := _label_fault(label):
+                    raise ValueError(f"frame {labels.index(label)}: {fault}")
+            log = log.with_labels(codes, tuple(index))
         self.log = log
 
     @property
@@ -342,9 +359,6 @@ def label_windows(labeled: LabeledLog | None, windows: Sequence[Window]) -> list
     return [part.label_names[code] for part, code in zip(parts, best.tolist())]
 
 
-_BAD_LABEL_CHAR_RE = re.compile(r'[,"\x00-\x1f\x7f-\x9f]')
-
-
 def write_labels(labels: Iterable[str], sink: IO[str], *, header: bool = True) -> None:
     """Sidecar label column: header + one label per frame, log order,
     written ``CHUNK_LINES`` labels at a time. Without ``header``, only the
@@ -379,11 +393,8 @@ def _label_chunks(f: IO[str]) -> Iterator[list[str]]:
             del labels[0]
             line = 2
         for label in dict.fromkeys(labels):  # distinct labels, first seen first
-            if not label:
-                raise ValueError(f"line {labels.index(label) + line}: blank label")
-            if _BAD_LABEL_CHAR_RE.search(label):
-                raise ValueError(f"line {labels.index(label) + line}: label {label!r} "
-                                 f"contains ',', '\"' or a control character")
+            if fault := _label_fault(label):
+                raise ValueError(f"line {labels.index(label) + line}: {fault}")
         if labels:
             yield labels
             line += len(labels)

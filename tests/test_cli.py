@@ -949,6 +949,32 @@ def test_train_rejects_a_feature_column_beyond_the_float_range(tmp_path, capsys,
                    "of its values is beyond the float range\n")
 
 
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_a_row_scoring_beyond_the_float_range_is_an_input_error_naming_it(
+        tmp_path, capsys, detect_inputs, command):
+    # a scale of 1e-300 sends each row whose first feature is off the model's
+    # mean beyond the float range; the mean is the first row's value
+    log, doc = detect_inputs
+    source = log.with_name("features.csv")
+    X, labels, vocab = read_feature_csv(source.read_text().splitlines(keepends=True))
+    row = int(np.flatnonzero(X[:, 0] != X[0, 0])[0])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    verdicts = run(capsys, "detect", "--model", model, "--in", log)[1].splitlines()
+    doc = json.loads(json.dumps(doc))
+    doc["scaler"]["mean"][0], doc["scaler"]["stdev"][0] = X[0, 0], 1e-300
+    model.write_text(json.dumps(doc))
+    features = tmp_path / "features.csv"
+    with open(features, "w", encoding="utf-8", newline="") as f:
+        write_feature_csv(f, X, labels[:-1] + ["zero_id"], vocab)
+    argv, where = {
+        "eval": (["--features", features], f"feature file {features}: feature row {row + 1}"),
+        "detect": (["--in", log],
+                   f"input log {log}: the window at {verdicts[row].split(',')[0]}")}[command]
+    code, out, err = run(capsys, command, "--model", model, *argv)
+    assert (code, out, err) == (2, "", f"error: {where} scores beyond the float range\n")
+
+
 def test_inject_refuses_an_output_that_it_reads_or_standard_input(tmp_path, capsys):
     log, labels = simulate(tmp_path, capsys, duration=5.0)
     before = log.read_bytes(), labels.read_bytes()

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from canoc import (AttackScenario, BusSpec, CanFrame, CanLog, EcuSpec, LabeledLog,
                    build_vocabulary, extract_features, generate_normal,
                    inject, label_windows, read_labels, segment_windows, write_labels)
-from canoc.canlog import CHUNK_LINES, COLUMNS
+from canoc.canlog import CHUNK_LINES, COLUMNS, join_logs
 from canoc import simulate
 from canoc.cli import main
 from canoc.simulate import default_bus
@@ -341,6 +341,23 @@ def test_label_sidecar_roundtrip():
     assert read_labels(io.StringIO(sink.getvalue())) == ["normal", "replay", "normal"]
     with pytest.raises(ValueError, match="header"):
         read_labels(io.StringIO("nope\n"))
+
+
+@pytest.mark.parametrize("label", ["", "a,b", 'a "b"', "x\ty", "\r", "\x85"])
+def test_a_label_the_sidecar_refuses_is_refused_when_the_log_is_built(label, tmp_path):
+    log = base_log(duration=1.0)
+    labels = ["normal", "replay"] * (len(log) // 2) + ["normal"] * (len(log) % 2)
+    labels[3] = labels[9] = label
+    # the reader's message for the same label, naming the frame for the line
+    message = labels_by_line(f"label\n{label}\n").removeprefix("line 2: ")
+    with pytest.raises(ValueError) as err:
+        LabeledLog(log, labels)
+    assert str(err.value) == f"frame 3: {message}"
+    # a label the log takes is written and read back as it was
+    labels[3] = labels[9] = "odd label"
+    paths = str(tmp_path / "l.csv"), str(tmp_path / "l.labels.csv")
+    simulate.save_labeled([LabeledLog(log, labels).log], *paths)
+    assert LabeledLog(join_logs(list(simulate.iter_labeled(*paths)))).frame_labels == tuple(labels)
 
 
 @pytest.mark.parametrize("text, line", [("label\nnormal\n\nreplay\n", 3), ("label\n\n", 2),

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from canoc import (KernelSpec, SplitSpec, apply_scaler, build_vocabulary, defaul
 from canoc.models import (FactorGram, NptEmbedding, PSI_VARIANTS, gram_matrix,
                           orthonormalize_rows, solve_svdd_dual, ssvdd_gradient,
                           ssvdd_objective)
+from canoc.models.persist import model_to_dict
 from canoc.models.ssvdd import psi_selector
 from canoc.models import ssvdd as ssvdd_module
 
@@ -188,7 +190,7 @@ def test_nonlinear_ssvdd_far_points_saturate(rng):
 def test_warm_solves_read_few_gram_rows_and_form_no_n_by_n_product(monkeypatch):
     n = 400
     X = np.random.default_rng(8).standard_normal((n, 12))
-    rows_read, growth = [], []
+    rows_read, growth, ran = [], [], []
     start = [0]
 
     def spy(K, C, **kwargs):
@@ -198,6 +200,7 @@ def test_warm_solves_read_few_gram_rows_and_form_no_n_by_n_product(monkeypatch):
         return alphas
 
     def watch(it, Q, alphas):  # memory taken during each outer iteration after the first
+        ran.append(it)
         current, peak = tracemalloc.get_traced_memory()
         if it > 0:
             growth.append(peak - start[0])
@@ -210,8 +213,56 @@ def test_warm_solves_read_few_gram_rows_and_form_no_n_by_n_product(monkeypatch):
         ssvdd_fit(X, d=3, C=0.05, iterations=10, iteration_callback=watch)
     finally:
         tracemalloc.stop()
-    assert len(rows_read) == 10 and sum(rows_read[1:]) < n * 9
-    assert len(growth) == 9 and max(growth) < n * n * 8 / 4
+    # one solve per outer iteration that ran; fewer than n rows per warm solve
+    warm = len(ran) - 1
+    assert len(rows_read) == len(ran) and warm > 0 and sum(rows_read[1:]) < n * warm
+    assert len(growth) == warm and max(growth) < n * n * 8 / 4
+
+
+# --- the outer loop stops once its objective settles -------------------------------
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_outer_loop_stops_once_its_objective_settles(seed, monkeypatch):
+    # data near a 3-d subspace, from a random start: Q finds the subspace
+    # within a few iterations and the objective then stands still
+    rng = np.random.default_rng(seed)
+    X = (rng.standard_normal((60, 3)) @ rng.standard_normal((3, 8))
+         + 0.01 * rng.standard_normal((60, 8)))
+    objectives, seen = [], []
+
+    def spy(Y, sq_norms, alphas, beta, psi):
+        objectives.append((projected(Y, sq_norms, alphas, beta, psi), alphas.copy()))
+        return objectives[-1][0]
+
+    projected = ssvdd_module._projected_objective
+    monkeypatch.setattr(ssvdd_module, "_projected_objective", spy)
+    kwargs = dict(d=3, C=0.1, psi="psi1", q_init="random", seed=seed, iterations=50)
+    model = ssvdd_fit(X, iteration_callback=lambda it, Q, alphas: seen.append((it, Q)),
+                      **kwargs)
+    monkeypatch.undo()  # ssvdd_objective below calls the original
+    assert 2 < len(seen) < 50 and len(objectives) == len(seen)
+    assert [it for it, _ in seen] == list(range(len(seen)))
+    assert all(np.abs(Q @ Q.T - np.eye(3)).max() <= 1e-12 for _, Q in seen)
+    # each value is the objective at the Q that iteration's solve projected with
+    for (_, Q), (value, alphas) in zip(seen, objectives[1:]):
+        assert abs(value - ssvdd_objective(X, Q, alphas, 0.01, "psi1")) <= 1e-10 * abs(value)
+    values = np.array([value for value, _ in objectives])
+    change = np.abs(np.diff(values)) / np.abs(values[1:])
+    assert (change[:-1] > ssvdd_module.STOP_TOL).all() and change[-1] <= ssvdd_module.STOP_TOL
+    assert model.params["iterations"] == 50  # the cap, as given
+    again = ssvdd_fit(X, **kwargs)
+    assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(again))
+
+
+def test_the_iteration_cap_binds_while_the_objective_moves():
+    X = np.random.default_rng(0).standard_normal((40, 6))
+    ran = []
+    ssvdd_fit(X, d=3, C=0.3, iterations=12, iteration_callback=lambda it, Q, a: ran.append(it))
+    assert ran == list(range(12))
+    # uncapped, the same fit runs on past 12 and still stops on its own
+    ran.clear()
+    ssvdd_fit(X, d=3, C=0.3, iterations=200, iteration_callback=lambda it, Q, a: ran.append(it))
+    assert 12 < len(ran) < 200
 
 
 def test_support_row_gradient_equals_the_all_rows_formula(rng):

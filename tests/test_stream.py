@@ -700,9 +700,12 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def child_env(**extra):
+    """The environment of a canoc child process: this checkout's canoc, and
+    every warning an error, as in the in-process tests."""
     src = str(Path(canoc.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+                PYTHONWARNINGS="error", **extra)
 
 
 @pytest.fixture(scope="module")
