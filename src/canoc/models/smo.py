@@ -12,7 +12,8 @@ Each step picks the maximal-violating pair (steepest feasible descent
 coordinate up, steepest ascent coordinate down) and moves mass between the
 two, which preserves the simplex constraint exactly. Termination when the
 worst KKT violation drops below ``KKT_TOL``. The search starts from the uniform
-point, or from a caller's feasible ``a0`` (a warm start).
+point, or from a caller's feasible ``a0``: a warm start, or for a cold SVDD
+dual :func:`ball_start`'s farthest rows.
 
 The loop reads ``Q`` through two rows per step, its diagonal and one product
 for the start gradient. A dense gram gives those from an array; a
@@ -204,6 +205,14 @@ def solve_svdd_dual(K, C: float, max_iter: int = 100_000,
     of a nearby problem) starts the search there instead of at the uniform
     point.
     """
+    K = _checked_svdd_gram(K, C)
+    return solve_simplex_box_qp(K, -K.diagonal(), box=float(C), max_iter=max_iter,
+                                a0=a0, scale=2.0)
+
+
+def _checked_svdd_gram(K, C: float):
+    """``K`` as the loop reads it; raises when the SVDD dual with box ``C``
+    has no feasible point."""
     K = _as_gram(K)
     n = K.shape[0]
     if n == 0:
@@ -212,8 +221,33 @@ def solve_svdd_dual(K, C: float, max_iter: int = 100_000,
         raise ValueError(f"C must be finite, got {C}")
     if C < 1.0 / n - 1e-12:
         raise ValueError(f"C={C} is infeasible: the simplex needs C >= 1/n = {1.0 / n:.6g}")
-    return solve_simplex_box_qp(K, -K.diagonal(), box=float(C), max_iter=max_iter,
-                                a0=a0, scale=2.0)
+    return K
+
+
+def ball_start(K, C: float) -> np.ndarray:
+    """A feasible start for the SVDD dual with box ``C``: mass 1/m on the
+    m = ceil(1/C) rows farthest from the mean row by ``K_ii - 2 mean_j K_ij``,
+    the lower index first on a tie. The optimum sits on few rows, so a solve
+    from here reads few rows of ``K`` (the farthest-point start of Core Vector
+    Machines, Tsang, Kwok and Cheung, JMLR 6, 2005). A :class:`FactorGram`
+    ranks its rows by a row-wise einsum, never BLAS, so the start does not
+    depend on the BLAS thread count.
+    """
+    K = _checked_svdd_gram(K, C)
+    n = K.shape[0]
+    # a non-finite K is the solver's to refuse; the ranking of its rows is moot
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(K, FactorGram):
+            Y = K.factor
+            mean_row = np.einsum("ij,j->i", Y, Y.mean(axis=0))
+        else:
+            mean_row = K.mean(axis=1)
+        far = K.diagonal() - 2.0 * mean_row
+    m = min(n, math.ceil(1.0 / C))
+    a = np.zeros(n)
+    # 1/m can exceed C by rounding when 1/C is within an ulp of an integer
+    a[np.argsort(-far, kind="stable")[:m]] = min(1.0 / m, C)
+    return a
 
 
 def solve_ocsvm_dual(K, nu: float, max_iter: int = 100_000) -> np.ndarray:

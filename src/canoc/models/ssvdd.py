@@ -38,7 +38,7 @@ import numpy as np
 from ..features import Scaler
 from .detector import Detector, Projection
 from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, products, resolve_kernel
-from .smo import FactorGram, solve_svdd_dual
+from .smo import FactorGram, ball_start, solve_svdd_dual
 from .svdd import svdd_fit
 
 PSI_VARIANTS = ("psi0", "psi1", "psi2", "psi3")
@@ -233,7 +233,7 @@ def ssvdd_fit(X, *, d: int | None = None, C: float = 1.0, beta: float = 0.01,
     alphas, previous = None, None
     for it in range(iterations):
         gram = FactorGram(Projection(Q).transform(Z))
-        alphas = solve_svdd_dual(gram, C, a0=alphas)
+        alphas = solve_svdd_dual(gram, C, a0=ball_start(gram, C) if alphas is None else alphas)
         objective = _projected_objective(gram.factor, gram.diagonal(), alphas, beta, psi)
         grad = ssvdd_gradient(Z, Q, alphas, beta, psi)
         if not np.all(np.isfinite(grad)):

@@ -10,7 +10,7 @@ import numpy as np
 from ..features import Scaler
 from .detector import Detector
 from .kernels import KernelSpec, LINEAR, _as_matrix, gram_matrix, resolve_kernel
-from .smo import FactorGram, solve_svdd_dual
+from .smo import FactorGram, ball_start, solve_svdd_dual
 
 # support rows kept for scoring; small enough that sum(alpha) stays ~1
 SUPPORT_KEEP_EPS = 1e-12
@@ -35,13 +35,14 @@ def svdd_fit(X, C: float = 1.0, kernel: KernelSpec = LINEAR, *,
     expansion itself, so every boundary sample scores <= 0 exactly and a
     no-slack fit classifies its whole training set as target. A linear
     kernel hands the solver ``X`` itself, whose gram rows are computed as
-    the solver reads them."""
+    the solver reads them; the solve starts at the farthest rows, so it
+    reads few."""
     X = _as_matrix(X, "X")
     if X.shape[0] < 2:
         raise ValueError("svdd_fit needs at least 2 training rows")
     kernel = resolve_kernel(kernel, X)
     K = FactorGram(X) if kernel.kind == "linear" else gram_matrix(X, X, kernel)
-    alphas = solve_svdd_dual(K, C)
+    alphas = solve_svdd_dual(K, C, a0=ball_start(K, C))
     keep = alphas > SUPPORT_KEEP_EPS
     ball = Detector(family="svdd", params={"C": float(C), "kernel": asdict(kernel)},
                     scaler=scaler, transforms=(), kernel=kernel,

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from canoc.models import (DualSolverError, FactorGram, KernelSpec, LINEAR, center_distances_sq,
                           fit_model, gram_matrix, solve_ocsvm_dual, solve_simplex_box_qp,
-                          solve_svdd_dual)
+                          solve_svdd_dual, svdd_fit)
 from canoc.models import smo
+from canoc.models import svdd as svdd_module
 
 
 def kkt_check(K, alphas, box, tol=1e-5):
@@ -392,3 +395,88 @@ def test_a_factor_with_a_non_finite_entry_raises():
     with pytest.raises(ValueError, match="Q and p must be finite"):
         solve_svdd_dual(FactorGram(Y), 1.0)
 
+
+# --- a cold SVDD dual starts at the farthest rows --------------------------------
+
+@st.composite
+def cold_svdd_duals(draw):
+    """(K, C) of an SVDD dual: a FactorGram or a dense linear or rbf gram of
+    rows with duplicates and, on small integers, exactly tied distances,
+    and C from exactly 1/n up to 1."""
+    Y = draw(factors(exponents=(0, 0, 2, 4)))
+    if draw(st.booleans()):
+        Y = np.rint(2.0 * Y / np.abs(Y).max())
+    n = Y.shape[0]
+    kind = draw(st.sampled_from(["factor", "linear", "rbf"]))
+    K = FactorGram(Y) if kind == "factor" else gram_matrix(
+        Y, Y, KernelSpec("rbf", 1.0) if kind == "rbf" else LINEAR)
+    C = draw(st.one_of(st.sampled_from([1.0, 1.5, 3.0]).map(lambda m: min(m / n, 1.0)),
+                       st.floats(0.0, 1.0).map(lambda u: 1.0 / n + u * (1.0 - 1.0 / n)),
+                       st.just(1.0)))
+    return K, C
+
+
+@given(cold_svdd_duals())
+@settings(max_examples=200, deadline=None)
+def test_the_ball_start_is_feasible_and_solves_to_the_uniform_starts_optimum(instance):
+    K, C = instance
+    a0 = smo.ball_start(K, C)
+    assert abs(float(a0.sum()) - 1.0) <= smo.START_SUM_TOL
+    assert a0.min() >= 0.0 and a0.max() <= C
+    dense = np.array(K)
+    scale = max(float(np.diag(dense).max()), 1e-300)
+    from_ball = solve_svdd_dual(K, C, a0=a0)
+    distance_kkt(dense / min(1.0, scale), from_ball, C)
+    # both are within the stopping threshold of the optimum
+    gap = abs(svdd_objective(dense, from_ball) - svdd_objective(dense, solve_svdd_dual(K, C)))
+    assert gap <= smo.KKT_TOL * min(1.0, 2.0 * scale) + 1e-9 * scale
+
+
+@pytest.mark.parametrize("as_factor", [True, False], ids=["factor", "gram"])
+@pytest.mark.parametrize("Y, C, expected", [
+    ([[0.0], [2.0], [-2.0], [-2.0]], 1.0, [0, 1, 0, 0]),         # mean -0.5: row 1 is farthest
+    ([[1.0], [-1.0], [1.0], [-1.0]], 1.0, [1, 0, 0, 0]),         # all tied: the lowest index
+    ([[1.0], [-1.0], [1.0], [-1.0]], 0.5, [0.5, 0.5, 0, 0]),     # m = 2 of the tied rows
+    ([[1.0], [-1.0], [1.0], [-1.0]], 0.3, [0.25] * 4),           # m = 4: the uniform point
+    ([[0.0], [3.0], [1.0], [-3.0], [0.0]], 0.5, [0, 0.5, 0, 0.5, 0])])
+def test_the_ball_start_puts_equal_mass_on_the_farthest_rows(Y, C, expected, as_factor):
+    Y = np.array(Y)
+    K = FactorGram(Y) if as_factor else Y @ Y.T
+    assert np.array_equal(smo.ball_start(K, C), expected)
+
+
+@pytest.mark.parametrize("C, message", [(np.inf, "C must be finite"), (-np.inf, "C must be finite"),
+                                         (np.nan, "C must be finite"), (0.2, "infeasible")])
+def test_the_ball_start_refuses_a_c_the_solver_refuses_with_its_message(C, message):
+    with pytest.raises(ValueError, match=message):
+        smo.ball_start(FactorGram(np.ones((4, 2))), C)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+def test_a_cold_fit_on_rows_beyond_the_float_range_raises_the_solvers_error(value):
+    # the start ranks the rows first; that must neither warn nor pre-empt the message
+    X = np.array([[1.0, value], [0.0, 1.0], [-value, 2.0]])
+    with pytest.raises(ValueError, match="Q and p must be finite"):
+        svdd_fit(X)
+
+
+def test_a_cold_linear_fit_reads_few_factor_rows_and_forms_no_n_by_n_product(monkeypatch):
+    n = 4_000
+    X = np.random.default_rng(3).standard_normal((n, 12))
+    rows_read = []
+
+    def spy(K, C, **kwargs):
+        assert isinstance(K, FactorGram)
+        alphas = solve_svdd_dual(K, C, **kwargs)
+        rows_read.append(len(K.rows))
+        return alphas
+
+    monkeypatch.setattr(svdd_module, "solve_svdd_dual", spy)
+    tracemalloc.start()
+    try:
+        svdd_fit(X, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows_read) == 1 and rows_read[0] < n / 20
+    assert peak < n * n * 8 / 20

@@ -11,6 +11,7 @@ from canoc.models import (FactorGram, NptEmbedding, PSI_VARIANTS, gram_matrix,
                           orthonormalize_rows, solve_svdd_dual, ssvdd_gradient,
                           ssvdd_objective)
 from canoc.models.persist import model_to_dict
+from canoc.models.smo import ball_start
 from canoc.models.ssvdd import psi_selector
 from canoc.models import ssvdd as ssvdd_module
 
@@ -97,16 +98,18 @@ def test_non_finite_gradient_reports_iteration(rng, monkeypatch):
 
 def test_inner_solves_warm_start_from_previous_alphas(rng, monkeypatch):
     X = rng.standard_normal((30, 5))
-    starts, results = [], []
+    grams, starts, results = [], [], []
 
     def spy(K, C, **kwargs):
+        grams.append(K)
         starts.append(kwargs.get("a0"))
         results.append(solve_svdd_dual(K, C, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(ssvdd_module, "solve_svdd_dual", spy)
     ssvdd_fit(X, d=2, C=0.3, iterations=6)
-    assert len(starts) == 6 and starts[0] is None
+    # the first solve starts cold at the farthest rows, each later one warm
+    assert len(starts) == 6 and np.array_equal(starts[0], ball_start(grams[0], 0.3))
     assert all(start is prev for start, prev in zip(starts[1:], results))
 
 
