@@ -66,6 +66,11 @@ class LateFrameError(LogParseError):
         self.floor = floor
 
 
+def id_text(can_id: int) -> str:
+    """``can_id`` in hex as messages print it, ``-0x1`` for -1."""
+    return f"{'-' if can_id < 0 else ''}0x{abs(can_id):X}"
+
+
 def _check_frame(timestamp: float, can_id: int, payload_length: int,
                  extended: bool) -> None:
     """Raise the ``ValueError`` for the first frame invariant these fields break."""
@@ -73,7 +78,7 @@ def _check_frame(timestamp: float, can_id: int, payload_length: int,
         raise ValueError(f"timestamp must be finite and >= 0, got {timestamp}")
     limit = CAN_EFF_MAX if extended else CAN_SFF_MAX
     if not 0 <= can_id <= limit:
-        raise ValueError(f"id 0x{can_id:X} out of range for "
+        raise ValueError(f"id {id_text(can_id)} out of range for "
                          f"{'extended' if extended else 'standard'} addressing")
     if payload_length > MAX_PAYLOAD_BYTES:
         raise ValueError(f"payload length {payload_length} exceeds {MAX_PAYLOAD_BYTES}")

@@ -26,7 +26,6 @@ each value is bit-identical to the numpy expressions above.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 import re
@@ -445,37 +444,40 @@ def write_feature_csv(sink: IO[str], X: np.ndarray, labels: Sequence[str],
 
 
 def read_feature_csv(stream: Iterable[str]) -> tuple[np.ndarray, list[str], IdVocabulary]:
-    """Load a feature CSV back into (matrix, labels, vocabulary)."""
-    lines = iter(stream)
-    try:
-        header = next(lines).rstrip("\n").split(",")
-    except StopIteration:
-        raise ValueError("no header line") from None
+    """Load a feature CSV, given as its lines, back into (matrix, labels,
+    vocabulary). Each row is parsed into its row of the matrix, allocated
+    once for every line."""
+    lines = list(stream)
+    if not lines:
+        raise ValueError("no header line")
+    header = lines[0].rstrip("\n").split(",")
     if not header or header[0] != "label":
         raise ValueError("first column is not 'label'")
     vocab = vocabulary_from_feature_names(header[1:])
-    rows, labels = [], []
-    for lineno, line in enumerate(lines, start=2):
+    X, labels = np.empty((len(lines) - 1, vocab.dimension)), []
+    for lineno, line in enumerate(lines[1:], start=2):
         line = line.rstrip("\n")
         if not line:
             continue
         fields = line.split(",")
         if len(fields) != len(header):
             raise ValueError(f"row arity mismatch at line {lineno}")
+        row = X[len(labels)]
         labels.append(fields[0])
-        row = []
-        for name, cell in zip(header[1:], fields[1:]):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"line {lineno}, column '{name}': "
-                                 f"{cell!r} is not a finite number")
-            row.append(value)
-        rows.append(row)
-    X = np.array(rows, dtype=float) if rows else np.empty((0, vocab.dimension))
-    return X, labels, vocab
+        try:
+            row[:] = list(map(float, fields[1:]))
+        except ValueError:
+            row[:] = math.nan
+        if not np.isfinite(row).all():  # the first cell that is not a finite number
+            for name, cell in zip(header[1:], fields[1:]):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"line {lineno}, column '{name}': "
+                                     f"{cell!r} is not a finite number")
+    return X[:len(labels)], labels, vocab
 
 
 def _is_number(value) -> bool:
@@ -495,17 +497,22 @@ def naming(where: str):
         raise ValueError(f"{where}: {err}") from None
 
 
-def read_text(path: str) -> io.StringIO:
-    """The lines of the UTF-8 text file at ``path``, with ``\\r\\n`` and
-    ``\\r`` read as ``\\n`` as in text mode; a byte that is not UTF-8 is a
-    ``ValueError`` naming its line."""
+def read_text(path: str) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``, without their ends,
+    with ``\\r\\n`` and ``\\r`` read as ``\\n`` as in text mode; a byte that
+    is not UTF-8 is a ``ValueError`` naming its line."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=None)
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
         raise ValueError(f"line {line} is not UTF-8 ({err.reason})") from None
+    del data
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # the end of the last line, or an empty file
+        lines.pop()
+    return lines
 
 
 def read_json(path: str, where: str):

@@ -50,32 +50,54 @@ def esvdd_fit(X, C: float = 1.0, epsilon: float = 1e-3, kernel: KernelSpec = LIN
     return _whitened("esvdd", inner, step, epsilon, None, scaler)
 
 
+# distances held at once by the kNN search: a block of rows of the n x n matrix
+KNN_BLOCK = 1 << 16
+
+
+def _knn_edges(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges ``(i, j)``, ``i < j``, as two sorted index arrays, of the mutualized binary kNN
+    graph of the rows of ``X``: ``j`` among the k nearest of ``i``, or ``i``
+    among those of ``j``. Rows are searched in blocks of about ``KNN_BLOCK``
+    distances; a block's distances are its rows of the whole matrix, bit for bit."""
+    n = X.shape[0]
+    if not 1 <= k < n:
+        raise ValueError(f"k={k} must satisfy 1 <= k < n={n}")
+    step = max(1, KNN_BLOCK // n)
+    near = []
+    for lo in range(0, n, step):
+        d2 = squared_distances(X[lo:lo + step], X)
+        rows = np.arange(d2.shape[0])
+        d2[rows, lo + rows] = np.inf
+        # the k nearest of each row, ties broken towards the lower index (a
+        # stable sort's first k): every entry below the k-th distance, then the
+        # first ties at it until there are k
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        below = d2 < kth
+        ties = d2 == kth
+        room = k - below.sum(axis=1, keepdims=True)
+        i, j = np.nonzero(below | (ties & (np.cumsum(ties, axis=1) <= room)))
+        near.append(np.minimum(lo + i, j) * n + np.maximum(lo + i, j))
+    return np.divmod(np.unique(np.concatenate(near)), n)
+
+
 def graph_laplacian(X, k: int) -> np.ndarray:
     """Unnormalized Laplacian of the mutualized (max-symmetrized) binary kNN
     graph; PSD with zero row sums."""
     X = _as_matrix(X, "X")
-    n = X.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"k={k} must satisfy 1 <= k < n={n}")
-    d2 = squared_distances(X, X)
-    np.fill_diagonal(d2, np.inf)
-    # the k nearest of each row, ties broken towards the lower index (a
-    # stable sort's first k): every entry below the k-th distance, then the
-    # first ties at it until there are k
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    below = d2 < kth
-    ties = d2 == kth
-    room = k - below.sum(axis=1, keepdims=True)
-    A = (below | (ties & (np.cumsum(ties, axis=1) <= room))).astype(float)
-    A = np.maximum(A, A.T)
+    i, j = _knn_edges(X, k)
+    A = np.zeros((X.shape[0], X.shape[0]))
+    A[i, j] = A[j, i] = 1.0
     return np.diag(A.sum(axis=1)) - A
 
 
 def _laplacian_whitener(X: np.ndarray, k: int, epsilon: float) -> np.ndarray:
+    """``(X'LX + eps I)^(-1/2)``, with ``X'LX = D'D`` for ``D`` the rows
+    ``x_i - x_j`` of the graph's edges: no n x n array is formed."""
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    L = graph_laplacian(X, k)
-    return inv_sqrt_psd(X.T @ L @ X + epsilon * np.eye(X.shape[1]))
+    i, j = _knn_edges(X, k)
+    D = X[i] - X[j]
+    return inv_sqrt_psd(D.T @ D + epsilon * np.eye(X.shape[1]))
 
 
 def gesvdd_fit(X, C: float = 1.0, k: int = 5, epsilon: float = 1e-3,

@@ -19,8 +19,8 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .canlog import (CAN_SFF_MAX, CHUNK_LINES, COLUMNS, MAX_PAYLOAD_BYTES, CanLog,
-                     iter_log, join_logs, write_csv_log)
+from .canlog import (CAN_SFF_MAX, CHUNK_LINES, COLUMNS, MAX_PAYLOAD_BYTES, CanLog, _view,
+                     id_text, iter_log, join_logs, write_csv_log)
 from .features import (LABEL_NORMAL, LABEL_RANDOM_ID, LABEL_REPLAY,
                        LABEL_ZERO_ID, Window, naming, read_text)
 
@@ -45,6 +45,10 @@ class EcuSpec:
             raise ValueError(f"period must be finite and > 0, got {self.period!r}")
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter fraction must be in [0, 1)")
+        # the simulator writes standard frames
+        if not 0 <= self.can_id <= CAN_SFF_MAX:
+            raise ValueError(f"bus id {id_text(self.can_id)} is outside the standard "
+                             f"range 0x0..0x{CAN_SFF_MAX:X}")
 
 
 @dataclass(frozen=True)
@@ -171,17 +175,8 @@ class LabeledLog:
         return tuple(names[self.log.label_codes()].tolist())
 
 
-def iter_normal(spec: BusSpec) -> Iterator[CanLog]:
-    """Attack-free traffic as consecutive time slices of about
-    ``CHUNK_LINES`` frames; deterministic for a fixed seed.
-
-    Each ECU draws all its jittered times here, before the first slice, so
-    that a bus too large to hold fails at once. Its payload rows are drawn
-    slice by slice, in order, from the generator its uniforms left: numpy
-    makes each 8-byte row of 2 whole 32-bit draws, so the rows equal those
-    of one draw. A slice holds each ECU's frames in ECU order, stably
-    sorted, as the frames of that time span are in the sort of all of them.
-    """
+def _normal_slices(spec: BusSpec) -> tuple[int, Iterator[CanLog]]:
+    """The frame count of :func:`iter_normal` and its slices."""
     streams = np.random.SeedSequence(spec.seed).spawn(len(spec.ids))
     ecus = []
     for ecu, stream in zip(spec.ids, streams):
@@ -199,23 +194,50 @@ def iter_normal(spec: BusSpec) -> Iterator[CanLog]:
     cuts = [[0, *np.searchsorted(t, edges).tolist(), len(t)] for _, t, _ in ecus]
 
     def slices() -> Iterator[CanLog]:
+        can_ids = [can_id for can_id, _, _ in ecus]
         for k in range(len(edges) + 1):
-            parts = []
-            for (can_id, t, rng), cut in zip(ecus, cuts):
-                n = cut[k + 1] - cut[k]
-                parts.append(CanLog(t[cut[k]:cut[k + 1]], np.full(n, can_id),
-                                    np.zeros(n, dtype=np.bool_),
-                                    np.full(n, MAX_PAYLOAD_BYTES, dtype=np.uint8),
-                                    rng.integers(0, 256, size=(n, MAX_PAYLOAD_BYTES),
-                                                 dtype=np.uint8)))
-            yield join_logs(parts)
+            # each ECU's columns in ECU order, joined, then one stable sort
+            spans = [t[cut[k]:cut[k + 1]] for (_, t, _), cut in zip(ecus, cuts)]
+            payload = [rng.integers(0, 256, size=(len(span), MAX_PAYLOAD_BYTES), dtype=np.uint8)
+                       for (_, _, rng), span in zip(ecus, spans)]
+            ids = np.repeat(can_ids, [len(span) for span in spans])
+            times = np.concatenate(spans)
+            order = np.argsort(times, kind="stable")
+            yield CanLog(times[order], ids[order], np.zeros(len(order), dtype=np.bool_),
+                         np.full(len(order), MAX_PAYLOAD_BYTES, dtype=np.uint8),
+                         np.concatenate(payload)[order])
 
-    return slices()
+    return frames, slices()
+
+
+def iter_normal(spec: BusSpec) -> Iterator[CanLog]:
+    """Attack-free traffic as consecutive time slices of about
+    ``CHUNK_LINES`` frames; deterministic for a fixed seed.
+
+    Each ECU draws all its jittered times here, before the first slice, so
+    that a bus too large to hold fails at once. Its payload rows are drawn
+    slice by slice, in order, from the generator its uniforms left: numpy
+    makes each 8-byte row of 2 whole 32-bit draws, so the rows equal those
+    of one draw. A slice holds each ECU's frames in ECU order, stably
+    sorted, as the frames of that time span are in the sort of all of them.
+    """
+    return _normal_slices(spec)[1]
 
 
 def generate_normal(spec: BusSpec) -> CanLog:
-    """Synthesize attack-free traffic: the slices of :func:`iter_normal`, joined."""
-    return join_logs(list(iter_normal(spec)))
+    """Synthesize attack-free traffic: the slices of :func:`iter_normal`,
+    copied one by one into columns allocated once for all the frames."""
+    frames, slices = _normal_slices(spec)
+    times, ids = np.empty(frames, dtype=np.float64), np.empty(frames, dtype=np.int64)
+    payload = np.empty((frames, MAX_PAYLOAD_BYTES), dtype=np.uint8)
+    at = 0
+    for part in slices:
+        end = at + len(part)
+        times[at:end], ids[at:end], payload[at:end] = part.times, part.ids, part.payload
+        at = end
+    # valid slices, each after the one before in time: nothing to check again
+    return _view([times, ids, np.zeros(frames, dtype=np.bool_),
+                  np.full(frames, MAX_PAYLOAD_BYTES, dtype=np.uint8), payload])
 
 
 def _check_window_overlap(span: tuple[float, float] | None, start: float, end: float) -> None:
@@ -275,6 +297,9 @@ def _attack(scenario: AttackScenario, span: tuple[float, float] | None,
         columns = [(segment.times + offsets[:, None]).ravel()] + [getattr(segment, name)[rows]
                                                                   for name in COLUMNS[1:]]
     order = np.argsort(columns[0], kind="stable")
+    if len(order) and columns[0][order[0]] < 0:
+        raise ValueError(f"attack window [{start}, {end}) would put a frame at "
+                         f"{columns[0][order[0]]:.6f} s, before 0 s")
     return CanLog(*(column[order] for column in columns)).with_labels(
         np.ones(len(order), dtype=np.uint8), (LABEL_NORMAL, kind))
 

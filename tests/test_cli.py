@@ -856,6 +856,27 @@ def test_inject_rejects_a_flag_its_kind_does_not_take(tmp_path, capsys, kind, fl
     assert err.startswith(f"error: {kind} takes no ") and field in err, err
 
 
+@pytest.mark.parametrize("bus_id", ["0x800", "-1"])
+def test_a_simulated_bus_id_outside_standard_addressing_is_an_input_error(tmp_path, capsys,
+                                                                          bus_id):
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, "simulate", "--out", out, "--bus-ids", bus_id,
+                            "--bus-periods", 0.1)
+    assert code == 2 and stdout == "" and not out.exists()
+    name = "-0x1" if bus_id == "-1" else "0x800"
+    assert err == f"error: bus id {name} is outside the standard range 0x0..0x7FF\n", err
+
+
+def test_an_injected_frame_before_0_s_is_an_input_error_naming_the_window(tmp_path, capsys):
+    log, labels = simulate(tmp_path, capsys, duration=5.0)
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, "inject", "--in", log, "--labels", labels, "--out", out,
+                            "--kind", "zero_id", "--rate", 100, "--start", -3, "--end", 2)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert re.fullmatch(r"error: attack window \[-3\.0, 2\.0\) would put a frame at "
+                        r"-\d\.\d{6} s, before 0 s\n", err), err
+
+
 # each asks for an array of 700 PiB or more, past any 64-bit address space, so
 # that no machine can allocate it, whatever its overcommit policy
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import io
 import os
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -60,6 +61,29 @@ def test_bus_spec_validation():
             EcuSpec(1, period)
     with pytest.raises(ValueError, match="jitter"):
         EcuSpec(1, 0.1, jitter=1.0)
+
+
+@pytest.mark.parametrize("can_id", [-1, 0x800, 0x1FFFFFFF])
+def test_a_bus_id_outside_standard_addressing_is_refused_by_name(can_id):
+    name = "-0x1" if can_id < 0 else f"0x{can_id:X}"
+    with pytest.raises(ValueError, match=f"^bus id {name} is outside the standard range"):
+        EcuSpec(can_id, 0.1)
+
+
+@pytest.mark.parametrize("duration", [0.5, 20.0, 600.0])
+def test_generate_normal_is_the_joined_slices_in_memory_near_its_output(duration):
+    spec = default_bus(duration, seed=3)
+    expected = join_logs(list(simulate.iter_normal(spec)))
+    tracemalloc.start()
+    try:
+        log = generate_normal(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log == expected and log.labels is None
+    assert all(getattr(log, name).dtype == getattr(expected, name).dtype for name in COLUMNS)
+    if duration == 600.0:  # large against one slice's columns
+        assert peak < 1.5 * sum(getattr(log, name).nbytes for name in COLUMNS)
 
 
 # --- flood injection ----------------------------------------------------------
@@ -127,6 +151,29 @@ def test_window_outside_span_rejected():
     scenario = AttackScenario(kind="zero_id", rate=10.0, window=(20.0, 21.0), seed=0)
     with pytest.raises(ValueError, match="outside the"):
         inject(log, scenario)
+
+
+@pytest.mark.parametrize("scenario", [
+    AttackScenario(kind="zero_id", rate=100.0, window=(-3.0, 2.0), seed=0),
+    AttackScenario(kind="random_id", rate=100.0, window=(-0.5, 2.0), seed=0),
+    AttackScenario(kind="replay", window=(-2.0, 1.0), replay_segment=(1.0, 4.0))],
+    ids=["zero_id", "random_id", "replay"])
+def test_an_injected_frame_before_0_s_is_refused_naming_the_window(scenario):
+    start, end = scenario.window
+    with pytest.raises(ValueError, match=re.escape(f"attack window [{start}, {end}) would "
+                                                   "put a frame at -")):
+        inject(base_log(duration=5.0), scenario)
+
+
+def test_a_replay_from_a_window_before_0_s_that_lands_at_or_after_0_s_is_injected():
+    log = base_log(duration=5.0)
+    lo, hi = np.searchsorted(log.times, [2.0, 3.0]).tolist()
+    start = 2.0 - float(log.times[lo])  # the first copied frame lands at 0 s exactly
+    out = inject(log, AttackScenario(kind="replay", window=(start, start + 1.0),
+                                     replay_segment=(2.0, 3.0)))
+    assert start < 0 and len(out.log) == len(log) + hi - lo
+    replayed = out.log.times[out.log.labels == 1]
+    assert replayed[0] == 0.0 and np.array_equal(replayed, log.times[lo:hi] + (start - 2.0))
 
 
 def test_scenario_validation():

@@ -1,11 +1,14 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canoc import (KernelSpec, esvdd_fit, gesvdd_fit, predict, score_samples, ssvdd_fit,
                    svdd_fit)
-from canoc.models import gram_matrix, median_heuristic, resolve_kernel
+from canoc.models import gram_matrix, kernels, median_heuristic, resolve_kernel
+from canoc.models.kernels import squared_distances
 
 
 def test_identical_training_set_flags_everything_else():
@@ -173,6 +176,68 @@ def test_median_heuristic_degenerate_inputs_give_one():
     assert median_heuristic(np.array([[2.0, 3.0]])) == 1.0
     assert median_heuristic(np.array([2.0, 3.0])) == 1.0
     assert median_heuristic(np.tile([2.0, 3.0], (5, 1))) == 1.0
+    # a NaN distance makes np.median NaN, which is not > 0
+    assert median_heuristic(np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]])) == 1.0
+
+
+def every_distance_median(X):
+    """np.median of all the pairwise distances, the rule as first written."""
+    upper = squared_distances(X, X)[np.triu_indices(len(X), k=1)]
+    med = float(np.median(np.sqrt(upper)))
+    return med if med > 0 else 1.0
+
+
+@given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["normal", "integer", "duplicate"]), st.integers(1, 64),
+       st.integers(1, 16), st.floats(0.0, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_the_blocked_median_is_the_median_of_every_distance(n, dim, seed, rows, block, sample,
+                                                           margin):
+    # odd and even pair counts; tied distances (small integers) and rows
+    # repeated at distance 0; blocks of a few distances, and brackets from a
+    # sample of a few pairs, narrow enough to miss
+    rng = np.random.default_rng(seed)
+    if rows == "integer":
+        X = rng.integers(-1, 2, size=(n, dim)).astype(float)
+    else:
+        X = rng.standard_normal((n, dim))
+        if rows == "duplicate":
+            X[rng.integers(n, size=n)] = X[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "MEDIAN_BLOCK", block)
+        patch.setattr(kernels, "MEDIAN_SAMPLE", sample)
+        patch.setattr(kernels, "MEDIAN_MARGIN", margin)
+        got = median_heuristic(X)
+    assert np.float64(got).tobytes() == np.float64(every_distance_median(X)).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_bracket_that_misses_the_median_is_widened_and_the_pass_repeated(seed, monkeypatch):
+    X = np.random.default_rng(seed).standard_normal((120, 3))
+    passes = []
+    upper = kernels._upper_distances
+
+    def spy(X):
+        passes.append(len(X))
+        return upper(X)
+
+    monkeypatch.setattr(kernels, "_upper_distances", spy)
+    monkeypatch.setattr(kernels, "MEDIAN_SAMPLE", 32)
+    monkeypatch.setattr(kernels, "MEDIAN_MARGIN", 0.0)  # a bracket of one sampled distance
+    assert median_heuristic(X) == every_distance_median(X)
+    assert len(passes) > 1
+
+
+def test_the_median_of_4000_rows_forms_no_n_by_n_array():
+    n = 4000
+    X = np.random.default_rng(4).standard_normal((n, 12))
+    tracemalloc.start()
+    try:
+        median_heuristic(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 10
 
 
 def test_resolve_kernel_fills_sigma_only_for_unset_rbf(rng):

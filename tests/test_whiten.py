@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from canoc import esvdd_fit, geocsvm_fit, gesvdd_fit, graph_laplacian, svdd_fit
-from canoc.models import score_samples
+from canoc.models import score_samples, whiten
 from canoc.models.whiten import inv_sqrt_psd
 
 
@@ -135,9 +137,11 @@ def stable_argsort_laplacian(X, k):
     return np.diag(A.sum(axis=1)) - A
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 3, None])
 @given(st.integers(2, 40), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_laplacian_keeps_the_neighbours_of_a_stable_sort(n, dim, seed, integer_rows):
+def test_laplacian_keeps_the_neighbours_of_a_stable_sort(block_rows, n, dim, seed, integer_rows):
+    # the kNN search runs in blocks of 1, 2, 3 or n rows (None: all n at once)
     rng = np.random.default_rng(seed)
     if integer_rows:  # small integers: many exactly tied distances
         X = rng.integers(-1, 2, size=(n, dim)).astype(float)
@@ -146,4 +150,18 @@ def test_laplacian_keeps_the_neighbours_of_a_stable_sort(n, dim, seed, integer_r
         for _ in range(n // 3):  # duplicate rows tie at distance 0
             X[rng.integers(n)] = X[rng.integers(n)]
     k = int(rng.integers(1, n))
-    assert np.array_equal(graph_laplacian(X, k), stable_argsort_laplacian(X, k))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(whiten, "KNN_BLOCK", n * (block_rows or n))
+        assert np.array_equal(graph_laplacian(X, k), stable_argsort_laplacian(X, k))
+
+
+def test_a_graph_embedded_fit_on_4000_rows_forms_no_n_by_n_array():
+    n = 4000
+    X = np.random.default_rng(4).standard_normal((n, 12))
+    tracemalloc.start()
+    try:
+        gesvdd_fit(X, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 10
