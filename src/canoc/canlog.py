@@ -104,6 +104,11 @@ COLUMNS = ("times", "ids", "extended", "dlc", "payload")
 _LABELED = (*COLUMNS, "labels")
 _DTYPES = (np.float64, np.int64, np.bool_, np.uint8, np.uint8)
 
+# a payload row read as a little-endian u8 is at most _PAYLOAD_MAX[dlc]
+# exactly when its bytes past dlc are zero
+_PAYLOAD_MAX = np.array([(1 << 8 * k) - 1 for k in range(MAX_PAYLOAD_BYTES + 1)],
+                        dtype=np.uint64)
+
 
 def _payload_matrix(dlc: np.ndarray, raw: bytes) -> np.ndarray:
     """``[n, 8]`` payload rows from the concatenated payload bytes of n frames."""
@@ -153,7 +158,7 @@ class CanLog(Sequence):
             k = int(np.argmax(bad))
             _check_frame(float(self.times[k]), int(self.ids[k]), int(self.dlc[k]),
                          bool(self.extended[k]))
-        if self.payload[np.arange(MAX_PAYLOAD_BYTES) >= self.dlc[:, None]].any():
+        if (np.ascontiguousarray(self.payload).view("<u8")[:, 0] > _PAYLOAD_MAX[self.dlc]).any():
             raise ValueError("payload bytes past dlc must be zero")
         if (self.times[1:] < self.times[:-1]).any():
             raise ValueError("frames not sorted by timestamp")

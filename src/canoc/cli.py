@@ -122,12 +122,17 @@ def cmd_inject(args: argparse.Namespace) -> int:
     for path in (args.out, _labels_path(args)):
         if os.path.realpath(path) in inputs:
             raise ValueError(f"output file {path} is also an input of inject")
+    segment = tuple(float(t) for t in args.segment.split(":")) if args.segment else None
+    end = args.end
+    if end is None:
+        # a replay's frames span its repeats of the segment; a flood lasts 1 s
+        end = (args.start + args.repeat * (segment[1] - segment[0])
+               if args.kind == simulate.LABEL_REPLAY and segment and len(segment) == 2 else 1.0)
     scenario = simulate.AttackScenario(
         kind=args.kind,
         rate=args.rate,
-        window=(args.start, args.end),
-        replay_segment=(tuple(float(t) for t in args.segment.split(":"))
-                        if args.segment else None),
+        window=(args.start, end),
+        replay_segment=segment,
         repeat=args.repeat,
         seed=args.seed,
         payload_length=args.payload_len,
@@ -322,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=simulate.ATTACK_KINDS)
     p.add_argument("--rate", type=float, help="injected frames per second (floods)")
     p.add_argument("--start", type=float, default=0.0, help="attack window start")
-    p.add_argument("--end", type=float, default=1.0, help="attack window end")
+    p.add_argument("--end", type=float,
+                   help="attack window end; default 1.0 for a flood and, for a replay, "
+                        "start + repeat x segment length")
     p.add_argument("--segment", help="replay source interval as start:end seconds")
     p.add_argument("--repeat", type=int, default=1, help="replay repetitions")
     p.add_argument("--payload-len", type=int, help="override injected payload length")

@@ -19,7 +19,7 @@ optional "other" bucket pools every non-vocabulary frame into one extra
 pseudo-ID so foreign-ID traffic stays visible.
 
 :func:`extract_matrix` computes many windows at once as array operations,
-with every sum in ``np.add.reduce``'s order (:func:`_pairwise_sums`), so
+with every sum in ``np.add.reduce``'s order (:func:`_mean_std`), so
 each value is bit-identical to the numpy expressions above.
 """
 
@@ -267,27 +267,23 @@ class FeatureVector:
 BLOCK_ROWS = 1 << 14
 
 
-def _pairwise_sums(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(x[s:s + n])`` for every segment, bit for bit.
-
-    The segments of each length are stacked as the rows of one C-contiguous
-    array; numpy sums each row in the same pairwise order as the 1-d slice.
-    """
-    out = np.zeros(starts.size)
+def _mean_std(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each non-empty segment's ``np.mean`` and ``np.std`` of ``x[s:s + n]``,
+    bit for bit. The segments of each length are gathered once, as the rows
+    of one C-contiguous array, which numpy sums in the 1-d slice's pairwise
+    order; then numpy's own steps: the sum over the count, ``x - mean``,
+    ``d * d``, the sum over the count and ``sqrt``."""
+    mean = np.zeros(starts.size)
+    sd = np.zeros(starts.size)
     for n in np.unique(lengths).tolist():
         if n:
             at = lengths == n
-            out[at] = np.add.reduce(x[starts[at, None] + np.arange(n)], axis=1)
-    return out
-
-
-def _mean_std(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each non-empty segment's ``np.mean`` and ``np.std``, by numpy's own
-    steps: the sum over the count, ``x - mean``, ``d * d``, the sum over the
-    count and ``sqrt``."""
-    mean = _pairwise_sums(x, starts, lengths) / lengths
-    dev = x - np.repeat(mean, lengths)
-    return mean, np.sqrt(_pairwise_sums(dev * dev, starts, lengths) / lengths)
+            rows = x[starts[at, None] + np.arange(n)]
+            m = np.add.reduce(rows, axis=1) / n
+            rows -= m[:, None]
+            mean[at] = m
+            sd[at] = np.sqrt(np.add.reduce(rows * rows, axis=1) / n)
+    return mean, sd
 
 
 def _grouped(windows: Sequence[Window], vocab_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +297,10 @@ def _grouped(windows: Sequence[Window], vocab_ids: np.ndarray) -> tuple[np.ndarr
     width = vocab_ids.size + 1
     key = (np.where(known, pos, vocab_ids.size)
            + width * np.repeat(np.arange(len(windows)), [len(w.frames) for w in windows]))
-    order = np.argsort(key, kind="stable")
+    # a block's key is below max(BLOCK_ROWS, width), so it fits 16 bits for
+    # a vocabulary under 65,535 ids, and numpy's stable sort of a key that
+    # narrow is a radix sort; a wider key sorts to the same permutation
+    order = np.argsort(key.astype(np.min_scalar_type(int(key.max(initial=0)))), kind="stable")
     return np.concatenate([w.frames.times for w in windows])[order], key[order]
 
 

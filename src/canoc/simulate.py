@@ -87,9 +87,10 @@ class AttackScenario:
     ``window`` is the (start, end) activity interval; flood kinds draw
     Poisson arrivals at ``rate`` inside it, replay copies
     ``replay_segment`` to begin at the window start, ``repeat`` times
-    back-to-back. ``payload_length`` overrides the per-kind default
-    (8 random bytes for random-ID, empty for zero-ID). A field of the
-    other kinds must keep its default.
+    back-to-back; its window's end must pass the check but is not used.
+    ``payload_length`` overrides the per-kind default (8 random bytes for
+    random-ID, empty for zero-ID). A field of the other kinds must keep its
+    default.
     """
 
     kind: str
@@ -103,12 +104,6 @@ class AttackScenario:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"attack kind must be one of {ATTACK_KINDS}")
-        if self.window is None:
-            raise ValueError("attack scenario needs a (start, end) window")
-        start, end = self.window
-        if not (math.isfinite(start) and math.isfinite(end) and end > start):
-            raise ValueError(f"attack window must be finite with end > start, "
-                             f"got {self.window!r}")
         if self.kind in _FLOOD_KINDS:
             if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0):
                 raise ValueError(f"flood attacks need a finite rate > 0, got {self.rate!r}")
@@ -125,6 +120,12 @@ class AttackScenario:
                                  f"got {self.replay_segment!r}")
             if self.repeat < 1:
                 raise ValueError("replay repeat must be >= 1")
+        if self.window is None:
+            raise ValueError("attack scenario needs a (start, end) window")
+        start, end = self.window
+        if not (math.isfinite(start) and math.isfinite(end) and end > start):
+            raise ValueError(f"attack window must be finite with end > start, "
+                             f"got {self.window!r}")
         if self.payload_length is not None and not 0 <= self.payload_length <= 8:
             raise ValueError("payload length must be 0..8")
 
@@ -290,7 +291,9 @@ def _attack(scenario: AttackScenario, span: tuple[float, float] | None,
         if not len(segment):
             raise ValueError(f"replay segment [{src_start}, {src_end}) contains no frames")
         length = src_end - src_start
-        _check_window_overlap(span, start, start + scenario.repeat * length)
+        # a replay's frames span its copies of the segment, whatever the window's end
+        end = start + scenario.repeat * length
+        _check_window_overlap(span, start, end)
         # all copies at once, so that a repeat count too large to hold fails at allocation
         offsets = start + np.arange(scenario.repeat) * length - src_start
         rows = np.tile(np.arange(len(segment)), scenario.repeat)

@@ -368,6 +368,47 @@ def test_log_rejects_bytes_past_dlc():
                np.zeros(1, dtype=np.uint8), np.ones((1, 8), dtype=np.uint8))
 
 
+PAYLOAD_ROWS = st.lists(st.tuples(st.integers(0, 8), st.binary(min_size=8, max_size=8),
+                                  st.none() | st.tuples(st.integers(0, 7), st.integers(1, 255))),
+                        min_size=1, max_size=6)
+# how the [n, 8] payload sits in memory: its own array, every other column of
+# a wider one, the last 8 columns of a 9-column one, Fortran order, or rows
+# at a negative stride
+PAYLOAD_LAYOUTS = ("contiguous", "strided", "offset", "fortran", "reversed")
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOAD_ROWS, st.sampled_from(PAYLOAD_LAYOUTS))
+def test_log_refuses_a_payload_exactly_when_a_byte_past_dlc_is_set(rows, layout):
+    n = len(rows)
+    dlc = np.array([d for d, _, _ in rows], dtype=np.uint8)
+    payload = np.zeros((n, 8), dtype=np.uint8)
+    for k, (d, raw, stray) in enumerate(rows):
+        payload[k, :d] = np.frombuffer(raw, dtype=np.uint8)[:d]
+        if stray is not None:
+            payload[k, stray[0]] = stray[1]
+    if layout == "strided":
+        wide = np.zeros((n, 16), dtype=np.uint8)
+        wide[:, ::2] = payload
+        payload = wide[:, ::2]
+    elif layout == "offset":
+        wide = np.zeros((n, 9), dtype=np.uint8)
+        wide[:, 1:] = payload
+        payload = wide[:, 1:]
+    elif layout == "fortran":
+        payload = np.asfortranarray(payload)
+    elif layout == "reversed":
+        # the same rows, read backwards from a copy in reverse order
+        payload = payload[::-1].copy()[::-1]
+    past_dlc = payload[np.arange(8) >= dlc[:, None]].any()
+    columns = (np.zeros(n), np.arange(n), np.zeros(n, dtype=bool), dlc, payload)
+    if past_dlc:
+        with pytest.raises(ValueError, match="^payload bytes past dlc must be zero$"):
+            CanLog(*columns)
+    else:
+        assert np.array_equal(CanLog(*columns).payload, payload)
+
+
 def test_hot_paths_build_no_frames(tmp_path, monkeypatch):
     built = []
     check = CanFrame.__post_init__

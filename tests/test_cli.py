@@ -877,6 +877,42 @@ def test_an_injected_frame_before_0_s_is_an_input_error_naming_the_window(tmp_pa
                         r"-\d\.\d{6} s, before 0 s\n", err), err
 
 
+@pytest.mark.parametrize("repeat", [1, 3])
+def test_a_replay_needs_no_end(tmp_path, capsys, repeat):
+    log, labels = simulate(tmp_path, capsys, duration=30.0)
+    replay = ["--kind", "replay", "--start", 20, "--segment", "5:7", "--repeat", repeat]
+    without, given = tmp_path / "without.csv", tmp_path / "given.csv"
+    code, stdout, err = run(capsys, "inject", "--in", log, "--labels", labels,
+                            "--out", without, *replay)
+    assert code == 0 and err == "" and stdout.startswith("injected "), err
+    assert run(capsys, "inject", "--in", log, "--labels", labels, "--out", given, *replay,
+               "--end", 20 + 2 * repeat)[0] == 0
+    for suffix in ("", ".labels.csv"):
+        assert (Path(f"{without}{suffix}").read_bytes()
+                == Path(f"{given}{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("segment", ["7:5", "5:nan"])
+def test_a_replay_without_end_names_its_bad_segment(tmp_path, capsys, segment):
+    log, labels = simulate(tmp_path, capsys, duration=5.0)
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, "inject", "--in", log, "--labels", labels, "--out", out,
+                            "--kind", "replay", "--start", 2, "--segment", segment)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: replay segment must be finite with src_end > src_start"), err
+
+
+def test_a_replay_before_0_s_names_its_own_span(tmp_path, capsys):
+    log, labels = simulate(tmp_path, capsys, duration=5.0)
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, "inject", "--in", log, "--labels", labels, "--out", out,
+                            "--kind", "replay", "--segment", "1:3", "--start", -1,
+                            "--repeat", 2, "--end", 100)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert re.fullmatch(r"error: attack window \[-1\.0, 3\.0\) would put a frame at "
+                        r"-\d\.\d{6} s, before 0 s\n", err), err
+
+
 # each asks for an array of 700 PiB or more, past any 64-bit address space, so
 # that no machine can allocate it, whatever its overcommit policy
 @pytest.mark.parametrize("argv", [

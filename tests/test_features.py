@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from canoc import features
-from canoc import (CanFrame, IdVocabulary, Window, apply_scaler,
+from canoc import (CanFrame, CanLog, IdVocabulary, Window, apply_scaler,
                    build_vocabulary, extract_features, fit_scaler,
                    segment_windows)
 from canoc.canlog import CAN_EFF_MAX
@@ -373,7 +373,7 @@ segment_lengths = st.integers(0, 1100) | st.sampled_from(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(segment_lengths, st.integers(0, 20)), max_size=8),
        st.integers(0, 2 ** 32 - 1))
-def test_pairwise_sums_equal_numpy_reduce_bit_for_bit(segments, seed):
+def test_mean_std_equal_numpy_mean_and_std_bit_for_bit(segments, seed):
     rng = np.random.default_rng(seed)
     size = sum(n + skip for n, skip in segments)
     x = 10.0 ** rng.uniform(-9.0, 3.0, size)
@@ -382,12 +382,40 @@ def test_pairwise_sums_equal_numpy_reduce_bit_for_bit(segments, seed):
     for n, skip in segments:
         starts.append(at + skip)
         at += skip + n
-    lengths = [n for n, _ in segments]
-    got = features._pairwise_sums(x, np.array(starts, dtype=np.int64),
-                                  np.array(lengths, dtype=np.int64))
-    want = np.array([np.add.reduce(x[s:s + n]) for s, n in zip(starts, lengths)],
-                    dtype=float)
-    assert got.tobytes() == want.tobytes()
+    lengths = np.array([n for n, _ in segments], dtype=np.int64)
+    mean, sd = features._mean_std(x, np.array(starts, dtype=np.int64), lengths)
+    # the callers pass no empty segment, whose mean and spread are undefined
+    full = lengths > 0
+    want_mean = np.array([np.mean(x[s:s + n]) for s, n in zip(starts, lengths) if n])
+    want_sd = np.array([np.std(x[s:s + n]) for s, n in zip(starts, lengths) if n])
+    assert mean[full].tobytes() == want_mean.tobytes()
+    assert sd[full].tobytes() == want_sd.tobytes()
+
+
+def test_a_group_key_wider_than_16_bits_equals_the_reference(rng):
+    # a window of more slots than BLOCK_ROWS is a block alone, so only a
+    # vocabulary past 65,535 ids makes a key that needs more than 16 bits
+    ids = np.sort(rng.choice(np.arange(0x800, 0x800 + 200_000), 70_000, replace=False))
+    vocab = IdVocabulary(tuple(ids.tolist()), include_other_bucket=True)
+    assert len(vocab.ids) >= 1 << 16
+    n = 3_000
+    # mostly 20 ids spread over the slots, so that a key cut to 16 bits would
+    # reorder their runs, then any vocabulary id, then foreign ids
+    frame_ids = np.concatenate([rng.choice(ids[::3500], n - 300), rng.choice(ids, 200),
+                                0x800 + 200_000 + rng.integers(0, 5, 100)])
+    rng.shuffle(frame_ids)
+    times = np.sort(rng.uniform(0.0, 3.0, n))
+    log = CanLog(times, frame_ids, np.ones(n, dtype=bool), np.zeros(n, dtype=np.uint8),
+                 np.zeros((n, 8), dtype=np.uint8))
+    windows = segment_windows(log, 1.0)
+    assert len(windows) == 3
+    assert [hi - lo for lo, hi in features._blocks(windows, len(vocab.ids) + 1)] == [1, 1, 1]
+    # each window's key reaches the other slot, 70,000
+    assert all((w.frames.ids > ids[-1]).any() for w in windows)
+    for stdev_mode in STDEV_MODES:
+        X, _ = extract_matrix(windows, vocab, stdev_mode)
+        for row, w in zip(X, windows):
+            assert np.array_equal(row, numpy_reference_row(w, vocab, stdev_mode))
 
 
 # --- scaler -------------------------------------------------------------------
